@@ -1,10 +1,9 @@
-"""Optional numba acceleration for the hot numeric kernels.
+"""Gauss-Kronrod constants and the small numeric kernels.
 
-The pure-numpy implementations below are the reference path.  When numba is
-importable and the environment variable ``FRACLAB_NO_NUMBA`` is unset (or not
-one of ``1/true/yes``), the same functions are compiled with ``@njit``.  Both
-paths produce bit-identical results for the operations used here; the
-benchmark in ``benchmarks/bench_accel.py`` compares them.
+The panel reduction is two matrix-vector products over a whole panel batch.
+The compensated sum and the pointwise Poisson kernel are plain loops; when
+numba is importable and the environment variable ``FRACLAB_NO_NUMBA`` is
+unset (or not one of ``1/true/yes``), those two are compiled with ``@njit``.
 """
 
 import os
@@ -96,26 +95,13 @@ GK_WEIGHTS_G[1::2] = np.array(
 )
 
 
-def _panel_reduce_impl(fvals, half_widths):
+def panel_reduce(fvals, half_widths):
     """Per-panel Kronrod value and |K15 - G7| error from f at the 15 nodes.
 
     fvals has shape (n_panels, 15); half_widths has shape (n_panels,).
     """
-    n = fvals.shape[0]
-    values = np.empty(n)
-    errors = np.empty(n)
-    for i in range(n):
-        k = 0.0
-        g = 0.0
-        for j in range(15):
-            k += GK_WEIGHTS_K[j] * fvals[i, j]
-            g += GK_WEIGHTS_G[j] * fvals[i, j]
-        values[i] = k * half_widths[i]
-        errors[i] = abs(k - g) * half_widths[i]
-    return values, errors
-
-
-panel_reduce = accelerate(_panel_reduce_impl)
+    k = fvals @ GK_WEIGHTS_K
+    return k * half_widths, np.abs(k - fvals @ GK_WEIGHTS_G) * half_widths
 
 
 def _poisson_kernel_impl(one_minus_x2, y_norm2, dist2, s, d, c_ds):

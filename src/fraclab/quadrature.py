@@ -10,14 +10,16 @@ All integrands are numpy-vectorized: they accept an ndarray of abscissae and
 return an ndarray of values.  An integrand may instead return a pair
 ``(values, errors)``; the per-point errors are then folded into the report's
 error estimate (this is how inner angular integrals propagate their
-uncertainty to the radial rule).
+uncertainty to the radial rule).  The adaptive driver refines a whole batch
+of integrals at once, so the angular integrals at all radial nodes of one
+radial panel sweep cost one driver call.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._accel import GK_NODES, GK_WEIGHTS_K, kahan_sum, panel_reduce
+from ._accel import GK_NODES, GK_WEIGHTS_K, panel_reduce
 
 
 class QuadratureError(ValueError):
@@ -76,74 +78,110 @@ class EvaluationReport:
 ZERO_REPORT = EvaluationReport(0.0, 0.0, 0, True)
 
 
-def _evaluate_panels(f, lo, hi):
+# Panels evaluated per integrand call: bounds the size of the abscissa
+# arrays (and so the memory) of nested batches.
+PANELS_PER_CALL = 64
+
+
+def _evaluate_panels(f, lo, hi, ids):
     """Evaluate f on the 15 Kronrod nodes of each panel.
 
-    Returns (panel_values, panel_errors, aux_errors, n_evals) where
-    aux_errors carries integrand-supplied per-point uncertainties.
+    ``f(x, ids)`` is called on at most ``PANELS_PER_CALL`` panels at a time,
+    with ``ids[j]`` the integral that abscissa ``x[j]`` belongs to.  Returns
+    (panel_values, panel_errors, aux_errors) where aux_errors carries
+    integrand-supplied per-point uncertainties.
     """
-    centers = 0.5 * (lo + hi)
     halves = 0.5 * (hi - lo)
-    x = (centers[:, None] + halves[:, None] * GK_NODES[None, :]).ravel()
-    res = f(x)
-    if isinstance(res, tuple):
-        fv, fe = res
-        fe = np.asarray(fe, dtype=float).reshape(len(lo), 15)
-        aux = halves * (np.abs(fe) @ GK_WEIGHTS_K)
-    else:
-        fv = res
-        aux = np.zeros(len(lo))
-    fv = np.asarray(fv, dtype=float).reshape(len(lo), 15)
+    x = 0.5 * (lo + hi)[:, None] + halves[:, None] * GK_NODES[None, :]
+    fv = np.empty_like(x)
+    fe = np.zeros_like(x)
+    for k in range(0, len(lo), PANELS_PER_CALL):
+        rows = slice(k, k + PANELS_PER_CALL)
+        res = f(x[rows].ravel(), np.repeat(ids[rows], 15))
+        if isinstance(res, tuple):
+            fe[rows] = np.abs(np.asarray(res[1], dtype=float)).reshape(-1, 15)
+            res = res[0]
+        fv[rows] = np.asarray(res, dtype=float).reshape(-1, 15)
     if not np.all(np.isfinite(fv)):
         raise QuadratureError("integrand returned a non-finite value")
     values, errors = panel_reduce(fv, halves)
-    return values, errors, aux, x.size
+    return values, errors, halves * (fe @ GK_WEIGHTS_K)
 
 
-def _adaptive(f, points, rel_tol, abs_tol, max_subdivisions):
-    """Adaptive bisection driver over an initial partition ``points``.
+def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
+    """Adaptive bisection of a batch of integrals, one per initial partition.
 
-    Returns (value, error_estimate, function_evals, converged).
+    All panels share one pool, each tagged with the id (index into
+    ``partitions``) of its integral, and every refinement sweep evaluates the
+    new panels of all ids together through ``f(x, ids)``.  Each id follows
+    the scalar rules on its own panels: it stops when its error meets
+    ``max(abs_tol, rel_tol |value|)``, when it holds ``max_subdivisions``
+    panels, or when integrand-supplied error dominates; otherwise it splits
+    every panel above ``tol / (2 n_panels)`` and at least its worst one.
+
+    Returns (values, errors, function_evals, converged): per-id arrays, and
+    one bool that is True when every id met its tolerance.
     """
-    points = np.asarray(points, dtype=float)
-    lo = points[:-1].copy()
-    hi = points[1:].copy()
+    n = len(partitions)
+    parts = [np.asarray(p, dtype=float) for p in partitions]
+    lo = np.concatenate([p[:-1] for p in parts])
+    hi = np.concatenate([p[1:] for p in parts])
+    ids = np.repeat(np.arange(n), [p.size - 1 for p in parts])
     keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    if lo.size == 0:
-        return 0.0, 0.0, 0, True
-    values, errors, aux, n_evals = _evaluate_panels(f, lo, hi)
-    while True:
-        total = kahan_sum(values)
-        gk_err = kahan_sum(errors)
-        aux_err = kahan_sum(aux)
+    lo, hi, ids = lo[keep], hi[keep], ids[keep]
+    values, errors, n_evals = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    converged = True
+    pv, pe, pa = _evaluate_panels(f, lo, hi, ids)
+    n_evals += 15 * np.bincount(ids, minlength=n)
+    while ids.size:
+        count = np.bincount(ids, minlength=n)
+        total = np.bincount(ids, pv, n)
+        gk_err = np.bincount(ids, pe, n)
+        aux_err = np.bincount(ids, pa, n)
         err = gk_err + aux_err
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err <= tol:
-            return total, err, n_evals, True
-        if len(lo) >= max_subdivisions:
-            return total, err, n_evals, False
-        if aux_err > 0.5 * tol and gk_err <= 0.5 * tol:
-            # The estimate is dominated by integrand-supplied (inner-rule)
-            # uncertainty, which panel splitting cannot reduce; stop here.
-            return total, err, n_evals, False
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        ok = err <= tol
+        # An id whose estimate is dominated by integrand-supplied (inner-rule)
+        # uncertainty, which panel splitting cannot reduce, stops too.
+        done = (count > 0) & (
+            ok | (count >= max_subdivisions)
+            | ((aux_err > 0.5 * tol) & (gk_err <= 0.5 * tol))
+        )
+        values[done], errors[done] = total[done], err[done]
+        converged = converged and bool(ok[done].all())
+        live = ~done[ids]
+        lo, hi, ids, pv, pe, pa = (a[live] for a in (lo, hi, ids, pv, pe, pa))
+        if not ids.size:
+            break
         # Split every panel holding more than its share of the budget; always
-        # split at least the worst one.
-        thresh = tol / (2.0 * len(lo))
-        split = errors > thresh
-        if not split.any():
-            split[np.argmax(errors)] = True
-        s_lo, s_hi = lo[split], hi[split]
+        # split at least the worst one (the first, on ties).
+        split = pe > tol[ids] / (2.0 * count[ids])
+        lacking = np.flatnonzero(np.bincount(ids[split], minlength=n)[ids] == 0)
+        if lacking.size:
+            worst = np.zeros(n)
+            np.maximum.at(worst, ids[lacking], pe[lacking])
+            ties = lacking[pe[lacking] == worst[ids[lacking]]]
+            split[ties[np.unique(ids[ties], return_index=True)[1]]] = True
+        s_lo, s_hi, s_ids = lo[split], hi[split], ids[split]
         mid = 0.5 * (s_lo + s_hi)
-        new_lo = np.concatenate([s_lo, mid])
-        new_hi = np.concatenate([mid, s_hi])
-        nv, ne, na, ct = _evaluate_panels(f, new_lo, new_hi)
-        n_evals += ct
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        values = np.concatenate([values[~split], nv])
-        errors = np.concatenate([errors[~split], ne])
-        aux = np.concatenate([aux[~split], na])
+        new = (np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi]),
+               np.concatenate([s_ids, s_ids]))
+        nv, ne, na = _evaluate_panels(f, *new)
+        n_evals += 15 * np.bincount(new[2], minlength=n)
+        old = ~split
+        lo, hi, ids = (np.concatenate([a[old], b]) for a, b in zip((lo, hi, ids), new))
+        pv, pe, pa = (np.concatenate([a[old], b])
+                      for a, b in zip((pv, pe, pa), (nv, ne, na)))
+    return values, errors, n_evals, converged
+
+
+def _integrate(f, points, spec):
+    """One integral of f(x) over the initial partition ``points``."""
+    values, errors, n_evals, ok = _adaptive(
+        lambda x, ids: f(x), [points], spec.rel_tol, spec.abs_tol,
+        spec.max_subdivisions,
+    )
+    return EvaluationReport(float(values[0]), float(errors[0]), int(n_evals[0]), ok)
 
 
 def _partition(a, b, breakpoints=None):
@@ -157,11 +195,7 @@ def integrate_1d(f, a, b, spec, breakpoints=None):
     """Adaptive Gauss-Kronrod integration of ``f`` over (a, b)."""
     if not a < b:
         raise QuadratureError(f"need a < b, got [{a}, {b}]")
-    value, err, n_evals, ok = _adaptive(
-        f, _partition(a, b, breakpoints), spec.rel_tol, spec.abs_tol,
-        spec.max_subdivisions,
-    )
-    return EvaluationReport(value, err, n_evals, ok)
+    return _integrate(f, _partition(a, b, breakpoints), spec)
 
 
 def integrate_radial_singular(f, s, R, spec, breakpoints=None, offset_arg=False):
@@ -198,11 +232,7 @@ def integrate_radial_singular(f, s, R, spec, breakpoints=None, offset_arg=False)
         w_pts.extend(
             (r - 1.0) ** (1.0 - s) for r in breakpoints if 1.0 < r < R
         )
-    value, err, n_evals, ok = _adaptive(
-        transformed, np.array(sorted(set(w_pts))), spec.rel_tol, spec.abs_tol,
-        spec.max_subdivisions,
-    )
-    return EvaluationReport(value, err, n_evals, ok)
+    return _integrate(transformed, np.array(sorted(set(w_pts))), spec)
 
 
 def integrate_radial_unbounded(f, R, decay_exponent, spec):
@@ -239,11 +269,7 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec):
                 return res[0] * jac, res[1] * jac
             return res * jac
 
-    value, err, n_evals, ok = _adaptive(
-        integrand, np.array([0.0, 0.5, 1.0]), spec.rel_tol, spec.abs_tol,
-        spec.max_subdivisions,
-    )
-    return EvaluationReport(value, err, n_evals, ok)
+    return _integrate(integrand, np.array([0.0, 0.5, 1.0]), spec)
 
 
 def _frame(x_eval, d):
@@ -302,11 +328,15 @@ def integrate_exterior_ball(
     """Integrate F over the exterior of the unit ball in dimension d.
 
     F takes an (n, d) array of points and returns n values; it is assumed to
-    carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  The radial
+    carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  If
+    ``F.accepts_norm2m1`` is set, F is called as F(points, norm2m1) with the
+    per-point array of |y|^2 - 1, computed without cancellation.  The radial
     direction uses the singularity-removing substitution with a panel grading
     keyed to the distance 1-|x_eval| (the Poisson-kernel concentration
     scale); the angular direction is an adaptive rule on folded half-ranges,
     so mirror-symmetric integrands are resolved on exactly mirrored nodes.
+    The angular integrals of all radial nodes in one radial panel sweep run
+    as one batch; if any of them ends unconverged, so does the result.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -328,121 +358,96 @@ def integrate_exterior_ball(
     K = spec.near_boundary_split_factor
     frame = _frame(x, d)
     inner = _inner_spec(spec)
+    inner2 = _inner_spec(inner)
     evals = [0]
+    inner_ok = [True]
     wants_offset = getattr(F, "accepts_norm2m1", False)
 
     def call_F(points, q):
-        # q is the exact boundary offset |y| - 1 shared by the batch; kernel
+        # q holds the exact boundary offset |y| - 1 of each point; kernel
         # integrands use it to form |y|^2 - 1 = q(2+q) without cancellation.
         evals[0] += points.shape[0]
         if wants_offset:
             return np.asarray(F(points, q * (2.0 + q)), dtype=float)
         return np.asarray(F(points), dtype=float)
 
+    def mirrored(y, ym, q):
+        # F(y) + F(ym) with one call of F
+        vals = call_F(np.concatenate([y, ym]), np.concatenate([q, q]))
+        return vals[: len(y)] + vals[len(y):]
+
+    def batch(f, partitions, rule):
+        # One adaptive batch of inner integrals; an unconverged one makes the
+        # whole result unconverged.
+        vals, errs, _, ok = _adaptive(
+            f, partitions, rule.rel_tol, rule.abs_tol, rule.max_subdivisions
+        )
+        inner_ok[0] = inner_ok[0] and ok
+        return vals, errs
+
+    def polar_partitions(q):
+        # Per radial node: the folded range (0, pi), graded toward the
+        # Poisson-kernel peak, plus any caller-supplied angular breakpoints.
+        parts = []
+        for qi in q:
+            bps = _graded_scales(max(delta, qi, 1e-14), np.pi, 4.0)
+            if angular_breakpoints is not None:
+                bps += [p for p in angular_breakpoints(1.0 + qi) if 0.0 < p < np.pi]
+            parts.append(_partition(0.0, np.pi, bps))
+        return parts
+
     if d == 1:
         def radial_q(q):
             rho = 1.0 + q
-            out = np.empty(q.size)
-            for i in range(q.size):
-                pts = np.array([[rho[i]], [-rho[i]]])
-                vals = call_F(pts, float(q[i]))
-                out[i] = vals[0] + vals[1]
-            return out
+            return mirrored(rho[:, None], -rho[:, None], q)
     elif d == 2:
         u, v1 = frame
 
-        def angular(q):
-            rho = 1.0 + q
-            scale = max(delta, q, 1e-14)
-            bps = _graded_scales(scale, np.pi, 4.0)
-            if angular_breakpoints is not None:
-                bps = list(bps) + [
-                    p for p in angular_breakpoints(rho) if 0.0 < p < np.pi
-                ]
-
-            def psi(phi):
+        def radial_q(q):
+            def psi(phi, ids):
+                rho = 1.0 + q[ids]
                 radial_part = rho * np.cos(phi)
                 trans = rho * np.sin(phi)
                 y = radial_part[:, None] * u[None, :] + trans[:, None] * v1[None, :]
                 ym = radial_part[:, None] * u[None, :] - trans[:, None] * v1[None, :]
-                return call_F(y, q) + call_F(ym, q)
+                return mirrored(y, ym, q[ids])
 
-            rep = integrate_1d(psi, 0.0, np.pi, inner, breakpoints=bps)
-            return rep.value, rep.error_estimate
-
-        def radial_q(q):
-            out = np.empty(q.size)
-            errs = np.empty(q.size)
-            for i in range(q.size):
-                val, err = angular(float(q[i]))
-                out[i] = (1.0 + q[i]) * val
-                errs[i] = (1.0 + q[i]) * err
-            return out, errs
+            vals, errs = batch(psi, polar_partitions(q), inner)
+            return (1.0 + q) * vals, (1.0 + q) * errs
     else:
         u, v1, v2 = frame
 
-        def latitude(q):
-            rho = 1.0 + q
-            scale = max(delta, q, 1e-14)
-            bps = _graded_scales(scale, np.pi, 4.0)
-            if angular_breakpoints is not None:
-                bps = list(bps) + [
-                    p for p in angular_breakpoints(rho) if 0.0 < p < np.pi
-                ]
-
-            if axisymmetric:
-                def psi(phi):
-                    radial_part = rho * np.cos(phi)
-                    trans = rho * np.sin(phi)
-                    y = (
-                        radial_part[:, None] * u[None, :]
-                        + trans[:, None] * v1[None, :]
-                    )
-                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q)
-
-                rep = integrate_1d(psi, 0.0, np.pi, inner, breakpoints=bps)
-                return rep.value, rep.error_estimate
-
-            inner2 = _inner_spec(inner)
-
-            def psi(phi):
-                vals = np.empty(phi.size)
-                errs = np.empty(phi.size)
-                for j, p in enumerate(phi):
-                    sin_p, cos_p = np.sin(p), np.cos(p)
-
-                    def lon(alpha):
-                        trans = rho * sin_p
-                        axis_part = rho * cos_p
-                        y = (
-                            axis_part * u[None, :]
-                            + (trans * np.cos(alpha))[:, None] * v1[None, :]
-                            + (trans * np.sin(alpha))[:, None] * v2[None, :]
-                        )
-                        ym = y.copy()
-                        ym[:, 2] = -ym[:, 2]
-                        return call_F(y, q) + call_F(ym, q)
-
-                    rep = integrate_1d(lon, 0.0, np.pi, inner2)
-                    vals[j] = sin_p * rep.value
-                    errs[j] = sin_p * rep.error_estimate
-                return vals, errs
-
-            lat_val, lat_err, _, _ = _adaptive(
-                psi, _partition(0.0, np.pi, bps), inner.rel_tol, inner.abs_tol,
-                inner.max_subdivisions,
-            )
-            return lat_val, lat_err
-
         def radial_q(q):
-            out = np.empty(q.size)
-            errs = np.empty(q.size)
-            for i in range(q.size):
-                val, err = latitude(float(q[i]))
-                rho = 1.0 + q[i]
-                out[i] = rho * rho * val
-                errs[i] = rho * rho * err
-            return out, errs
+            if axisymmetric:
+                def psi(phi, ids):
+                    rho = 1.0 + q[ids]
+                    y = (
+                        (rho * np.cos(phi))[:, None] * u[None, :]
+                        + (rho * np.sin(phi))[:, None] * v1[None, :]
+                    )
+                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q[ids])
+            else:
+                def psi(phi, ids):
+                    # Latitude nodes phi; each one opens a longitude integral
+                    # over (0, pi), folded by the mirror in the v2 direction.
+                    q_lat = q[ids]
+                    trans = (1.0 + q_lat) * np.sin(phi)
+                    axis_part = (1.0 + q_lat) * np.cos(phi)
+
+                    def lon(alpha, j):
+                        base = (
+                            axis_part[j, None] * u[None, :]
+                            + (trans[j] * np.cos(alpha))[:, None] * v1[None, :]
+                        )
+                        off = (trans[j] * np.sin(alpha))[:, None] * v2[None, :]
+                        return mirrored(base + off, base - off, q_lat[j])
+
+                    vals, errs = batch(lon, [(0.0, np.pi)] * phi.size, inner2)
+                    return np.sin(phi) * vals, np.sin(phi) * errs
+
+            vals, errs = batch(psi, polar_partitions(q), inner)
+            rho = 1.0 + q
+            return rho * rho * vals, rho * rho * errs
 
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
@@ -468,5 +473,6 @@ def integrate_exterior_ball(
         )
         total = total + far
     return EvaluationReport(
-        total.value, total.error_estimate, evals[0], total.converged
+        total.value, total.error_estimate, evals[0],
+        total.converged and inner_ok[0],
     )

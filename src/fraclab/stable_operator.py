@@ -29,6 +29,7 @@ from .quadrature import (
     integrate_1d,
     integrate_radial_unbounded,
     _adaptive,
+    _integrate,
 )
 
 
@@ -187,6 +188,48 @@ def _as_val_err(res, n):
     return np.asarray(res, dtype=float), np.zeros(n)
 
 
+# Adaptive rule of the angular integrals inside the radial integrands.
+_SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
+
+
+def _sphere_integrals(d, n, g, circle_span=2.0 * np.pi):
+    """(vals, errs) of n integrals over S^{d-1}, d in {2, 3}, as one batch.
+
+    ``g(theta, ids)`` returns (values, errors) at the unit directions theta
+    (one row per abscissa) for the integrals ``ids``.  In d = 2 the angle
+    runs over (0, circle_span); in d = 3 each latitude node opens a
+    longitude integral over (0, 2 pi), and those run as one nested batch.
+    """
+    rule = _SPHERE_RULE
+
+    def batch(f, span, count):
+        vals, errs, _, _ = _adaptive(
+            f, [(0.0, span)] * count, rule.rel_tol, rule.abs_tol,
+            rule.max_subdivisions,
+        )
+        return vals, errs
+
+    if d == 2:
+        return batch(
+            lambda phi, ids: g(np.column_stack([np.cos(phi), np.sin(phi)]), ids),
+            circle_span, n,
+        )
+
+    def lat(phi, ids):
+        sp, cp = np.sin(phi), np.cos(phi)
+
+        def lon(alpha, j):
+            theta = np.column_stack(
+                [sp[j] * np.cos(alpha), sp[j] * np.sin(alpha), cp[j]]
+            )
+            return g(theta, ids[j])
+
+        vals, errs = batch(lon, 2.0 * np.pi, phi.size)
+        return sp * vals, sp * errs
+
+    return batch(lat, np.pi, n)
+
+
 def _second_difference(op, u, x, r):
     """(vals, errs) of D(r) = int (2u(x) - u(x+r th) - u(x-r th))/2 mu(dth)
     for a batch of radii r."""
@@ -219,46 +262,23 @@ def _second_difference(op, u, x, r):
             0.5 * m * (2.0 * u0 - vp - vm) / 2.0 * 2.0,
             0.5 * m * (2.0 * u0_err + ep + em) / 2.0 * 2.0,
         )
-    inner = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
-    vals = np.empty(r.size)
-    errs = np.empty(r.size)
-    for i, ri in enumerate(r):
-        if d == 2:
-            def avg(phi):
-                theta = np.column_stack([np.cos(phi), np.sin(phi)])
-                vp, ep = _as_val_err(u(x[None, :] + ri * theta), phi.size)
-                vm, em = _as_val_err(u(x[None, :] - ri * theta), phi.size)
-                return (2.0 * u0 - vp - vm) / 2.0, u0_err + (ep + em) / 2.0
 
-            rep = integrate_1d(avg, 0.0, np.pi, inner)
-            # int over S^1 of the symmetrized difference = 2 x half-range
-            vals[i] = m / (2.0 * np.pi) * 2.0 * rep.value
-            errs[i] = m / (2.0 * np.pi) * 2.0 * rep.error_estimate
-        else:
-            def lat(phi):
-                out_v = np.empty(phi.size)
-                out_e = np.empty(phi.size)
-                for j, pj in enumerate(phi):
-                    sp, cp = np.sin(pj), np.cos(pj)
+    def sym(theta, ids):
+        steps = r[ids, None] * theta
+        v, e = _as_val_err(
+            u(np.concatenate([x[None, :] + steps, x[None, :] - steps])),
+            2 * ids.size,
+        )
+        vp, vm = np.split(v, 2)
+        ep, em = np.split(e, 2)
+        return (2.0 * u0 - vp - vm) / 2.0, u0_err + (ep + em) / 2.0
 
-                    def lon(alpha):
-                        theta = np.column_stack(
-                            [sp * np.cos(alpha), sp * np.sin(alpha),
-                             np.full(alpha.size, cp)]
-                        )
-                        vp, ep = _as_val_err(u(x[None, :] + ri * theta), alpha.size)
-                        vm, em = _as_val_err(u(x[None, :] - ri * theta), alpha.size)
-                        return (2.0 * u0 - vp - vm) / 2.0, u0_err + (ep + em) / 2.0
-
-                    rep = integrate_1d(lon, 0.0, 2.0 * np.pi, inner)
-                    out_v[j] = sp * rep.value
-                    out_e[j] = sp * rep.error_estimate
-                return out_v, out_e
-
-            rep = integrate_1d(lat, 0.0, np.pi, inner)
-            vals[i] = m / (4.0 * np.pi) * rep.value
-            errs[i] = m / (4.0 * np.pi) * rep.error_estimate
-    return vals, errs
+    if d == 2:
+        # int over S^1 of the symmetrized difference = 2 x half-range
+        vals, errs = _sphere_integrals(2, r.size, sym, np.pi)
+        return m / (2.0 * np.pi) * 2.0 * vals, m / (2.0 * np.pi) * 2.0 * errs
+    vals, errs = _sphere_integrals(3, r.size, sym)
+    return m / (4.0 * np.pi) * vals, m / (4.0 * np.pi) * errs
 
 
 def apply_operator(
@@ -307,18 +327,12 @@ def apply_operator(
         {w_lo, 1.0}
         | {p ** (1.0 / b) for p in radial_breakpoints if w_lo < p < 1.0}
     )
-    rep_near = EvaluationReport(
-        *_adaptive(near, np.array(near_pts), spec.rel_tol, spec.abs_tol,
-                   spec.max_subdivisions)
-    )
+    rep_near = _integrate(near, np.array(near_pts), spec)
 
     if support_radius is not None:
         r_end = float(np.linalg.norm(x)) + support_radius + 0.5
         pts = sorted({1.0, r_end} | {p for p in radial_breakpoints if 1.0 < p < r_end})
-        rep_mid = EvaluationReport(
-            *_adaptive(core, np.array(pts), spec.rel_tol, spec.abs_tol,
-                       spec.max_subdivisions)
-        )
+        rep_mid = _integrate(core, np.array(pts), spec)
         # Beyond r_end every u(x +- r theta) vanishes, so the integrand is
         # exactly total_mass * u(x) * r^{-1-2s}.
         u0, u0_err = _as_val_err(u(x[None, :]), 1)
@@ -327,10 +341,7 @@ def apply_operator(
         total = rep_near + rep_mid + rep_far
     else:
         pts = sorted({1.0, 2.0} | {p for p in radial_breakpoints if 1.0 < p < 2.0})
-        rep_mid = EvaluationReport(
-            *_adaptive(core, np.array(pts), spec.rel_tol, spec.abs_tol,
-                       spec.max_subdivisions)
-        )
+        rep_mid = _integrate(core, np.array(pts), spec)
         rep_far = integrate_radial_unbounded(
             core, 2.0, 2.0 * s - growth_exponent, spec
         )
@@ -356,43 +367,14 @@ def _abs_average(op, u, y, r):
         vp, ep = _as_val_err(u(y[None, :] + r[:, None]), r.size)
         vm, em = _as_val_err(u(y[None, :] - r[:, None]), r.size)
         return 0.5 * m * (np.abs(vp) + np.abs(vm)), 0.5 * m * (ep + em)
-    inner = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
-    vals = np.empty(r.size)
-    errs = np.empty(r.size)
-    for i, ri in enumerate(r):
-        if d == 2:
-            def avg(phi):
-                theta = np.column_stack([np.cos(phi), np.sin(phi)])
-                v, e = _as_val_err(u(y[None, :] + ri * theta), phi.size)
-                return np.abs(v), e
 
-            rep = integrate_1d(avg, 0.0, 2.0 * np.pi, inner)
-            vals[i] = m / (2.0 * np.pi) * rep.value
-            errs[i] = m / (2.0 * np.pi) * rep.error_estimate
-        else:
-            def lat(phi):
-                out_v = np.empty(phi.size)
-                out_e = np.empty(phi.size)
-                for j, pj in enumerate(phi):
-                    sp, cp = np.sin(pj), np.cos(pj)
+    def absolute(theta, ids):
+        v, e = _as_val_err(u(y[None, :] + r[ids, None] * theta), ids.size)
+        return np.abs(v), e
 
-                    def lon(alpha):
-                        theta = np.column_stack(
-                            [sp * np.cos(alpha), sp * np.sin(alpha),
-                             np.full(alpha.size, cp)]
-                        )
-                        v, e = _as_val_err(u(y[None, :] + ri * theta), alpha.size)
-                        return np.abs(v), e
-
-                    rep = integrate_1d(lon, 0.0, 2.0 * np.pi, inner)
-                    out_v[j] = sp * rep.value
-                    out_e[j] = sp * rep.error_estimate
-                return out_v, out_e
-
-            rep = integrate_1d(lat, 0.0, np.pi, inner)
-            vals[i] = m / (4.0 * np.pi) * rep.value
-            errs[i] = m / (4.0 * np.pi) * rep.error_estimate
-    return vals, errs
+    vals, errs = _sphere_integrals(d, r.size, absolute)
+    c = m / (2.0 * np.pi) if d == 2 else m / (4.0 * np.pi)
+    return c * vals, c * errs
 
 
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
@@ -412,14 +394,10 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
 
     if support_radius is not None:
         r_end = float(np.linalg.norm(y)) + support_radius + 0.5
-        rep = EvaluationReport(
-            *_adaptive(integrand, np.array([0.5, r_end]), spec.rel_tol,
-                       spec.abs_tol, spec.max_subdivisions)
-        )
+        rep = _integrate(integrand, np.array([0.5, r_end]), spec)
     else:
-        rep = EvaluationReport(
-            *_adaptive(integrand, np.array([0.5, 2.0]), spec.rel_tol,
-                       spec.abs_tol, spec.max_subdivisions)
+        rep = _integrate(
+            integrand, np.array([0.5, 2.0]), spec
         ) + integrate_radial_unbounded(
             integrand, 2.0, 2.0 * s - growth_exponent, spec
         )
@@ -446,9 +424,8 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
         w = rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s)
         return vals * w, errs * w
 
-    rep = EvaluationReport(
-        *_adaptive(integrand, np.array([1e-290, 1.0, 2.0]), spec.rel_tol,
-                   spec.abs_tol, spec.max_subdivisions)
+    rep = _integrate(
+        integrand, np.array([1e-290, 1.0, 2.0]), spec
     ) + integrate_radial_unbounded(
         integrand, 2.0, 2.0 * s - growth_exponent, spec
     )

@@ -1,4 +1,4 @@
-"""The accelerated kernels and their pure-numpy reference path."""
+"""The Gauss-Kronrod constants and the numeric kernels of ``fraclab._accel``."""
 
 import os
 import subprocess
@@ -30,6 +30,23 @@ def test_panel_reduce_flags_rough_integrands():
     assert errors[0] > 1e-6
 
 
+def test_panel_reduce_matches_the_loop_reference():
+    # The matrix-vector products sum in another order than the per-panel
+    # loop, so allow a few ulps of the absolute weighted sum.
+    rng = np.random.default_rng(7)
+    fvals = rng.standard_normal((50, 15))
+    halves = rng.uniform(0.1, 2.0, 50)
+    values, errors = _accel.panel_reduce(fvals, halves)
+    for i in range(50):
+        k = g = scale = 0.0
+        for j in range(15):
+            k += _accel.GK_WEIGHTS_K[j] * fvals[i, j]
+            g += _accel.GK_WEIGHTS_G[j] * fvals[i, j]
+            scale += abs(fvals[i, j])
+        assert abs(values[i] - k * halves[i]) <= 1e-15 * scale * halves[i]
+        assert abs(errors[i] - abs(k - g) * halves[i]) <= 2e-15 * scale * halves[i]
+
+
 def test_poisson_kernel_values_match_formula():
     y2 = np.array([4.0, 9.0])
     dist2 = np.array([4.0, 16.0])
@@ -44,14 +61,13 @@ def test_kahan_sum_beats_naive_on_adversarial_input():
 
 
 def test_fallback_path_gives_identical_results():
-    """``FRACLAB_NO_NUMBA=1`` selects the loop fallback, bit for bit.
+    """``FRACLAB_NO_NUMBA=1`` turns numba off and changes no result.
 
     A fresh interpreter runs with ``FRACLAB_NO_NUMBA=1`` on top of this
-    process's environment and imports the same ``fraclab`` source tree. With
-    numba installed, this compares compiled ``panel_reduce`` against the loop
-    fallback, bit for bit. Without numba, it checks that the variable turns
-    the switch off and that the fallback gives the same bits in a fresh
-    process.
+    process's environment and imports the same ``fraclab`` source tree. It
+    checks that the variable turns the switch off and that ``panel_reduce``
+    (plain numpy matrix-vector products on either path) gives the same bits
+    as in this process.
     """
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
     env = dict(os.environ, FRACLAB_NO_NUMBA="1")

@@ -1,9 +1,11 @@
 """Poisson kernel, ball solutions, model solutions, and the boundary check."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclab.ball_poisson import (
     BallProblem,
@@ -22,6 +24,7 @@ from fraclab.exterior_data import (
     sign_changing_datum,
 )
 from fraclab.moduli import ModulusFunction
+from fraclab.quadrature import QuadratureSpec
 
 
 class TestKernel:
@@ -133,6 +136,24 @@ class TestSolve:
         problem = BallProblem(PoissonKernel(1, 0.5), constant_datum(1.0, 1))
         with pytest.raises(DomainError):
             solve(problem, [1.0], spec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        radius=st.floats(0.0, 0.9),
+    )
+    def test_general_rule_is_rotation_invariant(self, d, direction, radius):
+        # The kernel mass is 1 at every x, so the constant datum on the
+        # general (non-axisymmetric) angular rule must give 1 at any point.
+        v = np.array(direction[:d])
+        norm = float(np.linalg.norm(v))
+        x = radius * v / norm if norm > 1e-3 else np.zeros(d)
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+        datum = dataclasses.replace(constant_datum(1.0, d), axisymmetric=False)
+        rep = solve(BallProblem(PoissonKernel(d, 0.5), datum), x, spec)
+        assert rep.converged
+        assert abs(rep.value - 1.0) <= rep.error_estimate + spec.tolerance(1.0)
 
 
 class TestModelSolutions:

@@ -13,6 +13,8 @@ from fraclab.quadrature import (
     integrate_exterior_ball,
     integrate_radial_singular,
     integrate_radial_unbounded,
+    PANELS_PER_CALL,
+    _adaptive,
 )
 
 
@@ -88,6 +90,58 @@ class TestIntegrate1d:
         rep = integrate_1d(f, 0.0, b, QuadratureSpec())
         exact = c0 * b + c1 * b * b / 2.0 + c2 * b**3 / 3.0
         assert abs(rep.value - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+# Integrands and initial partitions for the batched driver: smooth, kinked
+# off the partition, a jump, a (values, errors) pair whose error dominates,
+# a zero integrand and an empty partition.
+BATCH_CASES = [
+    (np.sin, [0.0, np.pi]),
+    (lambda x: np.exp(-x * x), [-3.0, 0.0, 3.0]),
+    (lambda x: np.abs(x - 0.3), [0.0, 1.0]),
+    (lambda x: np.sqrt(np.abs(np.sin(5.0 * x))), [0.0, 0.7, 2.0]),
+    (lambda x: (x > 1.0 / 3.0).astype(float), [0.0, 0.25, 1.0]),
+    (lambda x: (np.cos(x), 1e-12 * np.ones_like(x)), [0.0, 1.0, 1.5]),
+    (lambda x: (x * x, 1e-3 * np.abs(x)), [0.0, 0.5, 2.0]),
+    (lambda x: np.zeros_like(x), [0.0, 1.0]),
+    (np.sin, [1.0, 1.0]),
+]
+
+
+class TestBatchedDriver:
+    @pytest.mark.parametrize("rel_tol, max_subdivisions", [(1e-10, 64), (1e-7, 2000)])
+    def test_batch_matches_one_integral_at_a_time(self, rel_tol, max_subdivisions):
+        sizes = []
+
+        def batched(x, ids):
+            sizes.append(x.size)
+            vals = np.empty_like(x)
+            errs = np.zeros_like(x)
+            for i, (g, _) in enumerate(BATCH_CASES):
+                sel = ids == i
+                if sel.any():
+                    res = g(x[sel])
+                    if isinstance(res, tuple):
+                        vals[sel], errs[sel] = res
+                    else:
+                        vals[sel] = res
+            return vals, errs
+
+        args = (rel_tol, 1e-13, max_subdivisions)
+        vals, errs, evals, ok = _adaptive(
+            batched, [p for _, p in BATCH_CASES], *args
+        )
+        oks = []
+        for i, (g, p) in enumerate(BATCH_CASES):
+            v1, e1, n1, ok1 = _adaptive(lambda x, ids: g(x), [p], *args)
+            assert abs(vals[i] - v1[0]) <= 1e-14 * max(1.0, abs(v1[0])), i
+            assert abs(errs[i] - e1[0]) <= 1e-14 * max(1.0, abs(e1[0])), i
+            assert evals[i] == n1[0], i
+            oks.append(ok1)
+        assert ok == all(oks)
+        assert not all(oks)  # the error-dominated pair stops unconverged
+        assert evals[-1] == 0 and vals[-1] == 0.0
+        assert max(sizes) <= 15 * PANELS_PER_CALL
 
 
 class TestRadialSingular:
@@ -221,6 +275,21 @@ class TestExteriorBall:
             F, 2, np.array([0.4, 0.0]), 0.5, spec, support_radius=5.0
         )
         assert rep.value == 0.0
+
+    def test_unconverged_angular_integral_is_reported(self):
+        # A square wave of 40 periods in the polar angle, phase-shifted off
+        # the angular breakpoints: every inner integral hits its panel cap
+        # while the outer estimate alone meets the tolerance.
+        def F(points):
+            theta = np.arctan2(points[:, 1], points[:, 0])
+            return 1.0 + np.floor(40.0 * theta / np.pi + 0.3) % 2
+
+        spec = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-12, max_subdivisions=64)
+        rep = integrate_exterior_ball(
+            F, 2, np.array([0.0, 0.0]), 0.5, spec, support_radius=2.0
+        )
+        assert rep.error_estimate <= spec.tolerance(rep.value)
+        assert not rep.converged
 
     def test_requires_far_field_declaration(self, spec):
         def F(points):
