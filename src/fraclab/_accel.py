@@ -1,39 +1,10 @@
 """Gauss-Kronrod constants and the small numeric kernels.
 
-The panel reduction is two matrix-vector products over a whole panel batch.
-The compensated sum and the pointwise Poisson kernel are plain loops; when
-numba is importable and the environment variable ``FRACLAB_NO_NUMBA`` is
-unset (or not one of ``1/true/yes``), those two are compiled with ``@njit``.
+The panel reduction is two matrix-vector products over a whole panel batch;
+the compensated sum is a plain loop.
 """
 
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("FRACLAB_NO_NUMBA", "").strip().lower()
-NUMBA_REQUESTED = _FLAG not in ("1", "true", "yes")
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ACTIVE = True
-    except ImportError:  # pragma: no cover - numba is a hard dep in practice
-        NUMBA_ACTIVE = False
-else:
-    NUMBA_ACTIVE = False
-
-
-def _identity(fn):
-    return fn
-
-
-def accelerate(fn):
-    """Compile ``fn`` with numba when enabled, otherwise return it unchanged."""
-    if NUMBA_ACTIVE:
-        return _njit(cache=True)(fn)
-    return fn
-
 
 # --- Gauss-Kronrod 7/15 nodes and weights on [-1, 1] ------------------------
 # Standard QUADPACK constants: 15 Kronrod nodes, the 7 even-indexed ones are
@@ -104,27 +75,7 @@ def panel_reduce(fvals, half_widths):
     return k * half_widths, np.abs(k - fvals @ GK_WEIGHTS_G) * half_widths
 
 
-def _poisson_kernel_impl(one_minus_x2, y_norm2, dist2, s, d, c_ds):
-    """Poisson kernel c_ds * ((1-|x|^2)/(|y|^2-1))^s / |x-y|^d, elementwise.
-
-    one_minus_x2 is scalar, y_norm2 and dist2 are arrays of |y|^2 and
-    |x-y|^2 for a fixed evaluation point x inside the unit ball.
-    """
-    n = y_norm2.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = (
-            c_ds
-            * (one_minus_x2 / (y_norm2[i] - 1.0)) ** s
-            / dist2[i] ** (0.5 * d)
-        )
-    return out
-
-
-poisson_kernel_values = accelerate(_poisson_kernel_impl)
-
-
-def _kahan_sum_impl(values):
+def kahan_sum(values):
     """Compensated summation (Kahan-Babuska/Neumaier variant).
 
     Unlike plain Kahan, the compensation survives terms much larger than
@@ -141,6 +92,3 @@ def _kahan_sum_impl(values):
             comp += (v - t) + total
         total = t
     return total + comp
-
-
-kahan_sum = accelerate(_kahan_sum_impl)

@@ -6,8 +6,8 @@ integral
     u(x) = c_{d,s} int_{|y|>1} ((1-|x|^2)/(|y|^2-1))^s |x-y|^{-d} g(y) dy,
 
 with c_{d,s} = Gamma(d/2) sin(pi s) / pi^{d/2+1}.  Everything in this module
-is a certified quadrature of that formula: point solutions, the model
-solutions v_t for complement-of-ball data, the interior-to-boundary
+is a quadrature of that formula with an estimated error: point solutions,
+the model solutions v_t for complement-of-ball data, the interior-to-boundary
 oscillation estimate, and a solver/operator cross-validation.
 """
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import poisson_kernel_values
 from .moduli import oscillation_profile, stieltjes_integral
 from .quadrature import (
     EvaluationReport,
@@ -60,18 +59,12 @@ def poisson_kernel_eval(kernel, x, y):
     pts = np.atleast_2d(y_arr)
     if x.size != kernel.d or pts.shape[1] != kernel.d:
         raise DomainError("point dimension mismatch")
-    nx = float(np.linalg.norm(x))
-    if nx >= 1.0:
+    if np.linalg.norm(x) >= 1.0:
         raise DomainError("x must lie in the open unit ball")
     y_norm2 = np.einsum("ij,ij->i", pts, pts)
     if np.any(y_norm2 <= 1.0):
         raise DomainError("y must lie outside the closed unit ball")
-    diff = pts - x[None, :]
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    one_minus_x2 = (1.0 - nx) * (1.0 + nx)
-    out = poisson_kernel_values(
-        one_minus_x2, y_norm2, dist2, kernel.s, kernel.d, kernel.normalization
-    )
+    out = _kernel_integrand(kernel, x)(pts, y_norm2 - 1.0)
     return float(out[0]) if single else out
 
 
@@ -114,7 +107,7 @@ def _kernel_integrand(kernel, x, weight_fn=None):
 
 
 def solve(problem, x, spec=None):
-    """u(x) = int_{|y|>1} P(x, y) g(y) dy with certified error."""
+    """u(x) = int_{|y|>1} P(x, y) g(y) dy with an estimated error."""
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -210,7 +203,7 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
 
     xi_z is the datum's oscillation profile about z; v_t is nonincreasing in
     t, so the Stieltjes integral is bracketed by monotone upper/lower sums.
-    Returns both sides with their certified errors folded into ``holds``.
+    Returns both sides with their estimated errors folded into ``holds``.
     """
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum

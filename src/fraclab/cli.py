@@ -1,8 +1,9 @@
 """Command-line harness for the fractional Dirichlet laboratory.
 
 Subcommands mirror the experiment sweeps plus direct evaluation helpers.
-Every asserting subcommand exits 0 exactly when its criteria pass; outputs
-are deterministic for a fixed config and seed.
+Every asserting subcommand exits 0 exactly when its criteria pass and 1
+when they fail; an invalid input exits 2 with a one-line message.  Outputs
+are deterministic for a fixed config.
 """
 
 import argparse
@@ -11,9 +12,9 @@ import sys
 
 import numpy as np
 
-from .ball_poisson import BallProblem, PoissonKernel, solve
+from .ball_poisson import BallProblem, DomainError, PoissonKernel, solve
 from .experiments import (
-    ExperimentConfig,
+    ConfigError,
     build_datum,
     emit_outputs,
     load_config,
@@ -23,7 +24,9 @@ from .experiments import (
     run_lower_bound_sweep,
     run_upper_bound_sweep,
 )
+from .exterior_data import DimensionError
 from .geometry import (
+    GeometryError,
     Paraboloid,
     ball_domain,
     check_dini_class,
@@ -31,9 +34,14 @@ from .geometry import (
     cusp_domain,
     halfspace_domain,
 )
-from .moduli import ModulusFunction, dini_integral, sigma
-from .quadrature import QuadratureSpec
-from .stable_operator import OperatorSpec, SpectralMeasure, apply_operator
+from .moduli import InvalidModulusError, ModulusFunction, dini_integral, sigma
+from .quadrature import QuadratureError, QuadratureSpec
+from .stable_operator import (
+    MeasureError,
+    OperatorSpec,
+    SpectralMeasure,
+    apply_operator,
+)
 
 
 def _config_from(args, experiment):
@@ -44,7 +52,6 @@ def _config_from(args, experiment):
         "datum": getattr(args, "datum", None),
         "modulus": getattr(args, "modulus", None),
         "out_dir": args.out_dir,
-        "seed": args.seed,
     }
     if args.tol is not None:
         overrides["rel_tol"] = args.tol
@@ -138,21 +145,18 @@ def cmd_check_geometry(args):
     P = Paraboloid(omega, depth=args.depth)
     if args.domain == "ball":
         dom = ball_domain(args.d, boundary_count=args.boundary_points,
-                          seed=args.seed or 0)
+                          seed=args.seed)
         expect_pass = True
     elif args.domain == "halfspace":
         dom = halfspace_domain(args.d)
         expect_pass = True
-    elif args.domain == "cusp":
+    else:
         dom = cusp_domain(args.d, beta=args.beta)
         expect_pass = False
-    else:
-        print(f"unknown domain {args.domain!r}", file=sys.stderr)
-        return 2
     witnesses = []
     for z, _ in dom.boundary_points:
         rep = check_exterior_dini(dom, z, P, samples=args.samples,
-                                  seed=args.seed or 0)
+                                  seed=args.seed)
         if not rep.holds_on_samples:
             witnesses.append(rep.witness)
     if expect_pass:
@@ -178,8 +182,7 @@ def cmd_apply_operator(args):
             atoms.append((np.array(coords), w))
         measure = SpectralMeasure.atomic(args.d, atoms)
     else:
-        print(f"unknown measure {args.measure!r}", file=sys.stderr)
-        return 2
+        raise MeasureError(f"unknown measure {args.measure!r}")
     op = OperatorSpec(measure, s=s)
 
     def u(points):
@@ -228,15 +231,14 @@ def cmd_selftest(args):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fraclab",
-        description="Certified experiments on fractional Dirichlet boundary "
-                    "behavior in the unit ball.",
+        description="Experiments on fractional Dirichlet boundary behavior "
+                    "in the unit ball, with estimated errors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, datum=True):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out-dir", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None,
                        help="override relative quadrature tolerance")
         p.add_argument("--d", type=int, default=None)
@@ -301,7 +303,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, DimensionError, DomainError, GeometryError,
+            InvalidModulusError, MeasureError, QuadratureError) as exc:
+        # fraclab's own input errors; anything else is a fault and propagates
+        print(f"fraclab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,13 +9,13 @@ t = 1 - 10^{-k} and compares it against a predictor:
 * blow-up sweep: the C^s difference quotient |u - g| / (1-t)^s,
 * cancellation sweep: |u(t e_1)| for the odd datum, with an even contrast.
 
-All rows carry certified quadrature errors; inequality flags are evaluated
+All rows carry estimated quadrature errors; inequality flags are evaluated
 with the error subtracted from the favorable side.
 """
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,6 @@ class ExperimentConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-11
     out_dir: str = "out"
-    seed: int = 0
 
     def __post_init__(self):
         if self.datum not in ("thm15", "prop42", "cex14", "ex43"):
@@ -134,7 +133,7 @@ def load_config(path=None, overrides=None):
     casts = {
         "experiment": str, "d": int, "s": float, "datum": str,
         "modulus": str, "grid_k_max": float, "grid_k_step": float,
-        "rel_tol": float, "abs_tol": float, "out_dir": str, "seed": int,
+        "rel_tol": float, "abs_tol": float, "out_dir": str,
     }
     for key, cast in casts.items():
         if key in values:
@@ -165,7 +164,7 @@ def _weighted_integral(omega, s, t):
     return sigma(omega, s, t).value / t**s - 1.0
 
 
-def _solve_on_grid(config, datum, include_origin=True):
+def _solve_on_grid(config, datum):
     problem = BallProblem(PoissonKernel(config.d, config.s), datum)
     spec = config.quadrature
     rows = []
@@ -174,14 +173,14 @@ def _solve_on_grid(config, datum, include_origin=True):
         x[0] = t
         rep = solve(problem, x, spec)
         rows.append((t, rep))
-    return problem, rows
+    return rows
 
 
 def run_upper_bound_sweep(config):
     """|u(t e_1) - g(e_1)| against the predicted modulus sigma(1 - t)."""
     datum = build_datum(config)
     omega = datum.modulus or ModulusFunction.zero()
-    problem, sol = _solve_on_grid(config, datum)
+    sol = _solve_on_grid(config, datum)
     z = np.zeros(config.d)
     z[0] = 1.0
     gz = float(datum(z[None, :])[0])
@@ -214,7 +213,7 @@ def run_lower_bound_sweep(config):
     if datum.modulus is None:
         raise ConfigError("the lower-bound sweep needs a modulus-based datum")
     omega = datum.modulus
-    problem, sol = _solve_on_grid(config, datum)
+    sol = _solve_on_grid(config, datum)
     z = np.zeros(config.d)
     z[0] = 1.0
     gz = float(datum(z[None, :])[0])
@@ -257,8 +256,7 @@ def run_blowup_experiment(config):
     dini = dini_integral(iota)
     datum = non_dini_datum(iota, config.s, config.d)
     omega = datum.modulus
-    cfg = replace(config, datum="cex14")
-    problem, sol = _solve_on_grid(cfg, datum)
+    sol = _solve_on_grid(config, datum)
     z = np.zeros(config.d)
     z[0] = 1.0
     gz = float(datum(z[None, :])[0])
@@ -283,8 +281,8 @@ def run_cancellation_experiment(config):
         raise ConfigError("the cancellation experiment needs d >= 2")
     odd = sign_changing_datum(config.s, config.d)
     even = transverse_modulus_datum(ModulusFunction.power(config.s), config.d)
-    _, sol_odd = _solve_on_grid(config, odd)
-    _, sol_even = _solve_on_grid(config, even)
+    sol_odd = _solve_on_grid(config, odd)
+    sol_even = _solve_on_grid(config, even)
     rows = []
     for (t, ro), (_, re_) in zip(sol_odd, sol_even):
         contrast = re_.value
@@ -300,7 +298,7 @@ def run_cancellation_experiment(config):
 def emit_outputs(tables, config, out_dir=None):
     """Write rows.csv, per-experiment plot data, and a plain-text summary.
 
-    Output bytes depend only on the rows (hence on config + seed).
+    Output bytes depend only on the rows (hence on the config).
     Returns the list of written paths.
     """
     out = Path(out_dir or config.out_dir)
@@ -336,13 +334,4 @@ def emit_outputs(tables, config, out_dir=None):
                 f"{'FAIL' if bad else 'ok'}\n"
             )
     paths.append(summary_path)
-
-    plot_stub = out / "plot.py.txt"
-    with open(plot_stub, "w") as fh:
-        fh.write(
-            "# Plotting stub: load each .dat file (columns: t, value,\n"
-            "# predictor) and plot value and predictor against 1 - t on a\n"
-            "# log axis.\n"
-        )
-    paths.append(plot_stub)
     return paths

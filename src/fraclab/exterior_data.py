@@ -37,13 +37,6 @@ class CutoffFunction:
         return self.plateau_end + self.width
 
 
-def cutoff_eval(eta, r):
-    """Evaluate the cutoff at radius r >= 0."""
-    if np.any(np.asarray(r) < 0):
-        raise ValueError("radius must be nonnegative")
-    return eta(r)
-
-
 @dataclass(frozen=True)
 class ExteriorDatum:
     """A function on the exterior of the unit ball with solver metadata."""
@@ -245,11 +238,3 @@ def sign_changing_datum(s, d, cutoff=None):
         radial_breakpoints=(eta.plateau_end, eta.support_radius),
         label=f"sign-changing[s={s:g}]",
     )
-
-
-DATUM_REGISTRY = {
-    "thm15": lambda omega=None, iota=None, s=None, d=2: transverse_modulus_datum(omega, d),
-    "prop42": lambda omega=None, iota=None, s=None, d=1: halfline_modulus_datum(omega),
-    "cex14": lambda omega=None, iota=None, s=None, d=1: non_dini_datum(iota, s, d),
-    "ex43": lambda omega=None, iota=None, s=None, d=2: sign_changing_datum(s, d),
-}

@@ -164,7 +164,7 @@ def check_exterior_dini(domain, z, paraboloid, samples=10000, seed=0):
 
     Points of the paraboloid are mapped by x -> z + R_z^T x into ambient
     coordinates; every mapped point must lie outside the open domain.  A
-    passing report certifies only the sampled set.
+    passing report covers only the sampled set.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     frame = None

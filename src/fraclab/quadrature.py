@@ -1,4 +1,4 @@
-"""Certified adaptive quadrature.
+"""Adaptive quadrature with estimated errors.
 
 One-dimensional adaptive Gauss-Kronrod (7/15 embedded pair) with panel-wise
 error estimates, endpoint substitutions that remove the (rho^2-1)^{-s}
@@ -33,18 +33,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-7
     abs_tol: float = 1e-10
     max_subdivisions: int = 20000
-    singular_exponent: float = 0.5
-    near_boundary_split_factor: float = 16.0
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise QuadratureError("tolerances must be positive")
         if self.max_subdivisions < 64:
             raise QuadratureError("max_subdivisions must be >= 64")
-        if self.near_boundary_split_factor < 2:
-            raise QuadratureError("near_boundary_split_factor must be >= 2")
-        if not 0.0 < self.singular_exponent < 1.0:
-            raise QuadratureError("singular_exponent must lie in (0, 1)")
 
     def tolerance(self, value):
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -52,7 +46,7 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """A computed scalar with a certified error estimate and work counters."""
+    """A computed scalar with an estimated error and work counters."""
 
     value: float
     error_estimate: float
@@ -75,12 +69,13 @@ class EvaluationReport:
         )
 
 
-ZERO_REPORT = EvaluationReport(0.0, 0.0, 0, True)
-
-
 # Panels evaluated per integrand call: bounds the size of the abscissa
 # arrays (and so the memory) of nested batches.
 PANELS_PER_CALL = 64
+
+# Ratio of consecutive offsets rho - 1 of the radial breakpoints graded away
+# from the sphere, starting at the Poisson-kernel concentration scale 1 - |x|.
+RADIAL_GRADING = 16.0
 
 
 def _evaluate_panels(f, lo, hi, ids):
@@ -277,12 +272,16 @@ def _frame(x_eval, d):
 
     Falls back to the coordinate axes when x_eval = 0, so evaluation grids
     stay mirror-symmetric in the second coordinate for on-axis points.
+    x_eval is scaled to unit max-norm before normalizing: the squares in
+    ``np.linalg.norm`` underflow for |x_eval| below about 1e-154.
     """
     x = np.asarray(x_eval, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or np.array_equal(x / norm, np.eye(d)[0]):
+    scale = float(np.max(np.abs(x)))
+    if scale > 0.0:
+        x = x / scale
+        u = x / np.linalg.norm(x)
+    if scale == 0.0 or np.array_equal(u, np.eye(d)[0]):
         return [np.eye(d)[i] for i in range(d)]
-    u = x / norm
     basis = [u]
     for e in np.eye(d):
         w = e - sum(np.dot(e, b) * b for b in basis)
@@ -308,8 +307,6 @@ def _inner_spec(spec):
         rel_tol=max(spec.rel_tol * 0.05, 1e-13),
         abs_tol=spec.abs_tol * 0.05,
         max_subdivisions=max(512, spec.max_subdivisions // 8),
-        singular_exponent=spec.singular_exponent,
-        near_boundary_split_factor=spec.near_boundary_split_factor,
     )
 
 
@@ -355,7 +352,6 @@ def integrate_exterior_ball(
             "declare either support_radius or decay_exponent for the far field"
         )
 
-    K = spec.near_boundary_split_factor
     frame = _frame(x, d)
     inner = _inner_spec(spec)
     inner2 = _inner_spec(inner)
@@ -452,7 +448,7 @@ def integrate_exterior_ball(
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
     r_near_end = 2.0 if support_radius is None else max(2.0, support_radius)
-    graded = [1.0 + g for g in _graded_scales(delta, r_near_end - 1.0, K)]
+    graded = [1.0 + g for g in _graded_scales(delta, r_near_end - 1.0, RADIAL_GRADING)]
     bps = sorted(set(graded) | {r for r in radial_breakpoints if 1.0 < r < r_near_end})
 
     near = integrate_radial_singular(

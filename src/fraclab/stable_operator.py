@@ -116,23 +116,14 @@ class SpectralMeasure:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A 2s-stable operator: spectral measure plus the order s.
-
-    ``pv_inner_radii`` is a decreasing schedule of inner cutoffs used only by
-    diagnostics that probe the principal value's cancellation; the symmetrized
-    quadrature itself needs no cutoff.
-    """
+    """A 2s-stable operator: spectral measure plus the order s."""
 
     measure: SpectralMeasure
     s: float
-    pv_inner_radii: tuple = (1e-2, 1e-4, 1e-6)
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise MeasureError("order s must lie in (0, 1)")
-        radii = tuple(self.pv_inner_radii)
-        if any(b >= a for a, b in zip(radii, radii[1:])):
-            raise MeasureError("pv_inner_radii must be strictly decreasing")
 
 
 def _sphere_grid(d, n):

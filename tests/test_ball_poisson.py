@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraclab.ball_poisson import (
     BallProblem,
@@ -143,6 +143,11 @@ class TestSolve:
         direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
         radius=st.floats(0.0, 0.9),
     )
+    # Radii where the squares in |x| underflow: the solver's frame must
+    # still be orthonormal.
+    @example(d=3, direction=[0.3, 0.4, 0.5], radius=3.692846355438777e-162)
+    @example(d=3, direction=[0.3, 0.4, 0.5], radius=5e-162)
+    @example(d=3, direction=[0.3, 0.4, 0.5], radius=5e-324)
     def test_general_rule_is_rotation_invariant(self, d, direction, radius):
         # The kernel mass is 1 at every x, so the constant datum on the
         # general (non-axisymmetric) angular rule must give 1 at any point.

@@ -86,3 +86,25 @@ class TestApplyOperator:
 def test_unknown_command_exits_with_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check-dini", "--modulus", "bogus"), "unknown modulus description"),
+        (("solve", "--d", "1", "--datum", "prop42", "--x", "0.5,0.1"),
+         "dimension mismatch"),
+        (("check-dini", "--modulus", "power:0.5", "--variant", "two_s"),
+         "variant two_s needs s"),
+        (("sweep-upper", "--d", "1", "--s", "1.5"), "s must lie in (0, 1)"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("fraclab: error: ")
+    assert message in lines[0]

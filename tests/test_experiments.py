@@ -55,13 +55,15 @@ class TestConfig:
             "[quadrature]\nrel_tol = 1e-6\n"
             "[output]\nout_dir = results\n"
         )
-        cfg = load_config(p, overrides={"s": "0.7", "seed": 3})
+        cfg = load_config(p, overrides={"s": "0.7"})
         assert cfg.d == 2
         assert cfg.s == 0.7
         assert cfg.datum == "thm15"
         assert cfg.rel_tol == 1e-6
         assert cfg.out_dir == "results"
-        assert cfg.seed == 3
+        # nothing in a sweep is random, so there is no seed to set
+        with pytest.raises(ConfigError):
+            load_config(p, overrides={"seed": 3})
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         p = tmp_path / "exp.ini"
@@ -136,8 +138,7 @@ class TestEmitOutputs:
         p1 = emit_outputs([rows], cfg, out_dir=tmp_path / "a")
         p2 = emit_outputs([rows], cfg, out_dir=tmp_path / "b")
         names = sorted(p.name for p in p1)
-        assert names == ["plot.py.txt", "rows.csv", "summary.txt",
-                         "sweep-lower.dat"]
+        assert names == ["rows.csv", "summary.txt", "sweep-lower.dat"]
         for a, b in zip(sorted(p1), sorted(p2)):
             assert a.read_bytes() == b.read_bytes()
         csv = (tmp_path / "a" / "rows.csv").read_text().splitlines()

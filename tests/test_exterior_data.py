@@ -1,4 +1,4 @@
-"""Datum constructors, cutoff, oscillation closed forms, registry tokens."""
+"""Datum constructors, cutoff, oscillation closed forms."""
 
 import math
 
@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from fraclab.exterior_data import (
-    DATUM_REGISTRY,
     CutoffFunction,
     DimensionError,
-    ExteriorDatum,
     constant_datum,
-    cutoff_eval,
     halfline_modulus_datum,
     non_dini_datum,
     radial_indicator_datum,
@@ -24,24 +21,20 @@ from fraclab.moduli import ModulusFunction, seminorm_ext
 class TestCutoff:
     def test_plateau_and_support(self):
         eta = CutoffFunction()
-        assert cutoff_eval(eta, 2.0) == 1.0
-        assert cutoff_eval(eta, 4.0) == 1.0
-        assert cutoff_eval(eta, 4.5) == 0.0
-        assert cutoff_eval(eta, 5.0) == 0.0
+        assert eta(2.0) == 1.0
+        assert eta(4.0) == 1.0
+        assert eta(4.5) == 0.0
+        assert eta(5.0) == 0.0
 
     def test_midpoint_value(self):
         eta = CutoffFunction()
         # w = 1/2: 10/8 - 15/16 + 6/32 = 1/2
-        assert abs(cutoff_eval(eta, 4.25) - 0.5) < 1e-15
+        assert abs(eta(4.25) - 0.5) < 1e-15
 
     def test_monotone_on_transition(self):
         eta = CutoffFunction()
         r = np.linspace(4.0, 4.5, 101)
         assert np.all(np.diff(eta(r)) <= 0.0)
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            cutoff_eval(CutoffFunction(), -1.0)
 
 
 class TestTransverseDatum:
@@ -169,13 +162,3 @@ class TestOtherData:
         g = radial_indicator_datum(0.5, 1)
         assert g(np.array([[1.2]]))[0] == 0.0
         assert g(np.array([[1.8]]))[0] == 1.0
-
-    def test_registry_tokens(self):
-        om = ModulusFunction.power(0.5)
-        iota = ModulusFunction.log_inverse(1.0)
-        assert isinstance(DATUM_REGISTRY["thm15"](omega=om, d=2), ExteriorDatum)
-        assert isinstance(DATUM_REGISTRY["prop42"](omega=om), ExteriorDatum)
-        assert isinstance(
-            DATUM_REGISTRY["cex14"](iota=iota, s=0.5, d=1), ExteriorDatum
-        )
-        assert isinstance(DATUM_REGISTRY["ex43"](s=0.5, d=2), ExteriorDatum)

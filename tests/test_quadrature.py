@@ -149,7 +149,7 @@ class TestRadialSingular:
     def test_pure_singularity_closed_form(self, s, spec):
         # int_1^R (rho-1)^{-s} drho = (R-1)^{1-s}/(1-s).  The integrand
         # computes rho - 1 itself, so allow for its subtraction roundoff on
-        # top of the certified estimate.  (For s closer to 1 that roundoff
+        # top of the error estimate.  (For s closer to 1 that roundoff
         # blows up; the offset protocol below covers that regime.)
         R = 2.0
         f = lambda rho: (rho - 1.0) ** (-s)

@@ -43,10 +43,6 @@ class TestSpectralMeasure:
         with pytest.raises(MeasureError):
             OperatorSpec(pm_atoms_1d(), s=1.0)
 
-    def test_pv_schedule_must_decrease(self):
-        with pytest.raises(MeasureError):
-            OperatorSpec(pm_atoms_1d(), s=0.5, pv_inner_radii=(1e-2, 1e-2))
-
 
 class TestNondegeneracy:
     def test_two_point_measure_d1(self):
