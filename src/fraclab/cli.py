@@ -19,6 +19,7 @@ from .experiments import (
     emit_outputs,
     load_config,
     parse_modulus,
+    parse_number,
     run_blowup_experiment,
     run_cancellation_experiment,
     run_lower_bound_sweep,
@@ -69,7 +70,7 @@ def cmd_solve(args):
     config = _config_from(args, "solve")
     datum = build_datum(config)
     problem = BallProblem(PoissonKernel(config.d, config.s), datum)
-    x = np.array([float(v) for v in args.x.split(",")])
+    x = np.array([parse_number(v) for v in args.x.split(",")])
     rep = solve(problem, x, config.quadrature)
     print(
         f"u({args.x}) = {rep.value:.12g}  +/- {rep.error_estimate:.3g}  "
@@ -173,12 +174,13 @@ def cmd_check_geometry(args):
 def cmd_apply_operator(args):
     s = args.s
     if args.measure.startswith("uniform:"):
-        measure = SpectralMeasure.uniform(args.d, float(args.measure.split(":")[1]))
+        mass = parse_number(args.measure.split(":", 1)[1], MeasureError)
+        measure = SpectralMeasure.uniform(args.d, mass)
     elif args.measure.startswith("atomic:"):
         parts = args.measure.split(":", 1)[1].split(";")
         atoms = []
         for part in parts:
-            *coords, w = (float(v) for v in part.split(","))
+            *coords, w = (parse_number(v, MeasureError) for v in part.split(","))
             atoms.append((np.array(coords), w))
         measure = SpectralMeasure.atomic(args.d, atoms)
     else:
@@ -189,7 +191,7 @@ def cmd_apply_operator(args):
         r2 = np.einsum("ij,ij->i", points, points)
         return np.maximum(1.0 - r2, 0.0) ** s
 
-    x = np.array([float(v) for v in args.x.split(",")])
+    x = np.array([parse_number(v) for v in args.x.split(",")])
     rep = apply_operator(op, u, x, QuadratureSpec(), support_radius=1.0,
                          radial_breakpoints=(1.0 - float(np.linalg.norm(x)),
                                              1.0 + float(np.linalg.norm(x))))

@@ -93,6 +93,14 @@ class ExperimentConfig:
         return QuadratureSpec(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
+def parse_number(text, error=ConfigError):
+    """float(text); a malformed number raises ``error``, an input error."""
+    try:
+        return float(text)
+    except ValueError:
+        raise error(f"malformed number {text!r}") from None
+
+
 def parse_modulus(text):
     """Parse 'power:0.5', 'log_inverse:2', 'power_log:0.5,1', 'zero', or
     'table:t1:v1,t2:v2,...'."""
@@ -104,14 +112,15 @@ def parse_modulus(text):
     if kind == "zero":
         return ModulusFunction.zero()
     if kind == "power":
-        return ModulusFunction.power(float(arg))
+        return ModulusFunction.power(parse_number(arg))
     if kind == "log_inverse":
-        return ModulusFunction.log_inverse(float(arg))
-    if kind == "power_log":
-        a, p = (float(v) for v in arg.split(","))
+        return ModulusFunction.log_inverse(parse_number(arg))
+    if kind == "power_log" and arg.count(",") == 1:
+        a, p = (parse_number(v) for v in arg.split(","))
         return ModulusFunction.power_log(a, p)
     if kind == "table":
-        pairs = [tuple(float(v) for v in pc.split(":")) for pc in arg.split(",")]
+        pairs = [tuple(parse_number(v) for v in pc.split(":"))
+                 for pc in arg.split(",")]
         return ModulusFunction.table(pairs)
     raise ConfigError(f"unknown modulus description {text!r}")
 

@@ -2,17 +2,18 @@
 
 One-dimensional adaptive Gauss-Kronrod (7/15 embedded pair) with panel-wise
 error estimates, endpoint substitutions that remove the (rho^2-1)^{-s}
-boundary weight analytically, an unbounded-domain map, and the tensorized
-sphere-times-radius rules over the exterior of the unit ball for d in
-{1, 2, 3}.
+boundary weight analytically, an unbounded-domain map, one routine for
+integrals over spheres in d = 2, 3 (``sphere_integrals``, folded by a
+mirror), and the sphere-times-radius rule over the exterior of the unit ball
+for d in {1, 2, 3}, which calls it in a frame along the evaluation point.
 
 All integrands are numpy-vectorized: they accept an ndarray of abscissae and
 return an ndarray of values.  An integrand may instead return a pair
 ``(values, errors)``; the per-point errors are then folded into the report's
 error estimate (this is how inner angular integrals propagate their
 uncertainty to the radial rule).  The adaptive driver refines a whole batch
-of integrals at once, so the angular integrals at all radial nodes of one
-radial panel sweep cost one driver call.
+of integrals at once, so the sphere integrals at all radial nodes of one
+radial panel sweep cost one driver call per level.
 """
 
 from dataclasses import dataclass, replace
@@ -76,6 +77,23 @@ PANELS_PER_CALL = 64
 # Ratio of consecutive offsets rho - 1 of the radial breakpoints graded away
 # from the sphere, starting at the Poisson-kernel concentration scale 1 - |x|.
 RADIAL_GRADING = 16.0
+
+
+def _values_errors(res):
+    """(values, errors) arrays of an integrand result: values, or a pair
+    (values, errors) whose errors are taken in absolute value."""
+    if isinstance(res, tuple):
+        return (np.asarray(res[0], dtype=float),
+                np.abs(np.asarray(res[1], dtype=float)))
+    values = np.asarray(res, dtype=float)
+    return values, np.zeros_like(values)
+
+
+def _scaled(res, factor):
+    """An integrand result (values, or a (values, errors) pair) times factor."""
+    if isinstance(res, tuple):
+        return res[0] * factor, res[1] * factor
+    return res * factor
 
 
 def _evaluate_panels(f, lo, hi, ids):
@@ -213,11 +231,7 @@ def integrate_radial_singular(f, s, R, spec, breakpoints=None, offset_arg=False)
 
     def transformed(w):
         q = w**p
-        jac = p * w ** (p - 1.0)
-        res = f(q) if offset_arg else f(1.0 + q)
-        if isinstance(res, tuple):
-            return res[0] * jac, res[1] * jac
-        return res * jac
+        return _scaled(f(q) if offset_arg else f(1.0 + q), p * w ** (p - 1.0))
 
     # Start marginally above zero so q never underflows to an exact 0 (the
     # omitted mass is O(w_lo) times a bounded transformed integrand).
@@ -244,12 +258,7 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec):
         raise QuadratureError("R must be positive")
 
     def mapped(v):
-        rho = R / v
-        jac = R / v**2
-        res = f(rho)
-        if isinstance(res, tuple):
-            return res[0] * jac, res[1] * jac
-        return res * jac
+        return _scaled(f(R / v), R / v**2)
 
     if decay_exponent >= 1.0:
         integrand = mapped
@@ -257,12 +266,7 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec):
         q = 1.0 / decay_exponent
 
         def integrand(z):
-            v = z**q
-            jac = q * z ** (q - 1.0)
-            res = mapped(v)
-            if isinstance(res, tuple):
-                return res[0] * jac, res[1] * jac
-            return res * jac
+            return _scaled(mapped(z**q), q * z ** (q - 1.0))
 
     return _integrate(integrand, np.array([0.0, 0.5, 1.0]), spec)
 
@@ -310,6 +314,64 @@ def _inner_spec(spec):
     )
 
 
+def sphere_integrals(g, frame, radii, partitions, rule):
+    """Integrals over the unit sphere S^{d-1} of theta -> g(radii[i] theta).
+
+    ``frame`` is an orthonormal basis (u, ..., v) of R^d, d = len(frame) in
+    {2, 3}.  The sphere is folded by the mirror in v: ``g(y, ids)`` gets the
+    stacked rows [y; y'], y' the mirror image of y and ``ids[j]`` the radius
+    index of row j, and returns values or a (values, errors) pair whose two
+    halves are summed.  The outer integral runs over the polar angle from u
+    on the initial partitions ``partitions[i]`` of (0, pi), under ``rule``;
+    in d = 3 each polar node opens a longitude integral over (0, pi), and
+    those run as one nested batch under ``_inner_spec(rule)``.
+
+    Returns (values, errors, converged): per-radius arrays, and one bool that
+    is True when every integral at both levels met its tolerance.
+    """
+    u, v = frame[0], frame[-1]
+    ok = [True]
+
+    def batch(f, parts, spec):
+        vals, errs, _, conv = _adaptive(
+            f, parts, spec.rel_tol, spec.abs_tol, spec.max_subdivisions
+        )
+        ok[0] = ok[0] and conv
+        return vals, errs
+
+    def folded(base, off, ids):
+        # g(base + off) + g(base - off) with one call of g
+        res = g(np.concatenate([base + off, base - off]), np.concatenate([ids, ids]))
+        n = ids.size
+        if isinstance(res, tuple):
+            vals, errs = _values_errors(res)
+            return vals[:n] + vals[n:], errs[:n] + errs[n:]
+        return res[:n] + res[n:]
+
+    if len(frame) == 2:
+        def polar(phi, ids):
+            r = radii[ids]
+            return folded((r * np.cos(phi))[:, None] * u,
+                          (r * np.sin(phi))[:, None] * v, ids)
+    else:
+        v1 = frame[1]
+        inner = _inner_spec(rule)
+
+        def polar(phi, ids):
+            r = radii[ids]
+            axial, trans = r * np.cos(phi), r * np.sin(phi)
+
+            def longitude(alpha, j):
+                base = axial[j, None] * u + (trans[j] * np.cos(alpha))[:, None] * v1
+                return folded(base, (trans[j] * np.sin(alpha))[:, None] * v, ids[j])
+
+            vals, errs = batch(longitude, [(0.0, np.pi)] * phi.size, inner)
+            return np.sin(phi) * vals, np.sin(phi) * errs
+
+    vals, errs = batch(polar, partitions, rule)
+    return vals, errs, ok[0]
+
+
 def integrate_exterior_ball(
     F,
     d,
@@ -330,10 +392,14 @@ def integrate_exterior_ball(
     per-point array of |y|^2 - 1, computed without cancellation.  The radial
     direction uses the singularity-removing substitution with a panel grading
     keyed to the distance 1-|x_eval| (the Poisson-kernel concentration
-    scale); the angular direction is an adaptive rule on folded half-ranges,
-    so mirror-symmetric integrands are resolved on exactly mirrored nodes.
-    The angular integrals of all radial nodes in one radial panel sweep run
-    as one batch; if any of them ends unconverged, so does the result.
+    scale).  The angular direction is ``sphere_integrals`` in a frame along
+    x_eval: the polar angle from x_eval, graded toward the Poisson-kernel
+    peak, with the sphere folded by a mirror so that mirror-symmetric
+    integrands are resolved on exactly mirrored nodes.  In d = 1 the sphere
+    is the pair {rho, -rho}; in d = 3 an ``axisymmetric`` F (symmetric about
+    the line through x_eval) needs the polar integral only.  The angular
+    integrals of all radial nodes in one radial panel sweep run as one batch;
+    if any of them ends unconverged, so does the result.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -354,7 +420,6 @@ def integrate_exterior_ball(
 
     frame = _frame(x, d)
     inner = _inner_spec(spec)
-    inner2 = _inner_spec(inner)
     evals = [0]
     inner_ok = [True]
     wants_offset = getattr(F, "accepts_norm2m1", False)
@@ -366,20 +431,6 @@ def integrate_exterior_ball(
         if wants_offset:
             return np.asarray(F(points, q * (2.0 + q)), dtype=float)
         return np.asarray(F(points), dtype=float)
-
-    def mirrored(y, ym, q):
-        # F(y) + F(ym) with one call of F
-        vals = call_F(np.concatenate([y, ym]), np.concatenate([q, q]))
-        return vals[: len(y)] + vals[len(y):]
-
-    def batch(f, partitions, rule):
-        # One adaptive batch of inner integrals; an unconverged one makes the
-        # whole result unconverged.
-        vals, errs, _, ok = _adaptive(
-            f, partitions, rule.rel_tol, rule.abs_tol, rule.max_subdivisions
-        )
-        inner_ok[0] = inner_ok[0] and ok
-        return vals, errs
 
     def polar_partitions(q):
         # Per radial node: the folded range (0, pi), graded toward the
@@ -394,56 +445,30 @@ def integrate_exterior_ball(
 
     if d == 1:
         def radial_q(q):
-            rho = 1.0 + q
-            return mirrored(rho[:, None], -rho[:, None], q)
-    elif d == 2:
-        u, v1 = frame
-
-        def radial_q(q):
-            def psi(phi, ids):
-                rho = 1.0 + q[ids]
-                radial_part = rho * np.cos(phi)
-                trans = rho * np.sin(phi)
-                y = radial_part[:, None] * u[None, :] + trans[:, None] * v1[None, :]
-                ym = radial_part[:, None] * u[None, :] - trans[:, None] * v1[None, :]
-                return mirrored(y, ym, q[ids])
-
-            vals, errs = batch(psi, polar_partitions(q), inner)
-            return (1.0 + q) * vals, (1.0 + q) * errs
+            rho = (1.0 + q)[:, None]
+            vals = call_F(np.concatenate([rho, -rho]), np.concatenate([q, q]))
+            return vals[: q.size] + vals[q.size:]
     else:
-        u, v1, v2 = frame
-
         def radial_q(q):
-            if axisymmetric:
-                def psi(phi, ids):
-                    rho = 1.0 + q[ids]
-                    y = (
-                        (rho * np.cos(phi))[:, None] * u[None, :]
-                        + (rho * np.sin(phi))[:, None] * v1[None, :]
-                    )
-                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q[ids])
-            else:
-                def psi(phi, ids):
-                    # Latitude nodes phi; each one opens a longitude integral
-                    # over (0, pi), folded by the mirror in the v2 direction.
-                    q_lat = q[ids]
-                    trans = (1.0 + q_lat) * np.sin(phi)
-                    axis_part = (1.0 + q_lat) * np.cos(phi)
-
-                    def lon(alpha, j):
-                        base = (
-                            axis_part[j, None] * u[None, :]
-                            + (trans[j] * np.cos(alpha))[:, None] * v1[None, :]
-                        )
-                        off = (trans[j] * np.sin(alpha))[:, None] * v2[None, :]
-                        return mirrored(base + off, base - off, q_lat[j])
-
-                    vals, errs = batch(lon, [(0.0, np.pi)] * phi.size, inner2)
-                    return np.sin(phi) * vals, np.sin(phi) * errs
-
-            vals, errs = batch(psi, polar_partitions(q), inner)
             rho = 1.0 + q
-            return rho * rho * vals, rho * rho * errs
+            if d == 3 and axisymmetric:
+                # F is symmetric about the line through x_eval: polar only
+                def polar(phi, ids):
+                    y = ((rho[ids] * np.cos(phi))[:, None] * frame[0]
+                         + (rho[ids] * np.sin(phi))[:, None] * frame[1])
+                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q[ids])
+
+                vals, errs, _, ok = _adaptive(
+                    polar, polar_partitions(q), inner.rel_tol, inner.abs_tol,
+                    inner.max_subdivisions,
+                )
+            else:
+                vals, errs, ok = sphere_integrals(
+                    lambda y, ids: call_F(y, q[ids]), frame, rho,
+                    polar_partitions(q), inner,
+                )
+            inner_ok[0] = inner_ok[0] and ok
+            return rho ** (d - 1) * vals, rho ** (d - 1) * errs
 
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.

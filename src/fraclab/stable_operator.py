@@ -5,11 +5,15 @@ The operator acts on a function u at a point x as
     A u(x) = (1 - s) pv int_0^inf int_{S^{d-1}}
                  (u(x) - u(x + r theta)) / r^{1+2s}  mu(dtheta) dr
 
-for a finite symmetric spectral measure mu on the sphere.  The principal
-value is realized through the symmetrized second difference
-(2u(x) - u(x+r theta) - u(x-r theta)) / 2, which the symmetry of mu makes
-exactly equivalent and which is O(r^2) near r = 0 for u twice
-differentiable, so no epsilon-excision is needed.
+for a finite symmetric spectral measure mu on the sphere.  By the symmetry
+of mu the inner integral D(r) equals that of the symmetrized second
+difference (2u(x) - u(x+r theta) - u(x-r theta)) / 2, so D(r) = O(r^2)
+near r = 0 for u twice differentiable and no epsilon-excision is needed.
+Atomic measures (and the uniform measure in d = 1, the atoms +-1 of half
+the mass each) are summed over symmetric atom pairs.  The uniform measure
+in d = 2, 3 integrates the first difference u(x) - u(x + r theta) over the
+sphere with ``quadrature.sphere_integrals``, in a frame along x and folded
+by a mirror.
 
 Functions u are numpy-vectorized over an (n, d) array of points; they may
 return a pair (values, errors) when their own evaluation carries numerical
@@ -28,8 +32,13 @@ from .quadrature import (
     QuadratureSpec,
     integrate_1d,
     integrate_radial_unbounded,
-    _adaptive,
+    sphere_integrals,
+    # Not called here: perfbench/tracer.py patches this module's binding.
+    _adaptive,  # noqa: F401
+    _frame,
     _integrate,
+    _scaled,
+    _values_errors,
 )
 
 
@@ -42,8 +51,9 @@ class SpectralMeasure:
     """Finite symmetric measure on the unit sphere S^{d-1}.
 
     variant "uniform": the rotation-invariant measure with the given total
-    mass.  variant "atomic": point masses, required to come in symmetric
-    pairs (theta, w), (-theta, w).
+    mass; in d = 1 it is stored as its two atoms +-1 of half the mass each.
+    variant "atomic": point masses, required to come in symmetric pairs
+    (theta, w), (-theta, w).
     """
 
     variant: str
@@ -57,6 +67,11 @@ class SpectralMeasure:
         if self.variant == "uniform":
             if self.total_mass <= 0:
                 raise MeasureError("uniform measure needs positive total mass")
+            half = 0.5 * self.total_mass
+            object.__setattr__(
+                self, "atoms",
+                (((1.0,), half), ((-1.0,), half)) if self.dimension == 1 else (),
+            )
         elif self.variant == "atomic":
             if not self.atoms:
                 raise MeasureError("atomic measure needs at least one atom")
@@ -153,14 +168,12 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
         raise MeasureError("order s must lie in (0, 1)")
     d = measure.dimension
     xis = _sphere_grid(d, xi_samples)
-    if measure.variant == "atomic":
+    if measure.atoms:
         thetas = np.array([np.asarray(t, dtype=float) for t, _ in measure.atoms])
         weights = np.array([w for _, w in measure.atoms])
         vals = np.abs(xis @ thetas.T) ** (2.0 * s) @ weights
         return float(vals.min())
     m = measure.total_mass
-    if d == 1:
-        return m
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12)
     if d == 2:
         # (m / 2pi) int_0^{2pi} |cos|^{2s} = (2m/pi) int_0^{pi/2} cos^{2s}
@@ -170,72 +183,35 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
     return m / (2.0 * s + 1.0)
 
 
-def _as_val_err(res, n):
-    if isinstance(res, tuple):
-        return (
-            np.asarray(res[0], dtype=float),
-            np.abs(np.asarray(res[1], dtype=float)),
-        )
-    return np.asarray(res, dtype=float), np.zeros(n)
-
-
 # Adaptive rule of the angular integrals inside the radial integrands.
 _SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
 
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
-def _sphere_integrals(d, n, g, circle_span=2.0 * np.pi):
-    """(vals, errs) of n integrals over S^{d-1}, d in {2, 3}, as one batch.
 
-    ``g(theta, ids)`` returns (values, errors) at the unit directions theta
-    (one row per abscissa) for the integrals ``ids``.  In d = 2 the angle
-    runs over (0, circle_span); in d = 3 each latitude node opens a
-    longitude integral over (0, 2 pi), and those run as one nested batch.
-    """
-    rule = _SPHERE_RULE
-
-    def batch(f, span, count):
-        vals, errs, _, _ = _adaptive(
-            f, [(0.0, span)] * count, rule.rel_tol, rule.abs_tol,
-            rule.max_subdivisions,
-        )
-        return vals, errs
-
-    if d == 2:
-        return batch(
-            lambda phi, ids: g(np.column_stack([np.cos(phi), np.sin(phi)]), ids),
-            circle_span, n,
-        )
-
-    def lat(phi, ids):
-        sp, cp = np.sin(phi), np.cos(phi)
-
-        def lon(alpha, j):
-            theta = np.column_stack(
-                [sp[j] * np.cos(alpha), sp[j] * np.sin(alpha), cp[j]]
-            )
-            return g(theta, ids[j])
-
-        vals, errs = batch(lon, 2.0 * np.pi, phi.size)
-        return sp * vals, sp * errs
-
-    return batch(lat, np.pi, n)
+def _uniform_average(measure, g, x, r):
+    """(vals, errs) of int g(r theta) mu(dtheta) for the uniform measure mu
+    in d = 2, 3 over a batch of radii r, in a frame along x."""
+    d = measure.dimension
+    vals, errs, _ = sphere_integrals(
+        g, _frame(x, d), r, [(0.0, np.pi)] * r.size, _SPHERE_RULE
+    )
+    c = measure.total_mass / _SPHERE_AREA[d]
+    return c * vals, c * errs
 
 
 def _second_difference(op, u, x, r):
-    """(vals, errs) of D(r) = int (2u(x) - u(x+r th) - u(x-r th))/2 mu(dth)
-    for a batch of radii r."""
+    """(vals, errs) of D(r) = int (u(x) - u(x + r th)) mu(dth) for a batch of
+    radii r; atoms are summed as symmetrized pairs."""
     measure = op.measure
-    d = measure.dimension
-    u0, u0_err = _as_val_err(u(x[None, :]), 1)
+    u0, u0_err = _values_errors(u(x[None, :]))
     u0, u0_err = float(u0[0]), float(u0_err[0])
-    if measure.variant == "atomic":
+    if measure.atoms:
         vals = np.zeros(r.size)
         errs = np.zeros(r.size)
         for theta, w in measure.half_atoms():
-            plus = x[None, :] + r[:, None] * theta[None, :]
-            minus = x[None, :] - r[:, None] * theta[None, :]
-            vp, ep = _as_val_err(u(plus), r.size)
-            vm, em = _as_val_err(u(minus), r.size)
+            vp, ep = _values_errors(u(x + np.outer(r, theta)))
+            vm, em = _values_errors(u(x - np.outer(r, theta)))
             # w is the per-atom weight; the symmetrized difference over the
             # pair {theta, -theta} carries the pair mass 2w, i.e. w without
             # the 1/2 of the symmetrization.
@@ -243,33 +219,11 @@ def _second_difference(op, u, x, r):
             errs += w * (2.0 * u0_err + ep + em)
         return vals, errs
 
-    m = measure.total_mass
-    if d == 1:
-        plus = x[None, :] + r[:, None]
-        minus = x[None, :] - r[:, None]
-        vp, ep = _as_val_err(u(plus), r.size)
-        vm, em = _as_val_err(u(minus), r.size)
-        return (
-            0.5 * m * (2.0 * u0 - vp - vm) / 2.0 * 2.0,
-            0.5 * m * (2.0 * u0_err + ep + em) / 2.0 * 2.0,
-        )
+    def first_difference(y, ids):
+        v, e = _values_errors(u(x + y))
+        return u0 - v, u0_err + e
 
-    def sym(theta, ids):
-        steps = r[ids, None] * theta
-        v, e = _as_val_err(
-            u(np.concatenate([x[None, :] + steps, x[None, :] - steps])),
-            2 * ids.size,
-        )
-        vp, vm = np.split(v, 2)
-        ep, em = np.split(e, 2)
-        return (2.0 * u0 - vp - vm) / 2.0, u0_err + (ep + em) / 2.0
-
-    if d == 2:
-        # int over S^1 of the symmetrized difference = 2 x half-range
-        vals, errs = _sphere_integrals(2, r.size, sym, np.pi)
-        return m / (2.0 * np.pi) * 2.0 * vals, m / (2.0 * np.pi) * 2.0 * errs
-    vals, errs = _sphere_integrals(3, r.size, sym)
-    return m / (4.0 * np.pi) * vals, m / (4.0 * np.pi) * errs
+    return _uniform_average(measure, first_difference, x, r)
 
 
 def apply_operator(
@@ -299,19 +253,14 @@ def apply_operator(
         )
 
     def core(r):
-        vals, errs = _second_difference(op, u, x, r)
-        w = r ** (-1.0 - 2.0 * s)
-        return vals * w, errs * w
+        return _scaled(_second_difference(op, u, x, r), r ** (-1.0 - 2.0 * s))
 
     # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
     # integrand into a bounded one.
     b = 1.0 / (2.0 - 2.0 * s)
 
     def near(w):
-        r = w**b
-        jac = b * w ** (b - 1.0)
-        vals, errs = core(r)
-        return vals * jac, errs * jac
+        return _scaled(core(w**b), b * w ** (b - 1.0))
 
     w_lo = 1e-200 ** (1.0 / b)
     near_pts = sorted(
@@ -326,46 +275,35 @@ def apply_operator(
         rep_mid = _integrate(core, np.array(pts), spec)
         # Beyond r_end every u(x +- r theta) vanishes, so the integrand is
         # exactly total_mass * u(x) * r^{-1-2s}.
-        u0, u0_err = _as_val_err(u(x[None, :]), 1)
+        u0, u0_err = _values_errors(u(x[None, :]))
         c = op.measure.total_mass * r_end ** (-2.0 * s) / (2.0 * s)
         rep_far = EvaluationReport(float(u0[0]) * c, float(u0_err[0]) * c, 1, True)
-        total = rep_near + rep_mid + rep_far
     else:
         pts = sorted({1.0, 2.0} | {p for p in radial_breakpoints if 1.0 < p < 2.0})
         rep_mid = _integrate(core, np.array(pts), spec)
         rep_far = integrate_radial_unbounded(
             core, 2.0, 2.0 * s - growth_exponent, spec
         )
-        total = rep_near + rep_mid + rep_far
-    return total.scaled(1.0 - s)
+    return (rep_near + rep_mid + rep_far).scaled(1.0 - s)
 
 
 def _abs_average(op, u, y, r):
     """(vals, errs) of int |u(y + r theta)| mu(dtheta) over a radius batch."""
     measure = op.measure
-    d = measure.dimension
-    if measure.variant == "atomic":
+    if measure.atoms:
         vals = np.zeros(r.size)
         errs = np.zeros(r.size)
         for theta, w in measure.atoms:
-            theta = np.asarray(theta, dtype=float)
-            v, e = _as_val_err(u(y[None, :] + r[:, None] * theta[None, :]), r.size)
+            v, e = _values_errors(u(y + np.outer(r, theta)))
             vals += w * np.abs(v)
             errs += w * e
         return vals, errs
-    m = measure.total_mass
-    if d == 1:
-        vp, ep = _as_val_err(u(y[None, :] + r[:, None]), r.size)
-        vm, em = _as_val_err(u(y[None, :] - r[:, None]), r.size)
-        return 0.5 * m * (np.abs(vp) + np.abs(vm)), 0.5 * m * (ep + em)
 
-    def absolute(theta, ids):
-        v, e = _as_val_err(u(y[None, :] + r[ids, None] * theta), ids.size)
+    def absolute(z, ids):
+        v, e = _values_errors(u(y + z))
         return np.abs(v), e
 
-    vals, errs = _sphere_integrals(d, r.size, absolute)
-    c = m / (2.0 * np.pi) if d == 2 else m / (4.0 * np.pi)
-    return c * vals, c * errs
+    return _uniform_average(measure, absolute, y, r)
 
 
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
@@ -379,9 +317,7 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
 
     def integrand(t):
-        vals, errs = _abs_average(op, u, y, t)
-        w = t ** (-1.0 - 2.0 * s)
-        return vals * w, errs * w
+        return _scaled(_abs_average(op, u, y, t), t ** (-1.0 - 2.0 * s))
 
     if support_radius is not None:
         r_end = float(np.linalg.norm(y)) + support_radius + 0.5
@@ -406,14 +342,12 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
         raise QuadratureError("growth_exponent must be < 2s for a finite norm")
     # Reuse the spherical-average machinery with the uniform probability-like
     # measure of mass = surface area, centered at the origin.
-    surface = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
-    op = OperatorSpec(SpectralMeasure.uniform(d, surface), s=s)
+    op = OperatorSpec(SpectralMeasure.uniform(d, _SPHERE_AREA[d]), s=s)
     origin = np.zeros(d)
 
     def integrand(rho):
-        vals, errs = _abs_average(op, u, origin, rho)
-        w = rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s)
-        return vals * w, errs * w
+        return _scaled(_abs_average(op, u, origin, rho),
+                       rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s))
 
     rep = _integrate(
         integrand, np.array([1e-290, 1.0, 2.0]), spec

@@ -97,6 +97,11 @@ def test_unknown_command_exits_with_usage_error():
         (("check-dini", "--modulus", "power:0.5", "--variant", "two_s"),
          "variant two_s needs s"),
         (("sweep-upper", "--d", "1", "--s", "1.5"), "s must lie in (0, 1)"),
+        (("check-dini", "--modulus", "power:abc"), "malformed number 'abc'"),
+        (("solve", "--d", "1", "--datum", "prop42", "--x", "0.5,abc"),
+         "malformed number 'abc'"),
+        (("apply-operator", "--d", "2", "--measure", "uniform:x", "--x", "0,0"),
+         "malformed number 'x'"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, argv, message):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraclab import quadrature
 from fraclab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -13,6 +14,7 @@ from fraclab.quadrature import (
     integrate_exterior_ball,
     integrate_radial_singular,
     integrate_radial_unbounded,
+    sphere_integrals,
     PANELS_PER_CALL,
     _adaptive,
 )
@@ -242,6 +244,69 @@ def _poisson_F(x, s, d):
 
     F.accepts_norm2m1 = True
     return F
+
+
+def _random_frame(rng, d):
+    return list(np.linalg.qr(rng.standard_normal((d, d)))[0].T)
+
+
+class TestSphereIntegrals:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_moments_in_a_random_frame(self, d, rng):
+        frame = _random_frame(rng, d)
+        radii = np.array([0.3, 1.0, 2.5, 10.0])
+        parts = [(0.0, np.pi)] * radii.size
+        rule = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+        area = 2.0 * np.pi if d == 2 else 4.0 * np.pi
+        a = rng.standard_normal(d)
+
+        def const(y, ids):
+            # one call on exactly mirrored pairs: the halves differ along the
+            # frame's last vector only
+            n = len(y) // 2
+            assert np.array_equal(ids[:n], ids[n:])
+            assert np.allclose(np.linalg.norm(y, axis=1), radii[ids], rtol=1e-14)
+            diff, mid = y[:n] - y[n:], y[:n] + y[n:]
+            assert np.allclose(diff - np.outer(diff @ frame[-1], frame[-1]), 0.0,
+                               atol=1e-14 * radii.max())
+            assert np.allclose(mid @ frame[-1], 0.0, atol=1e-14 * radii.max())
+            return np.ones(len(y))
+
+        vals, errs, ok = sphere_integrals(const, frame, radii, parts, rule)
+        assert ok
+        assert np.allclose(vals, area, rtol=1e-12, atol=0.0)
+
+        vals, errs, ok = sphere_integrals(
+            lambda y, ids: (y @ a) ** 2, frame, radii, parts, rule
+        )
+        exact = radii**2 * (a @ a) * area / d
+        assert ok
+        assert np.all(np.abs(vals - exact) <= errs + 1e-10 * exact)
+
+    def test_longitude_at_its_panel_cap_is_reported(self, rng, monkeypatch):
+        # cos(K alpha) in the longitude alpha alone: every longitude integral
+        # has the same value, so the polar integral converges, while the
+        # oscillation keeps each longitude integral at its panel cap.
+        frame = _random_frame(rng, 3)
+        flags = []
+
+        def spy(*args):
+            out = _adaptive(*args)
+            flags.append(out[3])
+            return out
+
+        def g(y, ids):
+            alpha = np.arctan2(np.abs(y @ frame[2]), y @ frame[1])
+            return 1.0 + 3e-10 * np.cos(100000.5 * alpha)
+
+        monkeypatch.setattr(quadrature, "_adaptive", spy)
+        rule = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-9, max_subdivisions=64)
+        vals, errs, ok = sphere_integrals(
+            g, frame, np.array([1.0]), [(0.0, np.pi)], rule
+        )
+        assert flags == [False, True]  # longitude batch, then the polar one
+        assert abs(vals[0] - 4.0 * np.pi) <= errs[0] + 1e-9
+        assert not ok
 
 
 class TestExteriorBall:

@@ -153,6 +153,36 @@ class TestApplyOperator:
         b = apply_operator(axes, u, [0.0, 0.0], fast_spec)
         assert abs(a.value - b.value) <= 1e-5 + a.error_estimate + b.error_estimate
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (0.5, 0.0),
+            (0.5 * math.cos(math.pi / 4), 0.5 * math.sin(math.pi / 4)),
+            (0.3, -0.4),
+            (0.5, 0.0, 0.0),
+            tuple(0.5 / math.sqrt(3.0) * np.ones(3)),
+            (0.3, 0.2, -0.3),
+        ],
+        ids=["d2-axis", "d2-diagonal", "d2-generic",
+             "d3-axis", "d3-diagonal", "d3-generic"],
+    )
+    def test_bump_value_is_the_same_at_every_point(self, x, fast_spec):
+        # A (1-|x|^2)_+^s = (1-s) m pi / (2 sin(pi s)) at every |x| < 1, in any
+        # dimension, for the uniform measure of total mass m.
+        s, m = 0.5, 2.0
+        op = OperatorSpec(SpectralMeasure.uniform(len(x), m), s=s)
+
+        def u(pts):
+            return np.maximum(1.0 - np.einsum("ij,ij->i", pts, pts), 0.0) ** s
+
+        r = math.hypot(*x)
+        rep = apply_operator(op, u, x, fast_spec, support_radius=1.0,
+                             radial_breakpoints=(1.0 - r, 1.0 + r))
+        exact = (1.0 - s) * m * math.pi / (2.0 * math.sin(math.pi * s))
+        assert rep.converged
+        miss = abs(rep.value - exact)
+        assert miss <= rep.error_estimate + fast_spec.tolerance(exact)
+
 
 class TestTail:
     def test_constant_closed_form(self, spec):
@@ -217,3 +247,4 @@ class TestTailSpaceNorm:
         # analytic correction for the truncated tail: int_X^inf x^{1/4-2} dx
         ref += 2.0 * (1.0 - s) * 2000.0 ** (-0.75) / 0.75
         assert abs(rep.value - ref) < 2e-4
+
