@@ -27,7 +27,7 @@ from .exterior_data import (
     sign_changing_datum,
     transverse_modulus_datum,
 )
-from .moduli import ModulusFunction, dini_integral, sigma
+from .moduli import ModulusFunction, dini_integral, sigma, weighted_integral
 from .quadrature import QuadratureSpec
 
 
@@ -101,6 +101,14 @@ def parse_number(text, error=ConfigError):
         raise error(f"malformed number {text!r}") from None
 
 
+def _parse_int(text):
+    """An integer from ``parse_number``; anything else is a ``ConfigError``."""
+    value = parse_number(text)
+    if not value.is_integer():
+        raise ConfigError(f"not an integer: {text!r}")
+    return int(value)
+
+
 def parse_modulus(text):
     """Parse 'power:0.5', 'log_inverse:2', 'power_log:0.5,1', 'zero', or
     'table:t1:v1,t2:v2,...'."""
@@ -140,9 +148,10 @@ def load_config(path=None, overrides=None):
         values.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
     casts = {
-        "experiment": str, "d": int, "s": float, "datum": str,
-        "modulus": str, "grid_k_max": float, "grid_k_step": float,
-        "rel_tol": float, "abs_tol": float, "out_dir": str,
+        "experiment": str, "d": _parse_int, "s": parse_number, "datum": str,
+        "modulus": str, "grid_k_max": parse_number,
+        "grid_k_step": parse_number, "rel_tol": parse_number,
+        "abs_tol": parse_number, "out_dir": str,
     }
     for key, cast in casts.items():
         if key in values:
@@ -164,13 +173,6 @@ def build_datum(config):
     if config.datum == "cex14":
         return non_dini_datum(omega, config.s, config.d)
     return sign_changing_datum(config.s, config.d)
-
-
-def _weighted_integral(omega, s, t):
-    """int_t^1 omega(r) / r^{1+s} dr via the sigma closed forms."""
-    if t >= 1.0:
-        return 0.0
-    return sigma(omega, s, t).value / t**s - 1.0
 
 
 def _solve_on_grid(config, datum):
@@ -230,7 +232,9 @@ def run_lower_bound_sweep(config):
     rows = []
     for t, rep in sol:
         delta = 1.0 - t
-        base = delta**s * _weighted_integral(omega, s, delta)
+        ds = delta**s
+        # the integral to 1e-9 / delta^s, as sigma(delta) takes it
+        base = ds * weighted_integral(omega, s, delta, 1e-9 / ds).value
         if config.d == 1:
             pred = (math.pi / 8.0) * s * (1.0 - s) * base
         else:
@@ -274,12 +278,14 @@ def run_blowup_experiment(config):
     rows = []
     for t, rep in sol:
         delta = 1.0 - t
-        q = abs(rep.value - gz) / delta**s
-        pred = _weighted_integral(omega, s, delta)
+        ds = delta**s
+        q = abs(rep.value - gz) / ds
+        # the integral to 1e-9 / delta^s, as sigma(delta) takes it
+        pred = weighted_integral(omega, s, delta, 1e-9 / ds).value
         ratio = q / pred if pred > 0 else math.nan
         rows.append(ExperimentRow(
             "blowup", config.d, config.s, t, q,
-            rep.error_estimate / delta**s, pred, ratio, tag,
+            rep.error_estimate / ds, pred, ratio, tag,
         ))
     return rows
 

@@ -204,7 +204,6 @@ def non_dini_datum(iota, s, d):
     else:
         omega = ModulusFunction.custom(
             lambda t: np.asarray(t, dtype=float) ** s * iota(t),
-            vanishes_at_zero=True,
             label=f"t^{s:g}*{iota.label}",
         )
     if d == 1:

@@ -1,14 +1,22 @@
 """Modulus-of-continuity algebra.
 
-Moduli are nondecreasing functions on [0, infinity).  The transforms
-implemented here are the Dini integral of a modulus, the solution modulus
+Moduli are nondecreasing functions on [0, infinity).  Both transforms the
+boundary estimates are stated with come from one weighted integral,
 
-    sigma(t) = t^s (1 + int_t^1 omega(r) / r^{1+s} dr),
+    int omega(r) / r^{1+s} dr,   0 <= s < 1,
 
-its integral factor kappa(t) = sigma(t)/t^s, oscillation profiles of exterior
-data, Darboux-bracketed Riemann-Stieltjes integration against nondecreasing
-integrators, and sampled estimates of the interior and exterior generalized
-Hoelder seminorms.
+computed in one routine: in closed form where the modulus kind has one,
+otherwise by log-substituted quadrature.  s = 0 is the Dini integral, whose
+convergence ``dini_integral`` decides from its per-decade increments.
+``weighted_integral`` returns it on [t, 1]; for s > 0 that gives the
+solution modulus
+
+    sigma(t) = t^s (1 + int_t^1 omega(r) / r^{1+s} dr)
+
+and its integral factor kappa(t) = sigma(t)/t^s.  The module also holds
+oscillation profiles of exterior data, Darboux-bracketed Riemann-Stieltjes
+integration against nondecreasing integrators, and sampled estimates of the
+interior and exterior generalized Hoelder seminorms.
 
 The log-type moduli t^a log^{-p}(e/t) are frozen to their t=1 log factor for
 t > 1 so they stay nondecreasing on the whole half-line; every transform here
@@ -39,13 +47,14 @@ class ModulusFunction:
     """A modulus of continuity with optional closed-form weighted integrals.
 
     Construct via the classmethods: ``zero``, ``power``, ``power_log``,
-    ``log_inverse``, ``table``, ``scaled``, ``custom``.
+    ``log_inverse``, ``table``, ``custom``.  ``weighted_primitive(t, s)`` is
+    int_t^1 omega(r)/r^{1+s} dr in closed form for 0 <= s < 1 where the kind
+    has one; s = 0 is the Dini integrand.
     """
 
-    def __init__(self, kind, params, vanishes_at_zero, label):
+    def __init__(self, kind, params, label):
         self.kind = kind
         self.params = params
-        self.vanishes_at_zero = vanishes_at_zero
         self.label = label
 
     def __repr__(self):
@@ -55,13 +64,13 @@ class ModulusFunction:
 
     @classmethod
     def zero(cls):
-        return cls("zero", {}, True, "0")
+        return cls("zero", {}, "0")
 
     @classmethod
     def power(cls, alpha):
         if alpha <= 0:
             raise InvalidModulusError("power exponent must be positive")
-        return cls("power", {"alpha": alpha}, True, f"t^{alpha:g}")
+        return cls("power", {"alpha": alpha}, f"t^{alpha:g}")
 
     @classmethod
     def power_log(cls, a, p):
@@ -70,18 +79,15 @@ class ModulusFunction:
             raise InvalidModulusError("power part must be positive")
         if p < 0:
             raise InvalidModulusError("log exponent must be nonnegative")
-        return cls(
-            "power_log", {"a": a, "p": p}, True,
-            f"t^{a:g} log^-{p:g}(e/t)",
-        )
+        return cls("power_log", {"a": a, "p": p}, f"t^{a:g} log^-{p:g}(e/t)")
 
     @classmethod
     def log_inverse(cls, p):
-        """log^{-p}(e/t): positive for t > 0, tends to 0 at 0, omega(0+) = 0
-        only in the limit; flagged as not vanishing at zero."""
+        """log^{-p}(e/t): positive for t > 0, tends to 0 at 0 only in the
+        limit."""
         if p <= 0:
             raise InvalidModulusError("log exponent must be positive")
-        return cls("log_inverse", {"p": p}, False, f"log^-{p:g}(e/t)")
+        return cls("log_inverse", {"p": p}, f"log^-{p:g}(e/t)")
 
     @classmethod
     def table(cls, points):
@@ -97,23 +103,11 @@ class ModulusFunction:
             raise InvalidModulusError("table values must be nondecreasing and >= 0")
         if t[0] != 0.0:
             raise InvalidModulusError("table must start at t = 0")
-        return cls(
-            "table", {"t": t, "v": v}, v[0] == 0.0,
-            f"table[{len(t)} pts]",
-        )
+        return cls("table", {"t": t, "v": v}, f"table[{len(t)} pts]")
 
     @classmethod
-    def scaled(cls, factor, base):
-        if factor < 0:
-            raise InvalidModulusError("scale factor must be nonnegative")
-        return cls(
-            "scaled", {"c": factor, "base": base}, base.vanishes_at_zero,
-            f"{factor:g}*{base.label}",
-        )
-
-    @classmethod
-    def custom(cls, fn, vanishes_at_zero=True, label="custom"):
-        return cls("custom", {"fn": fn}, vanishes_at_zero, label)
+    def custom(cls, fn, label="custom"):
+        return cls("custom", {"fn": fn}, label)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -132,78 +126,26 @@ class ModulusFunction:
             return np.zeros_like(t)
         if k == "power":
             return t ** p["alpha"]
-        if k == "power_log":
+        if k in ("power_log", "log_inverse"):  # log_inverse: a = 0
             tc = np.minimum(t, 1.0)
             out = np.zeros_like(t)
             pos = t > 0
-            out[pos] = t[pos] ** p["a"] * np.log(np.e / tc[pos]) ** (-p["p"])
-            return out
-        if k == "log_inverse":
-            tc = np.minimum(t, 1.0)
-            out = np.zeros_like(t)
-            pos = t > 0
-            out[pos] = np.log(np.e / tc[pos]) ** (-p["p"])
+            a = p.get("a", 0.0)
+            out[pos] = t[pos] ** a * np.log(np.e / tc[pos]) ** (-p["p"])
             return out
         if k == "table":
             return np.interp(t, p["t"], p["v"])
-        if k == "scaled":
-            return p["c"] * p["base"]._eval(t)
         return np.asarray(p["fn"](t), dtype=float)
 
     # -- closed-form weighted integrals on [t, 1] ----------------------------
 
-    def dini_primitive(self, t):
-        """int_t^1 omega(r)/r dr in closed form, or None."""
-        if not 0.0 < t <= 1.0:
-            raise ValueError("t must lie in (0, 1]")
-        k, p = self.kind, self.params
-        if k == "zero":
-            return 0.0
-        if k == "power":
-            a = p["alpha"]
-            return (1.0 - t**a) / a
-        if k == "log_inverse":
-            q = p["p"]
-            L = math.log(math.e / t)
-            if q == 1.0:
-                return math.log(L)
-            return (L ** (1.0 - q) - 1.0) / (1.0 - q)
-        if k == "table":
-            return self._table_weighted(t, 0.0)
-        if k == "scaled":
-            base = p["base"].dini_primitive(t)
-            return None if base is None else p["c"] * base
-        return None
-
-    def dini_limit(self):
-        """lim_{t->0+} int_t^1 omega(r)/r dr when available in closed form.
-
-        Returns a finite value, math.inf for closed-form divergence, or None
-        when no closed form exists.
-        """
-        k, p = self.kind, self.params
-        if k == "zero":
-            return 0.0
-        if k == "power":
-            return 1.0 / p["alpha"]
-        if k == "log_inverse":
-            q = p["p"]
-            return 1.0 / (q - 1.0) if q > 1.0 else math.inf
-        if k == "table":
-            if not self.vanishes_at_zero:
-                return math.inf
-            return self._table_weighted(None, 0.0)
-        if k == "scaled":
-            base = p["base"].dini_limit()
-            return None if base is None else p["c"] * base
-        return None
-
     def weighted_primitive(self, t, s):
-        """int_t^1 omega(r)/r^{1+s} dr in closed form, or None."""
+        """int_t^1 omega(r)/r^{1+s} dr in closed form, or None; s = 0 is the
+        Dini integral."""
         if not 0.0 < t <= 1.0:
             raise ValueError("t must lie in (0, 1]")
-        if not 0.0 < s < 1.0:
-            raise ValueError("s must lie in (0, 1)")
+        if not 0.0 <= s < 1.0:
+            raise ValueError("s must lie in [0, 1)")
         k, p = self.kind, self.params
         if k == "zero":
             return 0.0
@@ -212,27 +154,22 @@ class ModulusFunction:
             if a == s:
                 return math.log(1.0 / t)
             return (1.0 - t ** (a - s)) / (a - s)
-        if k == "power_log":
-            if p["a"] == s:
-                # omega(r)/r^{1+s} = log^{-p}(e/r)/r: same primitive as the
-                # log_inverse Dini integrand.
-                return ModulusFunction.log_inverse(p["p"]).dini_primitive(t)
-            return None
+        if k in ("power_log", "log_inverse") and p.get("a", 0.0) == s:
+            # omega(r)/r^{1+s} = log^{-q}(e/r)/r; substitute L = log(e/r).
+            q = p["p"]
+            L = math.log(math.e / t)
+            if q == 1.0:
+                return math.log(L)
+            return (L ** (1.0 - q) - 1.0) / (1.0 - q)
         if k == "table":
             return self._table_weighted(t, s)
-        if k == "scaled":
-            base = p["base"].weighted_primitive(t, s)
-            return None if base is None else p["c"] * base
         return None
 
     def _table_weighted(self, t, s):
-        """Exact int_t^1 omega(r)/r^{1+s} dr for the piecewise-linear table
-        (s = 0 gives the Dini integrand); t = None means the limit t -> 0."""
-        knots = self.params["t"]
-        vals = self.params["v"]
-        lo = 0.0 if t is None else t
+        """Exact int_t^1 omega(r)/r^{1+s} dr for the piecewise-linear table."""
+        knots, vals = self.params["t"], self.params["v"]
         total = 0.0
-        edges = sorted(set([lo, 1.0]) | {k for k in knots if lo < k < 1.0})
+        edges = sorted(set([t, 1.0]) | {k for k in knots if t < k < 1.0})
         for a, b in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (a + b)
             idx = np.searchsorted(knots, mid) - 1
@@ -245,16 +182,10 @@ class ModulusFunction:
                 icpt = vals[idx] - slope * t0
             # int (icpt + slope*r) / r^{1+s} dr on [a, b]
             if s == 0.0:
-                if icpt != 0.0:
-                    if a == 0.0:
-                        return math.inf
-                    total += icpt * math.log(b / a)
+                total += icpt * math.log(b / a)
                 total += slope * (b - a)
             else:
-                if icpt != 0.0:
-                    if a == 0.0:
-                        return math.inf
-                    total += icpt * (a ** (-s) - b ** (-s)) / s
+                total += icpt * (a ** (-s) - b ** (-s)) / s
                 total += slope * (b ** (1.0 - s) - a ** (1.0 - s)) / (1.0 - s)
         return total
 
@@ -280,9 +211,67 @@ def power_transform(omega, exponent):
         return ModulusFunction.log_inverse(p["p"] * exponent)
     return ModulusFunction.custom(
         lambda t: omega(t) ** exponent,
-        vanishes_at_zero=omega.vanishes_at_zero,
         label=f"({omega.label})^{exponent:g}",
     )
+
+
+# ---------------------------------------------------------------------------
+# The weighted integral int omega(r) / r^{1+s} dr, sigma and kappa
+# ---------------------------------------------------------------------------
+
+def _modulus_integral(omega, s, lo, hi, abs_tol):
+    """int_lo^hi omega(r)/r^{1+s} dr for 0 < lo < hi <= 1 and 0 <= s < 1:
+    the kind's closed form (error 1e-15 relative), else the G7/K15 rule in
+    x = log(1/r) with breakpoints at the decades r = 10^-k, to ``abs_tol``
+    (at least 1e-14); ``BudgetExceededError`` if that does not converge."""
+    closed = omega.weighted_primitive(lo, s)
+    if closed is not None:
+        if hi < 1.0:  # the primitive vanishes at 1
+            closed -= omega.weighted_primitive(hi, s)
+        return EvaluationReport(closed, abs(closed) * 1e-15, 0, True)
+    # r = e^{-x}: the integral of omega(e^{-x}) e^{sx} over x
+    bps = [k * math.log(10.0) for k in range(1, 13) if lo < 10.0 ** -k < hi]
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=max(abs_tol, 1e-14),
+                          max_subdivisions=8000)
+    rep = integrate_1d(lambda x: omega(np.exp(-x)) * np.exp(s * x),
+                       math.log(1.0 / hi), math.log(1.0 / lo), spec,
+                       breakpoints=bps)
+    if not rep.converged:
+        raise BudgetExceededError("weighted modulus integral did not converge", rep)
+    return rep
+
+
+def weighted_integral(omega, s, t, tol=1e-9):
+    """int_t^1 omega(r)/r^{1+s} dr for 0 <= s < 1 to about ``tol``, as an
+    ``EvaluationReport``; 0 for t >= 1.  s = 0 is the Dini integral."""
+    if t <= 0 or tol <= 0:
+        raise ValueError("need t > 0 and tol > 0")
+    if t >= 1.0:
+        return EvaluationReport(0.0, 0.0, 0, True)
+    return _modulus_integral(omega, s, t, 1.0, 0.5 * tol)
+
+
+def sigma(omega, s, t, tol=1e-9):
+    """The solution modulus sigma(t) = t^s (1 + int_t^1 omega(r)/r^{1+s} dr),
+    with the integral from ``weighted_integral`` to ``tol / t^s``.
+
+    For t >= 1 the integral term is empty and sigma(t) = t^s exactly.
+    """
+    if t <= 0 or tol <= 0:
+        raise ValueError("need t > 0 and tol > 0")
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must lie in (0, 1)")
+    ts = t**s
+    rep = weighted_integral(omega, s, t, tol / ts)
+    return EvaluationReport(ts * (1.0 + rep.value), ts * rep.error_estimate,
+                            rep.function_evals, True)
+
+
+def kappa(omega, s, t, tol=1e-9):
+    """kappa(t) = 1 + int_t^1 omega(r)/r^{1+s} dr  (= sigma(t)/t^s for t <= 1),
+    with the integral from ``weighted_integral``; nonincreasing in t,
+    identically 1 for t >= 1."""
+    return 1.0 + weighted_integral(omega, s, t, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -304,28 +293,15 @@ class DiniReport:
 DINI_RATIO_THRESHOLD = 0.9
 
 
-def _decade_integral(iota, lo, hi, tol):
-    """int_lo^hi iota(t)/t dt via closed form or log-substituted quadrature."""
-    plo = iota.dini_primitive(lo) if lo <= 1.0 else None
-    phi = iota.dini_primitive(hi) if hi <= 1.0 else None
-    if plo is not None and phi is not None:
-        return plo - phi, 0.0
-    # substitute t = e^{-x}: integral of iota(e^{-x}) over [log(1/hi), log(1/lo)]
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=tol * 1e-3, max_subdivisions=4000)
-    rep = integrate_1d(lambda x: iota(np.exp(-x)), math.log(1.0 / hi),
-                       math.log(1.0 / lo), spec)
-    return rep.value, rep.error_estimate
-
-
 def dini_integral(iota, lower_cutoffs=None, tol=1e-6):
     """Decide convergence of int_0^1 iota(t)/t dt and estimate its value.
 
-    Partial integrals are taken down to each cutoff (default 10^-k for
-    k = 1..12).  The decision rule is geometric decay of the per-decade
-    increments: convergent iff every ratio among the last four increments is
-    below ``DINI_RATIO_THRESHOLD``.  The convergent value extrapolates the
-    remaining tail with a geometric model for fast decay and a fitted
-    power-law model otherwise.
+    The increments are the weighted integral at s = 0 between consecutive
+    cutoffs (default 10^-k for k = 1..12), each to ``tol * 1e-3``.  The
+    decision rule is geometric decay of the increments: convergent iff every
+    ratio among the last four is below ``DINI_RATIO_THRESHOLD``.  The
+    convergent value extrapolates the remaining tail with a geometric model
+    for fast decay and a fitted power-law model otherwise.
     """
     iota.check_monotone(t_max=1.0)
     if lower_cutoffs is None:
@@ -339,9 +315,9 @@ def dini_integral(iota, lower_cutoffs=None, tol=1e-6):
     increments = np.empty(len(cutoffs))
     quad_err = 0.0
     for i in range(len(cutoffs)):
-        inc, err = _decade_integral(iota, edges[i + 1], edges[i], tol)
-        increments[i] = inc
-        quad_err += err
+        rep = _modulus_integral(iota, 0.0, edges[i + 1], edges[i], tol * 1e-3)
+        increments[i] = rep.value
+        quad_err += rep.error_estimate
     partials = np.cumsum(increments)
 
     scale = max(partials[-1], 1.0)
@@ -380,60 +356,6 @@ def dini_integral(iota, lower_cutoffs=None, tol=1e-6):
     value = partials[-1] + tail
     error = quad_err + 0.25 * tail + 1e-12
     return DiniReport(True, value, error, cutoffs, partials, increments)
-
-
-# ---------------------------------------------------------------------------
-# sigma and kappa
-# ---------------------------------------------------------------------------
-
-def _weighted_tail(omega, s, t, tol):
-    """int_t^1 omega(r)/r^{1+s} dr with error control; closed form if known."""
-    closed = omega.weighted_primitive(t, s)
-    if closed is not None:
-        return closed, abs(closed) * 1e-15
-    # substitute r = e^{-x}: integral of omega(e^{-x}) e^{sx} over [0, log(1/t)]
-    x_hi = math.log(1.0 / t)
-    bps = [float(k) * math.log(10.0) for k in range(1, 13) if k * math.log(10.0) < x_hi]
-    if omega.kind == "table":
-        bps += [
-            -math.log(k) for k in omega.params["t"] if 0.0 < k < 1.0 and t < k
-        ]
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=max(tol * 0.5, 1e-14),
-                          max_subdivisions=8000)
-    rep = integrate_1d(lambda x: omega(np.exp(-x)) * np.exp(s * x), 0.0, x_hi,
-                       spec, breakpoints=bps)
-    if not rep.converged:
-        raise BudgetExceededError(
-            "weighted modulus integral did not converge", rep
-        )
-    return rep.value, rep.error_estimate
-
-
-def sigma(omega, s, t, tol=1e-9):
-    """The solution modulus sigma(t) = t^s (1 + int_t^1 omega(r)/r^{1+s} dr).
-
-    For t >= 1 the integral term is empty and sigma(t) = t^s exactly.
-    """
-    if t <= 0 or tol <= 0:
-        raise ValueError("need t > 0 and tol > 0")
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    ts = t**s
-    if t >= 1.0:
-        return EvaluationReport(ts, 0.0, 0, True)
-    integral, err = _weighted_tail(omega, s, t, tol / ts)
-    return EvaluationReport(ts * (1.0 + integral), ts * err, 0, True)
-
-
-def kappa(omega, s, t, tol=1e-9):
-    """kappa(t) = 1 + int_t^1 omega(r)/r^{1+s} dr  (= sigma(t)/t^s for t <= 1);
-    nonincreasing in t, identically 1 for t >= 1."""
-    if t <= 0 or tol <= 0:
-        raise ValueError("need t > 0 and tol > 0")
-    if t >= 1.0:
-        return 1.0
-    integral, _ = _weighted_tail(omega, s, t, tol)
-    return 1.0 + integral
 
 
 # ---------------------------------------------------------------------------

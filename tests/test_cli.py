@@ -102,10 +102,21 @@ def test_unknown_command_exits_with_usage_error():
          "malformed number 'abc'"),
         (("apply-operator", "--d", "2", "--measure", "uniform:x", "--x", "0,0"),
          "malformed number 'x'"),
+        (("sweep-upper", "--config", "[experiment]\ns = abc\n"),
+         "malformed number 'abc'"),
+        (("sweep-upper", "--config", "[experiment]\nd = 2.5\n"),
+         "not an integer: '2.5'"),
     ],
 )
-def test_input_errors_exit_2_with_one_line(capsys, argv, message):
-    code = main(list(argv))
+def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):
+    argv = list(argv)
+    if "--config" in argv:
+        # the argument after --config is the INI text; pass it as a file
+        i = argv.index("--config") + 1
+        ini = tmp_path / "config.ini"
+        ini.write_text(argv[i])
+        argv[i] = str(ini)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

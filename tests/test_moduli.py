@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from fraclab.moduli import (
     InvalidModulusError,
@@ -28,6 +29,27 @@ def random_table_modulus(rng, n_max=8):
     return ModulusFunction.table(np.column_stack([knots, np.cumsum(incs)]))
 
 
+def _closed_form_cases():
+    """(modulus, s) for every closed form of weighted_primitive."""
+    M = ModulusFunction
+    table = M.table([[0.0, 0.0], [0.3, 0.2], [1.5, 0.9]])
+    cases = []
+    for s in (0.0, 0.25, 0.5, 0.75):
+        cases += [pytest.param(M.zero(), s, id=f"zero-s{s}"),
+                  pytest.param(M.power(0.7), s, id=f"power0.7-s{s}"),
+                  pytest.param(table, s, id=f"table-s{s}")]
+        if s > 0.0:
+            cases.append(pytest.param(M.power(s), s, id=f"power=s-s{s}"))
+            cases += [pytest.param(M.power_log(s, p), s, id=f"power_log=s,{p}-s{s}")
+                      for p in (0.0, 1.0, 2.0)]
+    cases += [pytest.param(M.log_inverse(p), 0.0, id=f"log_inverse{p}-s0.0")
+              for p in (0.5, 1.0, 2.0)]
+    return cases
+
+
+CLOSED_FORM_CASES = _closed_form_cases()
+
+
 class TestModulusFunction:
     def test_power_eval(self):
         om = ModulusFunction.power(0.5)
@@ -36,7 +58,6 @@ class TestModulusFunction:
 
     def test_log_inverse_flagged_nonvanishing(self):
         om = ModulusFunction.log_inverse(1.0)
-        assert not om.vanishes_at_zero
         assert om(1.0) == 1.0
         assert om(math.exp(-1.0)) == 0.5
 
@@ -75,13 +96,15 @@ class TestModulusFunction:
         om2 = power_transform(ModulusFunction.power(0.5), 2.0)
         assert om2.params["alpha"] == 1.0
 
-    def test_table_weighted_integral_matches_quadrature(self):
-        om = ModulusFunction.table([[0.0, 0.0], [0.3, 0.2], [1.5, 0.9]])
-        s, t = 0.5, 0.05
+    @pytest.mark.parametrize("om, s", CLOSED_FORM_CASES)
+    def test_weighted_primitive_matches_quadrature(self, om, s):
+        t = 0.05
         closed = om.weighted_primitive(t, s)
-        r = np.linspace(t, 1.0, 2_000_001)
-        ref = np.trapezoid(om(r) / r ** (1.0 + s), r)
-        assert abs(closed - ref) < 1e-8
+        knots = [k for k in om.params.get("t", ()) if t < k < 1.0]
+        ref, err = scipy.integrate.quad(
+            lambda r: om(r) / r ** (1.0 + s), t, 1.0, points=knots or None,
+            epsabs=1e-14, epsrel=1e-13)
+        assert abs(closed - ref) <= 1e-12 * max(1.0, abs(ref)) + err
 
 
 class TestDiniIntegral:
@@ -158,6 +181,14 @@ class TestSigmaKappa:
         a = sigma(om_closed, 0.4, 0.05).value
         b = sigma(om_custom, 0.4, 0.05).value
         assert abs(a - b) <= 1e-8 * a
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_power_log_without_log_factor_is_power(self, s):
+        # t^s log^0(e/t) is t^s
+        for t in (1e-6, 1e-3, 0.05, 0.3, 0.7, 0.999):
+            a = sigma(ModulusFunction.power_log(s, 0.0), s, t)
+            b = sigma(ModulusFunction.power(s), s, t)
+            assert abs(a.value - b.value) <= a.error_estimate
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
