@@ -102,7 +102,6 @@ def _kernel_integrand(kernel, x, weight_fn=None):
             vals = vals * weight_fn(points)
         return vals
 
-    F.accepts_norm2m1 = True
     return F
 
 
@@ -226,16 +225,13 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
         abs_tol=max(spec.abs_tol, 1e-9),
         max_subdivisions=spec.max_subdivisions,
     )
-    cache = {}
     vt_errs = [0.0]
 
     def v_of_t(t):
-        t = float(t)
-        if t not in cache:
-            rep = solve_vt(kernel, z, t, x, vt_spec)
-            cache[t] = rep.value
-            vt_errs[0] = max(vt_errs[0], rep.error_estimate)
-        return cache[t]
+        # stieltjes_integral calls this once per t
+        rep = solve_vt(kernel, z, float(t), x, vt_spec)
+        vt_errs[0] = max(vt_errs[0], rep.error_estimate)
+        return rep.value
 
     rhs = stieltjes_integral(v_of_t, xi, t_max, tol=tol, mono_slack=1e-6)
     # the bracket assumes exact integrand values; charge the worst v_t

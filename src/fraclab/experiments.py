@@ -198,11 +198,7 @@ def run_upper_bound_sweep(config):
     rows = []
     for t, rep in sol:
         numer = abs(rep.value - gz)
-        pred = (
-            sigma(omega, config.s, 1.0 - t).value
-            if omega.kind != "zero"
-            else (1.0 - t) ** config.s
-        )
+        pred = sigma(omega, config.s, 1.0 - t).value
         ratio = (numer + rep.error_estimate) / pred
         flags = "converged" if rep.converged else "non-converged"
         rows.append(ExperimentRow(

@@ -211,17 +211,17 @@ def integrate_1d(f, a, b, spec, breakpoints=None):
     return _integrate(f, _partition(a, b, breakpoints), spec)
 
 
-def integrate_radial_singular(f, s, R, spec, breakpoints=None, offset_arg=False):
-    """Integrate f(rho) = (rho-1)^{-s} h(rho) over (1, R), h bounded near 1.
+def integrate_radial_singular(f, s, R, spec, breakpoints=None):
+    """Integrate (rho-1)^{-s} h(rho) over (1, R), h bounded near 1.
 
     Uses the substitution rho = 1 + w^{1/(1-s)}; its Jacobian
     w^{s/(1-s)}/(1-s) cancels the endpoint singularity identically, so the
     transformed integrand is bounded and the plain adaptive rule applies.
 
-    With ``offset_arg=True`` the integrand receives the exact boundary offset
-    q = rho - 1 (= w^{1/(1-s)}, computed without cancellation) instead of rho
-    itself; kernel-type integrands use this to evaluate the singular weight
-    accurately arbitrarily close to the sphere.
+    The integrand is called as f(q) on the exact boundary offset q = rho - 1
+    (= w^{1/(1-s)}, computed without cancellation), so kernel-type
+    integrands evaluate the singular weight accurately arbitrarily close to
+    the sphere.
     """
     if R <= 1.0:
         raise QuadratureError("R must exceed 1")
@@ -231,7 +231,7 @@ def integrate_radial_singular(f, s, R, spec, breakpoints=None, offset_arg=False)
 
     def transformed(w):
         q = w**p
-        return _scaled(f(q) if offset_arg else f(1.0 + q), p * w ** (p - 1.0))
+        return _scaled(f(q), p * w ** (p - 1.0))
 
     # Start marginally above zero so q never underflows to an exact 0 (the
     # omitted mass is O(w_lo) times a bounded transformed integrand).
@@ -277,23 +277,20 @@ def _frame(x_eval, d):
     Falls back to the coordinate axes when x_eval = 0, so evaluation grids
     stay mirror-symmetric in the second coordinate for on-axis points.
     x_eval is scaled to unit max-norm before normalizing: the squares in
-    ``np.linalg.norm`` underflow for |x_eval| below about 1e-154.
+    ``np.linalg.norm`` underflow for |x_eval| below about 1e-154.  The other
+    vectors orthogonalize, in index order, every coordinate axis but the one
+    most aligned with u; each residual then has norm at least 1/sqrt(3).
     """
     x = np.asarray(x_eval, dtype=float)
     scale = float(np.max(np.abs(x)))
-    if scale > 0.0:
-        x = x / scale
-        u = x / np.linalg.norm(x)
-    if scale == 0.0 or np.array_equal(u, np.eye(d)[0]):
-        return [np.eye(d)[i] for i in range(d)]
+    if scale == 0.0:
+        return list(np.eye(d))
+    x = x / scale
+    u = x / np.linalg.norm(x)
     basis = [u]
-    for e in np.eye(d):
+    for e in np.delete(np.eye(d), np.argmax(np.abs(u)), axis=0):
         w = e - sum(np.dot(e, b) * b for b in basis)
-        n = np.linalg.norm(w)
-        if n > 1e-12:
-            basis.append(w / n)
-        if len(basis) == d:
-            break
+        basis.append(w / np.linalg.norm(w))
     return basis
 
 
@@ -386,20 +383,20 @@ def integrate_exterior_ball(
 ):
     """Integrate F over the exterior of the unit ball in dimension d.
 
-    F takes an (n, d) array of points and returns n values; it is assumed to
-    carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  If
-    ``F.accepts_norm2m1`` is set, F is called as F(points, norm2m1) with the
-    per-point array of |y|^2 - 1, computed without cancellation.  The radial
-    direction uses the singularity-removing substitution with a panel grading
-    keyed to the distance 1-|x_eval| (the Poisson-kernel concentration
-    scale).  The angular direction is ``sphere_integrals`` in a frame along
-    x_eval: the polar angle from x_eval, graded toward the Poisson-kernel
-    peak, with the sphere folded by a mirror so that mirror-symmetric
-    integrands are resolved on exactly mirrored nodes.  In d = 1 the sphere
-    is the pair {rho, -rho}; in d = 3 an ``axisymmetric`` F (symmetric about
-    the line through x_eval) needs the polar integral only.  The angular
-    integrals of all radial nodes in one radial panel sweep run as one batch;
-    if any of them ends unconverged, so does the result.
+    F is called as F(points, norm2m1) on an (n, d) array of points and the
+    per-point array of |y|^2 - 1, computed without cancellation, and returns
+    n values; it is assumed to carry the boundary weight (|y|^2-1)^{-s} near
+    the unit sphere.  The radial direction uses the singularity-removing
+    substitution with a panel grading keyed to the distance 1-|x_eval| (the
+    Poisson-kernel concentration scale).  The angular direction is
+    ``sphere_integrals`` in a frame along x_eval: the polar angle from
+    x_eval, graded toward the Poisson-kernel peak, with the sphere folded by
+    a mirror so that mirror-symmetric integrands are resolved on exactly
+    mirrored nodes.  In d = 1 the sphere is the pair {rho, -rho}; in d = 3
+    an ``axisymmetric`` F (symmetric about the line through x_eval) needs
+    the polar integral only.  The angular integrals of all radial nodes in
+    one radial panel sweep run as one batch; if any of them ends
+    unconverged, so does the result.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -422,15 +419,12 @@ def integrate_exterior_ball(
     inner = _inner_spec(spec)
     evals = [0]
     inner_ok = [True]
-    wants_offset = getattr(F, "accepts_norm2m1", False)
 
     def call_F(points, q):
         # q holds the exact boundary offset |y| - 1 of each point; kernel
         # integrands use it to form |y|^2 - 1 = q(2+q) without cancellation.
         evals[0] += points.shape[0]
-        if wants_offset:
-            return np.asarray(F(points, q * (2.0 + q)), dtype=float)
-        return np.asarray(F(points), dtype=float)
+        return np.asarray(F(points, q * (2.0 + q)), dtype=float)
 
     def polar_partitions(q):
         # Per radial node: the folded range (0, pi), graded toward the
@@ -477,7 +471,7 @@ def integrate_exterior_ball(
     bps = sorted(set(graded) | {r for r in radial_breakpoints if 1.0 < r < r_near_end})
 
     near = integrate_radial_singular(
-        radial_q, s, r_near_end, spec, breakpoints=bps, offset_arg=True
+        radial_q, s, r_near_end, spec, breakpoints=bps
     )
     total = near
     if support_radius is None:

@@ -5,15 +5,14 @@ The operator acts on a function u at a point x as
     A u(x) = (1 - s) pv int_0^inf int_{S^{d-1}}
                  (u(x) - u(x + r theta)) / r^{1+2s}  mu(dtheta) dr
 
-for a finite symmetric spectral measure mu on the sphere.  By the symmetry
-of mu the inner integral D(r) equals that of the symmetrized second
-difference (2u(x) - u(x+r theta) - u(x-r theta)) / 2, so D(r) = O(r^2)
-near r = 0 for u twice differentiable and no epsilon-excision is needed.
-Atomic measures (and the uniform measure in d = 1, the atoms +-1 of half
-the mass each) are summed over symmetric atom pairs.  The uniform measure
-in d = 2, 3 integrates the first difference u(x) - u(x + r theta) over the
-sphere with ``quadrature.sphere_integrals``, in a frame along x and folded
-by a mirror.
+for a finite symmetric spectral measure mu on the sphere.  Atoms and sphere
+alike integrate this first difference: by the symmetry of mu its average
+D(r) over mu equals that of the symmetrized second difference
+(2u(x) - u(x+r theta) - u(x-r theta)) / 2, so D(r) = O(r^2) near r = 0 for
+u twice differentiable and no epsilon-excision is needed.  Atomic measures
+(and the uniform measure in d = 1, the atoms +-1 of half the mass each) are
+summed over their atoms; the uniform measure in d = 2, 3 is integrated with
+``quadrature.sphere_integrals``, in a frame along x and folded by a mirror.
 
 Functions u are numpy-vectorized over an (n, d) array of points; they may
 return a pair (values, errors) when their own evaluation carries numerical
@@ -118,16 +117,6 @@ class SpectralMeasure:
             atoms.append((-eye[i], weight))
         return cls.atomic(dimension, atoms)
 
-    def half_atoms(self):
-        """One representative per symmetric atom pair, with the pair weight."""
-        out = []
-        for theta, w in self.atoms:
-            t = np.asarray(theta, dtype=float)
-            if any(np.allclose(t, -np.asarray(p, dtype=float)) for p, _ in out):
-                continue
-            out.append((t, w))
-        return out
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -189,41 +178,47 @@ _SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
-def _uniform_average(measure, g, x, r):
-    """(vals, errs) of int g(r theta) mu(dtheta) for the uniform measure mu
-    in d = 2, 3 over a batch of radii r, in a frame along x."""
+def _average(measure, phi, x, r):
+    """(vals, errs) of int phi(r theta) mu(dtheta) over a batch of radii r.
+
+    ``phi`` takes an (n, d) array of offsets y = r theta.  Atoms are summed
+    with one call of phi; the uniform measure in d = 2, 3 is integrated with
+    ``sphere_integrals`` in a frame along x.
+    """
     d = measure.dimension
+    if measure.atoms:
+        thetas = np.array([theta for theta, _ in measure.atoms])
+        weights = np.array([w for _, w in measure.atoms])
+        vals, errs = _values_errors(
+            phi((r[:, None, None] * thetas).reshape(-1, d))
+        )
+        return (vals.reshape(r.size, -1) @ weights,
+                errs.reshape(r.size, -1) @ weights)
     vals, errs, _ = sphere_integrals(
-        g, _frame(x, d), r, [(0.0, np.pi)] * r.size, _SPHERE_RULE
+        lambda y, ids: phi(y), _frame(x, d), r, [(0.0, np.pi)] * r.size,
+        _SPHERE_RULE,
     )
     c = measure.total_mass / _SPHERE_AREA[d]
     return c * vals, c * errs
 
 
-def _second_difference(op, u, x, r):
-    """(vals, errs) of D(r) = int (u(x) - u(x + r th)) mu(dth) for a batch of
-    radii r; atoms are summed as symmetrized pairs."""
-    measure = op.measure
-    u0, u0_err = _values_errors(u(x[None, :]))
-    u0, u0_err = float(u0[0]), float(u0_err[0])
-    if measure.atoms:
-        vals = np.zeros(r.size)
-        errs = np.zeros(r.size)
-        for theta, w in measure.half_atoms():
-            vp, ep = _values_errors(u(x + np.outer(r, theta)))
-            vm, em = _values_errors(u(x - np.outer(r, theta)))
-            # w is the per-atom weight; the symmetrized difference over the
-            # pair {theta, -theta} carries the pair mass 2w, i.e. w without
-            # the 1/2 of the symmetrization.
-            vals += w * (2.0 * u0 - vp - vm)
-            errs += w * (2.0 * u0_err + ep + em)
-        return vals, errs
+def _abs_average(measure, u, y, r):
+    """(vals, errs) of int |u(y + r theta)| mu(dtheta) over a radius batch."""
+    def absolute(z):
+        v, e = _values_errors(u(y + z))
+        return np.abs(v), e
 
-    def first_difference(y, ids):
-        v, e = _values_errors(u(x + y))
-        return u0 - v, u0_err + e
+    return _average(measure, absolute, y, r)
 
-    return _uniform_average(measure, first_difference, x, r)
+
+def _radial(integrand, points, spec, decay=None):
+    """The integral of ``integrand`` over the partition ``points``, plus the
+    one over (points[-1], inf) when ``decay`` is given (|integrand(r)| <=
+    M r^{-1-decay} there)."""
+    rep = _integrate(integrand, np.array(points), spec)
+    if decay is not None:
+        rep = rep + integrate_radial_unbounded(integrand, points[-1], decay, spec)
+    return rep
 
 
 def apply_operator(
@@ -251,9 +246,15 @@ def apply_operator(
         raise QuadratureError(
             "growth_exponent must be < 2s for the operator to be defined"
         )
+    u0, u0_err = (float(a[0]) for a in _values_errors(u(x[None, :])))
+
+    def first_difference(y):
+        v, e = _values_errors(u(x + y))
+        return u0 - v, u0_err + e
 
     def core(r):
-        return _scaled(_second_difference(op, u, x, r), r ** (-1.0 - 2.0 * s))
+        return _scaled(_average(op.measure, first_difference, x, r),
+                       r ** (-1.0 - 2.0 * s))
 
     # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
     # integrand into a bounded one.
@@ -263,47 +264,23 @@ def apply_operator(
         return _scaled(core(w**b), b * w ** (b - 1.0))
 
     w_lo = 1e-200 ** (1.0 / b)
-    near_pts = sorted(
+    rep = _radial(near, sorted(
         {w_lo, 1.0}
         | {p ** (1.0 / b) for p in radial_breakpoints if w_lo < p < 1.0}
-    )
-    rep_near = _integrate(near, np.array(near_pts), spec)
-
-    if support_radius is not None:
-        r_end = float(np.linalg.norm(x)) + support_radius + 0.5
-        pts = sorted({1.0, r_end} | {p for p in radial_breakpoints if 1.0 < p < r_end})
-        rep_mid = _integrate(core, np.array(pts), spec)
-        # Beyond r_end every u(x +- r theta) vanishes, so the integrand is
-        # exactly total_mass * u(x) * r^{-1-2s}.
-        u0, u0_err = _values_errors(u(x[None, :]))
-        c = op.measure.total_mass * r_end ** (-2.0 * s) / (2.0 * s)
-        rep_far = EvaluationReport(float(u0[0]) * c, float(u0_err[0]) * c, 1, True)
+    ), spec)
+    if support_radius is None:
+        r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
-        pts = sorted({1.0, 2.0} | {p for p in radial_breakpoints if 1.0 < p < 2.0})
-        rep_mid = _integrate(core, np.array(pts), spec)
-        rep_far = integrate_radial_unbounded(
-            core, 2.0, 2.0 * s - growth_exponent, spec
-        )
-    return (rep_near + rep_mid + rep_far).scaled(1.0 - s)
-
-
-def _abs_average(op, u, y, r):
-    """(vals, errs) of int |u(y + r theta)| mu(dtheta) over a radius batch."""
-    measure = op.measure
-    if measure.atoms:
-        vals = np.zeros(r.size)
-        errs = np.zeros(r.size)
-        for theta, w in measure.atoms:
-            v, e = _values_errors(u(y + np.outer(r, theta)))
-            vals += w * np.abs(v)
-            errs += w * e
-        return vals, errs
-
-    def absolute(z, ids):
-        v, e = _values_errors(u(y + z))
-        return np.abs(v), e
-
-    return _uniform_average(measure, absolute, y, r)
+        r_end, decay = float(np.linalg.norm(x)) + support_radius + 0.5, None
+    rep = rep + _radial(core, sorted(
+        {1.0, r_end} | {p for p in radial_breakpoints if 1.0 < p < r_end}
+    ), spec, decay)
+    if support_radius is not None:
+        # Beyond r_end every u(x + r theta) vanishes, so the integrand is
+        # exactly total_mass * u(x) * r^{-1-2s}.
+        c = op.measure.total_mass * r_end ** (-2.0 * s) / (2.0 * s)
+        rep = rep + EvaluationReport(u0 * c, u0_err * c, 1, True)
+    return rep.scaled(1.0 - s)
 
 
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
@@ -317,18 +294,13 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
 
     def integrand(t):
-        return _scaled(_abs_average(op, u, y, t), t ** (-1.0 - 2.0 * s))
+        return _scaled(_abs_average(op.measure, u, y, t), t ** (-1.0 - 2.0 * s))
 
-    if support_radius is not None:
-        r_end = float(np.linalg.norm(y)) + support_radius + 0.5
-        rep = _integrate(integrand, np.array([0.5, r_end]), spec)
+    if support_radius is None:
+        r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
-        rep = _integrate(
-            integrand, np.array([0.5, 2.0]), spec
-        ) + integrate_radial_unbounded(
-            integrand, 2.0, 2.0 * s - growth_exponent, spec
-        )
-    return rep.scaled(1.0 - s)
+        r_end, decay = float(np.linalg.norm(y)) + support_radius + 0.5, None
+    return _radial(integrand, [0.5, r_end], spec, decay).scaled(1.0 - s)
 
 
 def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
@@ -340,18 +312,15 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
         raise QuadratureError("s must lie in (0, 1)")
     if growth_exponent >= 2.0 * s:
         raise QuadratureError("growth_exponent must be < 2s for a finite norm")
-    # Reuse the spherical-average machinery with the uniform probability-like
-    # measure of mass = surface area, centered at the origin.
-    op = OperatorSpec(SpectralMeasure.uniform(d, _SPHERE_AREA[d]), s=s)
+    # Polar coordinates about the origin: the uniform measure of mass equal
+    # to the sphere's area turns the spherical average into the surface
+    # integral.
+    area = SpectralMeasure.uniform(d, _SPHERE_AREA[d])
     origin = np.zeros(d)
 
     def integrand(rho):
-        return _scaled(_abs_average(op, u, origin, rho),
+        return _scaled(_abs_average(area, u, origin, rho),
                        rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s))
 
-    rep = _integrate(
-        integrand, np.array([1e-290, 1.0, 2.0]), spec
-    ) + integrate_radial_unbounded(
-        integrand, 2.0, 2.0 * s - growth_exponent, spec
-    )
-    return rep.scaled(1.0 - s)
+    return _radial(integrand, [1e-290, 1.0, 2.0], spec,
+                   2.0 * s - growth_exponent).scaled(1.0 - s)

@@ -148,6 +148,9 @@ class TestSolve:
     @example(d=3, direction=[0.3, 0.4, 0.5], radius=3.692846355438777e-162)
     @example(d=3, direction=[0.3, 0.4, 0.5], radius=5e-162)
     @example(d=3, direction=[0.3, 0.4, 0.5], radius=5e-324)
+    # A direction within 1e-6 of -e1, where the frame must not degenerate.
+    @example(d=3, direction=[-0.9131337914689075, 7.940973710992278e-07, 8.6e-69],
+             radius=0.030261775741958083)
     def test_general_rule_is_rotation_invariant(self, d, direction, radius):
         # The kernel mass is 1 at every x, so the constant datum on the
         # general (non-axisymmetric) angular rule must give 1 at any point.

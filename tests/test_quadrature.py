@@ -17,6 +17,7 @@ from fraclab.quadrature import (
     sphere_integrals,
     PANELS_PER_CALL,
     _adaptive,
+    _frame,
 )
 
 
@@ -147,61 +148,47 @@ class TestBatchedDriver:
 
 
 class TestRadialSingular:
-    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75])
-    def test_pure_singularity_closed_form(self, s, spec):
-        # int_1^R (rho-1)^{-s} drho = (R-1)^{1-s}/(1-s).  The integrand
-        # computes rho - 1 itself, so allow for its subtraction roundoff on
-        # top of the error estimate.  (For s closer to 1 that roundoff
-        # blows up; the offset protocol below covers that regime.)
-        R = 2.0
-        f = lambda rho: (rho - 1.0) ** (-s)
-        rep = integrate_radial_singular(f, s, R, spec)
-        exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
-        assert abs(rep.value - exact) <= rep.error_estimate + 1e-8 * exact
-
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_offset_protocol_closed_form(self, s, spec):
-        # same integral, but the integrand receives q = rho - 1 exactly
+        # int_1^R (rho-1)^{-s} drho = (R-1)^{1-s}/(1-s); the integrand
+        # receives q = rho - 1 exactly
         R = 2.0
-        rep = integrate_radial_singular(
-            lambda q: q ** (-s), s, R, spec, offset_arg=True
-        )
+        rep = integrate_radial_singular(lambda q: q ** (-s), s, R, spec)
         exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= max(rep.error_estimate, 1e-12 * exact)
 
     def test_s_half_weighted_by_rho(self, spec):
         # int_1^2 (rho-1)^{-1/4} * rho drho, reference by dense graded mesh
         s = 0.25
-        f = lambda rho: (rho - 1.0) ** (-s) * rho
-        rep = integrate_radial_singular(f, s, 2.0, spec)
+        rep = integrate_radial_singular(
+            lambda q: q ** (-s) * (1.0 + q), s, 2.0, spec
+        )
         w = np.linspace(0.0, 1.0, 2_000_001) ** (1.0 / (1.0 - s))
         rho = 1.0 + w[1:]
         ref = np.trapezoid((rho - 1.0) ** (-s) * rho, rho)
         assert abs(rep.value - ref) < 5e-6
 
     def test_offset_argument_is_exact_near_boundary(self, spec):
-        # with offset_arg the integrand sees q = rho - 1 exactly, so the
-        # (q)^{-s} weight stays finite and the closed form is reproduced
+        # the integrand sees q = rho - 1 exactly, so the (q)^{-s} weight
+        # stays finite and the closed form is reproduced
         s = 0.75
         R = 1.0 + 1e-8
-        rep = integrate_radial_singular(
-            lambda q: q ** (-s), s, R, spec, offset_arg=True
-        )
+        rep = integrate_radial_singular(lambda q: q ** (-s), s, R, spec)
         # compare against the closed form at the representable radius R
         exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= 1e-12 * exact + 1e-15
 
     def test_zero_function(self, spec):
         rep = integrate_radial_singular(
-            lambda rho: np.zeros_like(rho), 0.5, 3.0, spec
+            lambda q: np.zeros_like(q), 0.5, 3.0, spec
         )
         assert rep.value == 0.0
 
     def test_rejects_bad_parameters(self, spec):
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda r: r, 0.5, 1.0, spec)
+            integrate_radial_singular(lambda q: q, 0.5, 1.0, spec)
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda r: r, 1.5, 2.0, spec)
+            integrate_radial_singular(lambda q: q, 1.5, 2.0, spec)
 
 
 class TestRadialUnbounded:
@@ -242,12 +229,40 @@ def _poisson_F(x, s, d):
         dist2 = np.einsum("ij,ij->i", diff, diff)
         return c * (one_minus / norm2m1) ** s / dist2 ** (0.5 * d)
 
-    F.accepts_norm2m1 = True
     return F
 
 
 def _random_frame(rng, d):
     return list(np.linalg.qr(rng.standard_normal((d, d)))[0].T)
+
+
+def _near_axis_directions(d):
+    # +-e_i tilted by eps toward the next axis, the remaining components
+    # 0, 1e-20 or eps; then a direction within 1e-6 of -e1, where
+    # Gram-Schmidt started from e1 loses orthogonality
+    out = []
+    for i in range(d):
+        for sign in (1.0, -1.0):
+            for eps in (1e-3, 7.94e-7, 1e-9, 1e-13):
+                for rest in (0.0, 1e-20, eps):
+                    v = np.full(d, rest)
+                    v[i], v[(i + 1) % d] = sign, eps
+                    out.append(v)
+    if d == 3:
+        out.append(np.array([-0.9131337914689075, 7.940973710992278e-07, 0.0]))
+    return out
+
+
+class TestFrame:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_orthonormal_along_near_axis_directions(self, d):
+        for v in _near_axis_directions(d):
+            frame = np.array(_frame(0.03 * v, d))
+            assert np.abs(frame @ frame.T - np.eye(d)).max() <= 1e-14, v
+            assert np.allclose(frame[0], v / np.linalg.norm(v), atol=1e-15), v
+
+    def test_axes_at_the_origin(self):
+        assert np.array_equal(np.array(_frame(np.zeros(3), 3)), np.eye(3))
 
 
 class TestSphereIntegrals:
@@ -322,7 +337,7 @@ class TestExteriorBall:
         assert abs(rep.value - 1.0) <= 1e-7
 
     def test_zero_integrand(self, spec):
-        def F(points):
+        def F(points, norm2m1):
             return np.zeros(points.shape[0])
 
         rep = integrate_exterior_ball(
@@ -335,7 +350,6 @@ class TestExteriorBall:
         def F(points, norm2m1):
             return points[:, 1] / (1.0 + norm2m1)
 
-        F.accepts_norm2m1 = True
         rep = integrate_exterior_ball(
             F, 2, np.array([0.4, 0.0]), 0.5, spec, support_radius=5.0
         )
@@ -345,7 +359,7 @@ class TestExteriorBall:
         # A square wave of 40 periods in the polar angle, phase-shifted off
         # the angular breakpoints: every inner integral hits its panel cap
         # while the outer estimate alone meets the tolerance.
-        def F(points):
+        def F(points, norm2m1):
             theta = np.arctan2(points[:, 1], points[:, 0])
             return 1.0 + np.floor(40.0 * theta / np.pi + 0.3) % 2
 
@@ -357,14 +371,14 @@ class TestExteriorBall:
         assert not rep.converged
 
     def test_requires_far_field_declaration(self, spec):
-        def F(points):
+        def F(points, norm2m1):
             return np.zeros(points.shape[0])
 
         with pytest.raises(QuadratureError):
             integrate_exterior_ball(F, 2, np.array([0.0, 0.0]), 0.5, spec)
 
     def test_rejects_exterior_evaluation_point(self, spec):
-        def F(points):
+        def F(points, norm2m1):
             return np.zeros(points.shape[0])
 
         with pytest.raises(QuadratureError):
