@@ -12,7 +12,7 @@ oscillation estimate, and a solver/operator cross-validation.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,19 +87,21 @@ class BallProblem:
 
 def _kernel_integrand(kernel, x, weight_fn=None):
     """Exterior integrand P(x, .) [* weight], using the exact boundary offset
-    channel to avoid cancellation in |y|^2 - 1 near the sphere."""
+    channel to avoid cancellation in |y|^2 - 1 near the sphere.  Called with
+    the batch ids of ``integrate_exterior_ball``, it passes them on to
+    ``weight_fn``."""
     nx = float(np.linalg.norm(x))
     one_minus_x2 = (1.0 - nx) * (1.0 + nx)
     s, d, c = kernel.s, kernel.d, kernel.normalization
 
-    def F(points, norm2m1):
+    def F(points, norm2m1, *ids):
         diff = points - x[None, :]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         vals = (
             c * (one_minus_x2 / norm2m1) ** s / dist2 ** (0.5 * d)
         )
         if weight_fn is not None:
-            vals = vals * weight_fn(points)
+            vals = vals * weight_fn(points, *ids)
         return vals
 
     return F
@@ -136,40 +138,63 @@ def solve_vt(kernel, z, t, x, spec=None):
     z is a boundary point; the datum vanishes on B_t(z) and equals 1 on the
     rest of the exterior, so v_t decreases from the full kernel mass (= 1)
     at t = 0 toward 0 as t covers the exterior near the ball.
+
+    ``t`` may be a 1-D array of radii: all of them are then solved in one
+    batched exterior integral (each v_t gets the panels it gets alone), and
+    the report's value and error_estimate are arrays over t.
     """
     spec = spec or QuadratureSpec()
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(t)
     if abs(np.linalg.norm(z) - 1.0) > 1e-12:
         raise DomainError("z must lie on the unit sphere")
     if np.linalg.norm(x) >= 1.0:
         raise DomainError("x must lie in the open unit ball")
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
+    if t.ndim > 1 or np.any(ts < 0.0):
+        raise DomainError("t must be a nonnegative radius or 1-D array of them")
 
-    def indicator(points):
+    nx = float(np.linalg.norm(x))
+    if nx == 0.0:
+        # P(0, .) is radial, so v_t(0) is the same for every z: take the one
+        # on the first axis of the solver's frame at 0.
+        z = np.eye(kernel.d)[0]
+    t2 = ts * ts
+
+    def indicator(points, ids):
         diff = points - z[None, :]
-        return (np.einsum("ij,ij->i", diff, diff) > t * t).astype(float)
+        return (np.einsum("ij,ij->i", diff, diff) > t2[ids]).astype(float)
 
     F = _kernel_integrand(kernel, x, weight_fn=indicator)
 
+    # The excised cap meets the sphere of radius rho in the polar angles
+    # beta -+ alpha from x, beta the angle of z and alpha the cap's half
+    # width; folded by the solver's mirror they are |beta - alpha| and
+    # min(beta + alpha, 2 pi - beta - alpha), for beta in [0, pi].  Hand
+    # them to the angular rule when the frame is known: for x on the z-axis
+    # (beta = 0 or pi exactly) in every d, and for any x in d = 2.
+    dot = float(x @ z)
+    beta = None
+    if nx == 0.0 or abs(abs(dot) - nx) <= 1e-12:
+        beta = math.pi if dot < 0.0 else 0.0
+    elif kernel.d == 2:
+        beta = math.atan2(abs(x[0] * z[1] - x[1] * z[0]), dot)
     angular_bps = None
-    nx = float(np.linalg.norm(x))
-    aligned = nx == 0.0 or abs(abs(float(x @ z)) - nx) <= 1e-12
-    if t > 0.0 and kernel.d > 1 and aligned:
-        # With x on the z-axis, the excised cap is an angular interval in the
-        # solver's own frame; hand its exact edge to the angular rule.
-        flip = nx > 0.0 and float(x @ z) < 0.0
+    if kernel.d > 1 and beta is not None:
+        def angular_bps(rho, ids):
+            c = (rho * rho + 1.0 - t2[ids]) / (2.0 * rho)
+            cap = (ts[ids] > 0.0) & (np.abs(c) <= 1.0)
+            alpha = np.full(c.shape, np.nan)
+            # math.acos: the edges stay bitwise those of one-t solves.
+            alpha[cap] = [math.acos(v) for v in c[cap].tolist()]
+            return np.column_stack([
+                np.abs(beta - alpha),
+                np.minimum(beta + alpha, (2.0 * math.pi - beta) - alpha),
+            ])
 
-        def angular_bps(rho):
-            c = (rho * rho + 1.0 - t * t) / (2.0 * rho)
-            if -1.0 <= c <= 1.0:
-                phi = math.acos(c)
-                return [math.pi - phi if flip else phi]
-            return []
-
-    bps = tuple(p for p in (1.0 + t, t - 1.0) if p > 1.0)
-    return integrate_exterior_ball(
+    bps = [tuple(p for p in (1.0 + ti, ti - 1.0) if p > 1.0) for ti in ts.tolist()]
+    rep = integrate_exterior_ball(
         F,
         kernel.d,
         x,
@@ -179,18 +204,29 @@ def solve_vt(kernel, z, t, x, spec=None):
         radial_breakpoints=bps,
         angular_breakpoints=angular_bps,
         axisymmetric=False,
+        batch=ts.size,
     )
+    if t.ndim == 0:
+        rep = replace(rep, value=float(rep.value[0]),
+                      error_estimate=float(rep.error_estimate[0]))
+    return rep
 
 
 @dataclass(frozen=True)
 class BoundaryCheck:
-    """Both sides of the interior-to-boundary oscillation estimate."""
+    """Both sides of the interior-to-boundary oscillation estimate.
+
+    ``holds`` is the inequality with every estimated error charged against
+    it; ``converged`` is True when u(x), every v_t and the Stieltjes bracket
+    met their tolerances.
+    """
 
     lhs: float
     lhs_error: float
     rhs: float
     rhs_error: float
     holds: bool
+    converged: bool
 
     @property
     def slack(self):
@@ -225,18 +261,18 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
         abs_tol=max(spec.abs_tol, 1e-9),
         max_subdivisions=spec.max_subdivisions,
     )
-    vt_errs = [0.0]
+    vt_err, vt_ok = [0.0], [True]
 
-    def v_of_t(t):
-        # stieltjes_integral calls this once per t
-        rep = solve_vt(kernel, z, float(t), x, vt_spec)
-        vt_errs[0] = max(vt_errs[0], rep.error_estimate)
+    def v_of_t(ts):
+        rep = solve_vt(kernel, z, ts, x, vt_spec)
+        vt_err[0] = max(vt_err[0], float(np.max(rep.error_estimate)))
+        vt_ok[0] = vt_ok[0] and rep.converged
         return rep.value
 
     rhs = stieltjes_integral(v_of_t, xi, t_max, tol=tol, mono_slack=1e-6)
     # the bracket assumes exact integrand values; charge the worst v_t
     # quadrature error against the full integrator variation on top
-    rhs_err = rhs.error_estimate + vt_errs[0] * float(xi(t_max))
+    rhs_err = rhs.error_estimate + vt_err[0] * float(xi(t_max))
     holds = lhs <= rhs.value + rhs_err + u.error_estimate + spec.abs_tol
     return BoundaryCheck(
         lhs=lhs,
@@ -244,6 +280,7 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
         rhs=rhs.value,
         rhs_error=rhs_err,
         holds=bool(holds),
+        converged=bool(u.converged and vt_ok[0] and rhs.converged),
     )
 
 

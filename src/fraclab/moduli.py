@@ -431,29 +431,23 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, initial_panels=16,
     lower Darboux-Stieltjes sums then bracket the true value and the bracket
     is nested under refinement.  Returns the bracket midpoint with the
     half-width as the error estimate.
+
+    f and xi are vectorized: each refinement level calls each of them once,
+    on the array of that level's new abscissae.
     """
     if t_max <= 0 or tol <= 0:
         raise ValueError("need t_max > 0 and tol > 0")
-    cache_f, cache_xi = {}, {}
 
-    def fv(t):
-        if t not in cache_f:
-            cache_f[t] = float(f(t))
-        return cache_f[t]
-
-    def xv(t):
-        if t not in cache_xi:
-            cache_xi[t] = float(xi(t))
-        return cache_xi[t]
+    def values(fn, t):
+        return np.asarray(fn(t), dtype=float)
 
     # geometric points resolve integrators that vary on log scales near 0
     pts = set(np.linspace(0.0, t_max, initial_panels + 1))
     pts |= {t_max * 10.0 ** (-k) for k in range(1, 7)}
-    pts = sorted(pts)
+    pts = np.array(sorted(pts))
+    fs, xs = values(f, pts), values(xi, pts)
 
     for _ in range(max_refinements + 1):
-        fs = np.array([fv(t) for t in pts])
-        xs = np.array([xv(t) for t in pts])
         slack = mono_slack
         if slack is None:
             slack = 1e-9 * max(1.0, np.abs(fs).max(), np.abs(xs).max())
@@ -470,15 +464,18 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, initial_panels=16,
             )
         # Bisect only the intervals holding more than their share of the
         # bracket width; the bracket is still nested since points are only
-        # ever added.
+        # ever added.  Each level evaluates f and xi at its new points only.
         gaps = (fs[:-1] - fs[1:]) * dxi
         thresh = (upper - lower) / (2.0 * gaps.size)
-        mids = [
-            0.5 * (a + b)
-            for a, b, g in zip(pts[:-1], pts[1:], gaps)
-            if g > thresh or g == gaps.max()
-        ]
-        pts = sorted(set(pts) | set(mids))
+        split = (gaps > thresh) | (gaps == gaps.max())
+        a, b = pts[:-1][split], pts[1:][split]
+        mids = 0.5 * (a + b)
+        mids = mids[(a < mids) & (mids < b)]  # between adjacent floats: none
+        if mids.size:
+            at = np.searchsorted(pts, mids)
+            fs = np.insert(fs, at, values(f, mids))
+            xs = np.insert(xs, at, values(xi, mids))
+            pts = np.insert(pts, at, mids)
     return EvaluationReport(
         0.5 * (upper + lower), 0.5 * (upper - lower), len(pts), False
     )

@@ -42,12 +42,18 @@ class QuadratureSpec:
             raise QuadratureError("max_subdivisions must be >= 64")
 
     def tolerance(self, value):
-        return max(self.abs_tol, self.rel_tol * abs(value))
+        """max(abs_tol, rel_tol |value|), elementwise for an array."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """A computed scalar with an estimated error and work counters."""
+    """A computed scalar with an estimated error and work counters.
+
+    The batch forms of the rules return one report for k integrals: value
+    and error_estimate are then length-k arrays, function_evals is the total
+    and converged is True when every integral converged.
+    """
 
     value: float
     error_estimate: float
@@ -124,22 +130,29 @@ def _evaluate_panels(f, lo, hi, ids):
 def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     """Adaptive bisection of a batch of integrals, one per initial partition.
 
-    All panels share one pool, each tagged with the id (index into
-    ``partitions``) of its integral, and every refinement sweep evaluates the
-    new panels of all ids together through ``f(x, ids)``.  Each id follows
-    the scalar rules on its own panels: it stops when its error meets
-    ``max(abs_tol, rel_tol |value|)``, when it holds ``max_subdivisions``
-    panels, or when integrand-supplied error dominates; otherwise it splits
-    every panel above ``tol / (2 n_panels)`` and at least its worst one.
+    ``partitions`` is a list of 1-D arrays, or a 2-D array whose rows are the
+    partitions (a repeated point gives an empty panel, which is dropped), and
+    ``abs_tol`` is one value or one per integral.  All panels share one pool,
+    each tagged with the id (index into ``partitions``) of its integral, and
+    every refinement sweep evaluates the new panels of all ids together
+    through ``f(x, ids)``.  Each id follows the scalar rules on its own
+    panels: it stops when its error meets ``max(abs_tol, rel_tol |value|)``,
+    when it holds ``max_subdivisions`` panels, or when integrand-supplied
+    error dominates; otherwise it splits every panel above
+    ``tol / (2 n_panels)`` and at least its worst one.
 
     Returns (values, errors, function_evals, converged): per-id arrays, and
     one bool that is True when every id met its tolerance.
     """
     n = len(partitions)
-    parts = [np.asarray(p, dtype=float) for p in partitions]
-    lo = np.concatenate([p[:-1] for p in parts])
-    hi = np.concatenate([p[1:] for p in parts])
-    ids = np.repeat(np.arange(n), [p.size - 1 for p in parts])
+    if isinstance(partitions, np.ndarray):
+        lo, hi = partitions[:, :-1].ravel(), partitions[:, 1:].ravel()
+        ids = np.repeat(np.arange(n), partitions.shape[1] - 1)
+    else:
+        parts = [np.asarray(p, dtype=float) for p in partitions]
+        lo = np.concatenate([p[:-1] for p in parts])
+        hi = np.concatenate([p[1:] for p in parts])
+        ids = np.repeat(np.arange(n), [p.size - 1 for p in parts])
     keep = hi > lo
     lo, hi, ids = lo[keep], hi[keep], ids[keep]
     values, errors, n_evals = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
@@ -188,13 +201,25 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     return values, errors, n_evals, converged
 
 
-def _integrate(f, points, spec):
-    """One integral of f(x) over the initial partition ``points``."""
+def _integrate(f, points, spec, batch=False, abs_tol=None):
+    """One integral of f(x) over the initial partition ``points``.
+
+    With ``batch``, the integrals of f(x, ids) over the partitions
+    ``points[i]`` instead, in one pool, with one absolute tolerance per
+    integral if ``abs_tol`` is given; the report holds arrays.
+    """
+    if not batch:
+        values, errors, n_evals, ok = _adaptive(
+            lambda x, ids: f(x), [points], spec.rel_tol, spec.abs_tol,
+            spec.max_subdivisions,
+        )
+        return EvaluationReport(float(values[0]), float(errors[0]),
+                                int(n_evals[0]), ok)
     values, errors, n_evals, ok = _adaptive(
-        lambda x, ids: f(x), [points], spec.rel_tol, spec.abs_tol,
+        f, points, spec.rel_tol, spec.abs_tol if abs_tol is None else abs_tol,
         spec.max_subdivisions,
     )
-    return EvaluationReport(float(values[0]), float(errors[0]), int(n_evals[0]), ok)
+    return EvaluationReport(values, errors, int(n_evals.sum()), ok)
 
 
 def _partition(a, b, breakpoints=None):
@@ -211,7 +236,7 @@ def integrate_1d(f, a, b, spec, breakpoints=None):
     return _integrate(f, _partition(a, b, breakpoints), spec)
 
 
-def integrate_radial_singular(f, s, R, spec, breakpoints=None):
+def integrate_radial_singular(f, s, R, spec, breakpoints=None, batch=None):
     """Integrate (rho-1)^{-s} h(rho) over (1, R), h bounded near 1.
 
     Uses the substitution rho = 1 + w^{1/(1-s)}; its Jacobian
@@ -222,6 +247,11 @@ def integrate_radial_singular(f, s, R, spec, breakpoints=None):
     (= w^{1/(1-s)}, computed without cancellation), so kernel-type
     integrands evaluate the singular weight accurately arbitrarily close to
     the sphere.
+
+    Batch form (``batch`` = k): the k integrals of f(q, ids), ids[j] the
+    integral that q[j] belongs to, run as one adaptive pool; ``breakpoints``
+    then holds one sequence (or None) per integral, and the report's value
+    and error_estimate are length-k arrays.
     """
     if R <= 1.0:
         raise QuadratureError("R must exceed 1")
@@ -229,46 +259,62 @@ def integrate_radial_singular(f, s, R, spec, breakpoints=None):
         raise QuadratureError("singular exponent must lie in (0, 1)")
     p = 1.0 / (1.0 - s)
 
-    def transformed(w):
+    def transformed(w, *ids):
         q = w**p
-        return _scaled(f(q), p * w ** (p - 1.0))
+        return _scaled(f(q, *ids), p * w ** (p - 1.0))
 
     # Start marginally above zero so q never underflows to an exact 0 (the
     # omitted mass is O(w_lo) times a bounded transformed integrand).
     w_lo = 1e-290 ** (1.0 - s)
-    w_pts = [w_lo, (R - 1.0) ** (1.0 - s)]
-    if breakpoints is not None:
-        w_pts.extend(
-            (r - 1.0) ** (1.0 - s) for r in breakpoints if 1.0 < r < R
-        )
-    return _integrate(transformed, np.array(sorted(set(w_pts))), spec)
+
+    def w_partition(bps):
+        w_pts = [w_lo, (R - 1.0) ** (1.0 - s)]
+        if bps is not None:
+            w_pts.extend((r - 1.0) ** (1.0 - s) for r in bps if 1.0 < r < R)
+        return np.array(sorted(set(w_pts)))
+
+    if batch is None:
+        return _integrate(transformed, w_partition(breakpoints), spec)
+    if breakpoints is None or len(breakpoints) != batch:
+        raise QuadratureError("need one breakpoint sequence per integral")
+    return _integrate(transformed, [w_partition(b) for b in breakpoints],
+                      spec, batch=True)
 
 
-def integrate_radial_unbounded(f, R, decay_exponent, spec):
+def integrate_radial_unbounded(f, R, decay_exponent, spec, batch=None,
+                               abs_tol=None):
     """Integrate f over (R, infinity) given |f(rho)| <= M rho^{-1-decay}.
 
     Maps (R, inf) onto (0, 1] via rho = R/v.  The mapped integrand behaves
     like v^{decay-1} at v = 0, so for decay < 1 a further power substitution
     v = z^{1/decay} flattens the endpoint.  No truncation is performed, hence
     no analytic remainder term enters the estimate.
+
+    Batch form (``batch`` = k): the k integrals of f(rho, ids) run as one
+    adaptive pool, each with its own absolute tolerance ``abs_tol[i]`` if
+    given (else ``spec.abs_tol``); the report holds length-k arrays.
     """
     if decay_exponent <= 0:
         raise QuadratureError("decay_exponent must be positive")
     if R <= 0:
         raise QuadratureError("R must be positive")
 
-    def mapped(v):
-        return _scaled(f(R / v), R / v**2)
+    def mapped(v, *ids):
+        return _scaled(f(R / v, *ids), R / v**2)
 
     if decay_exponent >= 1.0:
         integrand = mapped
     else:
         q = 1.0 / decay_exponent
 
-        def integrand(z):
-            return _scaled(mapped(z**q), q * z ** (q - 1.0))
+        def integrand(z, *ids):
+            return _scaled(mapped(z**q, *ids), q * z ** (q - 1.0))
 
-    return _integrate(integrand, np.array([0.0, 0.5, 1.0]), spec)
+    points = np.array([0.0, 0.5, 1.0])
+    if batch is None:
+        return _integrate(integrand, points, spec)
+    return _integrate(integrand, [points] * batch, spec, batch=True,
+                      abs_tol=abs_tol)
 
 
 def _frame(x_eval, d):
@@ -301,6 +347,10 @@ def _graded_scales(scale, upper, factor):
         out.append(v)
         v *= factor
     return out
+
+
+# Powers 4^k of the polar grading: from the smallest scale 1e-14 they pass pi.
+_POLAR_GRADES = 4.0 ** np.arange(26)
 
 
 def _inner_spec(spec):
@@ -362,7 +412,8 @@ def sphere_integrals(g, frame, radii, partitions, rule):
                 base = axial[j, None] * u + (trans[j] * np.cos(alpha))[:, None] * v1
                 return folded(base, (trans[j] * np.sin(alpha))[:, None] * v, ids[j])
 
-            vals, errs = batch(longitude, [(0.0, np.pi)] * phi.size, inner)
+            vals, errs = batch(longitude, np.tile([0.0, np.pi], (phi.size, 1)),
+                               inner)
             return np.sin(phi) * vals, np.sin(phi) * errs
 
     vals, errs = batch(polar, partitions, rule)
@@ -380,6 +431,7 @@ def integrate_exterior_ball(
     radial_breakpoints=(),
     angular_breakpoints=None,
     axisymmetric=False,
+    batch=None,
 ):
     """Integrate F over the exterior of the unit ball in dimension d.
 
@@ -392,15 +444,27 @@ def integrate_exterior_ball(
     ``sphere_integrals`` in a frame along x_eval: the polar angle from
     x_eval, graded toward the Poisson-kernel peak, with the sphere folded by
     a mirror so that mirror-symmetric integrands are resolved on exactly
-    mirrored nodes.  In d = 1 the sphere is the pair {rho, -rho}; in d = 3
-    an ``axisymmetric`` F (symmetric about the line through x_eval) needs
-    the polar integral only.  The angular integrals of all radial nodes in
-    one radial panel sweep run as one batch; if any of them ends
-    unconverged, so does the result.
+    mirrored nodes.  ``angular_breakpoints(rho)`` maps an array of radii to
+    an (n, m) array of polar angles in that folded range where F may kink on
+    each sphere; entries outside (0, pi), NaN included, are ignored.  In
+    d = 1 the sphere is the pair {rho, -rho}; in d = 3 an ``axisymmetric``
+    F (symmetric about the line through x_eval) needs the polar integral
+    only.  The angular integrals of all radial nodes in one radial panel
+    sweep run as one batch; if any of them ends unconverged, so does the
+    result.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
     field.
+
+    Batch form (``batch`` = k): the k integrals of F(points, norm2m1, ids),
+    ids[j] in 0..k-1 the integral that point j belongs to, run together:
+    ``radial_breakpoints`` holds one sequence per integral,
+    ``angular_breakpoints`` is called as (rho, ids), and each integral's far
+    field gets its own tolerance.  Each radial and angular rule is one
+    adaptive pool over the batch, in which every integral gets the panels it
+    gets alone.  The report's value and error_estimate are length-k arrays,
+    function_evals counts every point and converged is the AND over the batch.
     """
     if d not in (1, 2, 3):
         raise QuadratureError("only d in {1, 2, 3} is supported")
@@ -414,52 +478,66 @@ def integrate_exterior_ball(
         raise QuadratureError(
             "declare either support_radius or decay_exponent for the far field"
         )
+    if batch is None:
+        # One integral is the batch of one.
+        F_one, bps_one = F, angular_breakpoints
+        radial_breakpoints = [radial_breakpoints]
+
+        def F(points, norm2m1, ids):
+            return F_one(points, norm2m1)
+
+        if bps_one is not None:
+            def angular_breakpoints(rho, ids):
+                return bps_one(rho)
+    k = 1 if batch is None else batch
 
     frame = _frame(x, d)
     inner = _inner_spec(spec)
     evals = [0]
     inner_ok = [True]
 
-    def call_F(points, q):
+    def call_F(points, q, ids):
         # q holds the exact boundary offset |y| - 1 of each point; kernel
         # integrands use it to form |y|^2 - 1 = q(2+q) without cancellation.
         evals[0] += points.shape[0]
-        return np.asarray(F(points, q * (2.0 + q)), dtype=float)
+        return np.asarray(F(points, q * (2.0 + q), ids), dtype=float)
 
-    def polar_partitions(q):
-        # Per radial node: the folded range (0, pi), graded toward the
-        # Poisson-kernel peak, plus any caller-supplied angular breakpoints.
-        parts = []
-        for qi in q:
-            bps = _graded_scales(max(delta, qi, 1e-14), np.pi, 4.0)
-            if angular_breakpoints is not None:
-                bps += [p for p in angular_breakpoints(1.0 + qi) if 0.0 < p < np.pi]
-            parts.append(_partition(0.0, np.pi, bps))
-        return parts
+    def polar_partitions(q, ids):
+        # Per radial node, one row: the folded range (0, pi), graded toward
+        # the Poisson-kernel peak, plus any caller-supplied angular
+        # breakpoints.  Points outside (0, pi) become pi, i.e. empty panels.
+        cuts = np.maximum(np.maximum(delta, q), 1e-14)[:, None] * _POLAR_GRADES
+        if angular_breakpoints is not None:
+            cuts = np.concatenate([cuts, angular_breakpoints(1.0 + q, ids)], axis=1)
+        cuts = np.where((cuts > 0.0) & (cuts < np.pi), cuts, np.pi)
+        cuts.sort(axis=1)
+        ends = np.ones((q.size, 1))
+        return np.concatenate([0.0 * ends, cuts, np.pi * ends], axis=1)
 
     if d == 1:
-        def radial_q(q):
+        def radial_q(q, ids):
             rho = (1.0 + q)[:, None]
-            vals = call_F(np.concatenate([rho, -rho]), np.concatenate([q, q]))
+            vals = call_F(np.concatenate([rho, -rho]), np.concatenate([q, q]),
+                          np.concatenate([ids, ids]))
             return vals[: q.size] + vals[q.size:]
     else:
-        def radial_q(q):
+        def radial_q(q, ids):
             rho = 1.0 + q
             if d == 3 and axisymmetric:
                 # F is symmetric about the line through x_eval: polar only
-                def polar(phi, ids):
-                    y = ((rho[ids] * np.cos(phi))[:, None] * frame[0]
-                         + (rho[ids] * np.sin(phi))[:, None] * frame[1])
-                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q[ids])
+                def polar(phi, j):
+                    y = ((rho[j] * np.cos(phi))[:, None] * frame[0]
+                         + (rho[j] * np.sin(phi))[:, None] * frame[1])
+                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q[j], ids[j])
 
                 vals, errs, _, ok = _adaptive(
-                    polar, polar_partitions(q), inner.rel_tol, inner.abs_tol,
-                    inner.max_subdivisions,
+                    polar, polar_partitions(q, ids), inner.rel_tol,
+                    inner.abs_tol, inner.max_subdivisions,
                 )
             else:
                 vals, errs, ok = sphere_integrals(
-                    lambda y, ids: call_F(y, q[ids]), frame, rho,
-                    polar_partitions(q), inner,
+                    lambda y, j: call_F(y, q[j], ids[j]), frame, rho,
+                    polar_partitions(q, ids), inner,
                 )
             inner_ok[0] = inner_ok[0] and ok
             return rho ** (d - 1) * vals, rho ** (d - 1) * errs
@@ -467,27 +545,27 @@ def integrate_exterior_ball(
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
     r_near_end = 2.0 if support_radius is None else max(2.0, support_radius)
-    graded = [1.0 + g for g in _graded_scales(delta, r_near_end - 1.0, RADIAL_GRADING)]
-    bps = sorted(set(graded) | {r for r in radial_breakpoints if 1.0 < r < r_near_end})
+    graded = {1.0 + g for g in _graded_scales(delta, r_near_end - 1.0, RADIAL_GRADING)}
+    bps = [sorted(graded | {r for r in b if 1.0 < r < r_near_end})
+           for b in radial_breakpoints]
 
-    near = integrate_radial_singular(
-        radial_q, s, r_near_end, spec, breakpoints=bps
+    total = integrate_radial_singular(
+        radial_q, s, r_near_end, spec, breakpoints=bps, batch=k
     )
-    total = near
     if support_radius is None:
-        def radial_far(rho):
-            return radial_q(rho - 1.0)
+        def radial_far(rho, ids):
+            return radial_q(rho - 1.0, ids)
 
         # The far field's error budget is relative to the whole integral, not
         # to its own (possibly tiny) value.
-        far_spec = replace(
-            spec, abs_tol=max(spec.abs_tol, 0.25 * spec.tolerance(near.value))
-        )
         far = integrate_radial_unbounded(
-            radial_far, r_near_end, decay_exponent, far_spec
+            radial_far, r_near_end, decay_exponent, spec, batch=k,
+            abs_tol=np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value)),
         )
         total = total + far
+    value, error = total.value, total.error_estimate
+    if batch is None:
+        value, error = float(value[0]), float(error[0])
     return EvaluationReport(
-        total.value, total.error_estimate, evals[0],
-        total.converged and inner_ok[0],
+        value, error, evals[0], total.converged and inner_ok[0]
     )

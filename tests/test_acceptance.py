@@ -296,7 +296,7 @@ def test_criterion_10_oscillation_stieltjes_bound():
     slacks = []
     for label, problem, x, z in cases:
         chk = interior_to_boundary_check(problem, x, z)
-        ok = ok and chk.holds
+        ok = ok and chk.holds and chk.converged
         slacks.append(f"{label}@{x[0]:g}: {chk.slack:+.3f}")
     report(
         10, "interior oscillation bounded by the Stieltjes integral",

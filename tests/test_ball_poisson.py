@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
+
+from fraclab import ball_poisson
 
 from fraclab.ball_poisson import (
     BallProblem,
@@ -164,6 +167,32 @@ class TestSolve:
         assert abs(rep.value - 1.0) <= rep.error_estimate + spec.tolerance(1.0)
 
 
+def _vt_oracle_d2(x, z, t, s):
+    """v_t(x) in d = 2 by scipy: polar coordinates about 0, QUADPACK's
+    algebraic weight for (rho - 1)^{-s} at the sphere, and the angular range
+    outside the cap |y - z| <= t as the limits of the inner integral."""
+    x0, x1 = x
+    phi_z = math.atan2(z[1], z[0])
+
+    def outside_cap(rho):
+        a = math.acos(min((rho * rho + 1.0 - t * t) / (2.0 * rho), 1.0))
+        return quad(
+            lambda p: 1.0 / ((rho * math.cos(p) - x0) ** 2
+                             + (rho * math.sin(p) - x1) ** 2),
+            phi_z + a, phi_z + 2.0 * math.pi - a, epsabs=1e-13, epsrel=1e-12,
+        )[0]
+
+    def g(rho):
+        return rho * (rho + 1.0) ** -s * outside_cap(rho)
+
+    near = quad(g, 1.0, 1.0 + t, weight="alg", wvar=(-s, 0.0), epsabs=1e-13,
+                epsrel=1e-12, limit=200)[0]
+    far = quad(lambda r: g(r) * (r - 1.0) ** -s, 1.0 + t, np.inf,
+               epsabs=1e-13, epsrel=1e-12)[0]
+    c = math.sin(math.pi * s) / math.pi**2
+    return c * (1.0 - x0 * x0 - x1 * x1) ** s * (near + far)
+
+
 class TestModelSolutions:
     def test_t_zero_is_full_mass(self, spec):
         k = PoissonKernel(2, 0.5)
@@ -199,8 +228,53 @@ class TestModelSolutions:
         far = solve_vt(k, [1.0], 0.5, [-0.8], fast_spec).value
         assert far > near
 
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_off_axis_d2_matches_scipy(self, t, fast_spec):
+        # x off the line through z: the cap is still an angular interval
+        # about z, whose two folded edges go to the angular rule.
+        k = PoissonKernel(2, 0.5)
+        x, z = np.array([0.3, 0.2]), np.array([0.0, 1.0])
+        rep = solve_vt(k, z, t, x, fast_spec)
+        oracle = _vt_oracle_d2(x, z, t, 0.5)
+        assert rep.converged
+        assert abs(rep.value - oracle) <= (rep.error_estimate
+                                           + fast_spec.tolerance(oracle))
+        aligned = solve_vt(k, z, t, float(np.linalg.norm(x)) * z, fast_spec)
+        assert rep.function_evals <= 3 * aligned.function_evals
+
+    @pytest.mark.parametrize("z", [[0.6, 0.8], [0.0, -1.0], [0.0, 1.0, 0.0],
+                                   [0.48, 0.6, -0.64]])
+    def test_rotation_invariant_at_origin(self, z, fast_spec):
+        d = len(z)
+        k = PoissonKernel(d, 0.5)
+        e1 = solve_vt(k, np.eye(d)[0], 2.0, np.zeros(d), fast_spec)
+        rep = solve_vt(k, z, 2.0, np.zeros(d), fast_spec)
+        assert rep.converged
+        assert abs(rep.value - e1.value) <= rep.error_estimate + e1.error_estimate
+        assert rep.function_evals <= 3 * e1.function_evals
+
+    @pytest.mark.parametrize("z, x", [
+        ([1.0], [0.9]), ([1.0], [-0.5]),
+        ([1.0, 0.0], [0.9, 0.0]), ([0.0, 1.0], [0.3, 0.2]),
+    ])
+    def test_batch_matches_one_t_at_a_time(self, z, x, fast_spec):
+        k = PoissonKernel(len(z), 0.5)
+        ts = np.array([0.0, 0.05, 0.3, 1.0, 1.9, 2.0, 2.5, 3.5])
+        rep = solve_vt(k, z, ts, x, fast_spec)
+        one = [solve_vt(k, z, t, x, fast_spec) for t in ts]
+        assert rep.value.shape == rep.error_estimate.shape == ts.shape
+        assert np.abs(rep.value - [r.value for r in one]).max() <= 1e-15
+        assert np.abs(rep.error_estimate
+                      - [r.error_estimate for r in one]).max() <= 1e-15
+        assert rep.function_evals == sum(r.function_evals for r in one)
+        assert rep.converged == all(r.converged for r in one)
+
     def test_validates_inputs(self, spec):
         k = PoissonKernel(1, 0.5)
+        with pytest.raises(DomainError):
+            solve_vt(k, [1.0], [0.5, -0.1], [0.0], spec)
+        with pytest.raises(DomainError):
+            solve_vt(k, [1.0], [[0.5]], [0.0], spec)
         with pytest.raises(DomainError):
             solve_vt(k, [0.5], 1.0, [0.0], spec)
         with pytest.raises(DomainError):
@@ -220,9 +294,24 @@ class TestBoundaryCheck:
         g = halfline_modulus_datum(ModulusFunction.power(0.5))
         problem = BallProblem(PoissonKernel(1, 0.5), g)
         chk = interior_to_boundary_check(problem, [0.9], [1.0])
-        assert chk.holds
+        assert chk.holds and chk.converged
         assert chk.rhs >= chk.lhs
         assert chk.slack >= 0.0
+
+    def test_reports_an_unconverged_model_solution(self, monkeypatch):
+        problem = BallProblem(PoissonKernel(1, 0.5),
+                              halfline_modulus_datum(ModulusFunction.power(0.5)))
+        ref = interior_to_boundary_check(problem, [0.9], [1.0], tol=2e-2)
+        solve_vt_converged = ball_poisson.solve_vt
+
+        def unconverged(*args, **kwargs):
+            rep = solve_vt_converged(*args, **kwargs)
+            return dataclasses.replace(rep, converged=False)
+
+        monkeypatch.setattr(ball_poisson, "solve_vt", unconverged)
+        chk = interior_to_boundary_check(problem, [0.9], [1.0], tol=2e-2)
+        assert ref.converged and not chk.converged
+        assert (chk.lhs, chk.rhs, chk.holds) == (ref.lhs, ref.rhs, ref.holds)
 
     def test_requires_t_max_for_unbounded_data(self):
         problem = BallProblem(PoissonKernel(1, 0.5), constant_datum(1.0, 1))

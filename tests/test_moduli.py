@@ -267,29 +267,69 @@ class TestOscillationProfile:
         assert prof.sample_count > 0
 
 
+def _pointwise_stieltjes(f, xi, t_max, tol):
+    """Reference: the Darboux bracket refined with scalar calls, one per t."""
+    pts = set(np.linspace(0.0, t_max, 17))
+    pts = sorted(pts | {t_max * 10.0 ** (-k) for k in range(1, 7)})
+    while True:
+        fs = np.array([f(t) for t in pts])
+        dxi = np.diff([xi(t) for t in pts])
+        upper = float(np.sum(fs[:-1] * dxi))
+        lower = float(np.sum(fs[1:] * dxi))
+        if upper - lower <= 2.0 * tol:
+            return 0.5 * (upper + lower), 0.5 * (upper - lower)
+        gaps = (fs[:-1] - fs[1:]) * dxi
+        thresh = (upper - lower) / (2.0 * gaps.size)
+        pts = sorted(set(pts) | {
+            0.5 * (a + b) for a, b, g in zip(pts[:-1], pts[1:], gaps)
+            if g > thresh or g == gaps.max()
+        })
+
+
 class TestStieltjes:
     def test_total_variation_of_constant_integrand(self):
         om = ModulusFunction.power(0.5)
-        rep = stieltjes_integral(lambda t: 1.0, lambda t: om(t), 2.0, tol=1e-9)
+        rep = stieltjes_integral(np.ones_like, om, 2.0, tol=1e-9)
         assert abs(rep.value - om(2.0)) <= rep.error_estimate + 1e-9
 
     def test_indicator_integrand(self):
         a = 0.6
-        f = lambda t: 1.0 if t < a else 0.0
-        xi = lambda t: min(t, 1.0)
+        f = lambda t: np.where(t < a, 1.0, 0.0)
+        xi = lambda t: np.minimum(t, 1.0)
         rep = stieltjes_integral(f, xi, 2.0, tol=1e-6)
         assert abs(rep.value - a) <= rep.error_estimate + 1e-6
 
     def test_against_dense_riemann_stieltjes_sum(self):
         c, s = 0.3, 0.5
-        f = lambda t: min(1.0, (c / t) ** s) if t > 0 else 1.0
-        xi = lambda t: min(t, 1.0)
+        # min(1, (c/t)^s), which is 1 on [0, c]
+        f = lambda t: np.minimum(1.0, (c / np.maximum(t, c)) ** s)
+        xi = lambda t: np.minimum(t, 1.0)
         rep = stieltjes_integral(f, xi, 2.0, tol=1e-7)
         ts = np.linspace(0.0, 2.0, 1_000_001)
-        fs = np.array([f(t) for t in ts])
+        fs = f(ts)
         xs = np.minimum(ts, 1.0)
         ref = float(np.sum(0.5 * (fs[:-1] + fs[1:]) * np.diff(xs)))
         assert abs(rep.value - ref) < 5e-6
+
+    def test_calls_f_once_per_level(self):
+        # Same value and error as the point-by-point loop, with one call of
+        # f and one of xi per refinement level.
+        f_calls, xi_calls = [], []
+
+        def f(t):
+            f_calls.append(t.size)
+            return 1.0 / (1.0 + t)
+
+        def xi(t):
+            xi_calls.append(t.size)
+            return np.sqrt(t)
+
+        rep = stieltjes_integral(f, xi, 1.0, tol=1e-4)
+        ref = _pointwise_stieltjes(lambda t: 1.0 / (1.0 + t), math.sqrt, 1.0, 1e-4)
+        assert (rep.value, rep.error_estimate) == ref
+        assert len(f_calls) == len(xi_calls) > 1
+        assert f_calls == xi_calls
+        assert sum(f_calls) == rep.function_evals
 
     def test_brackets_are_nested(self):
         f = lambda t: 1.0 / (1.0 + t)
@@ -303,7 +343,7 @@ class TestStieltjes:
 
     def test_rejects_nonmonotone_integrand(self):
         with pytest.raises(InvalidModulusError):
-            stieltjes_integral(lambda t: math.sin(5.0 * t), lambda t: t, 2.0)
+            stieltjes_integral(lambda t: np.sin(5.0 * t), lambda t: t, 2.0)
 
 
 class TestSeminorms:

@@ -146,6 +146,18 @@ class TestBatchedDriver:
         assert evals[-1] == 0 and vals[-1] == 0.0
         assert max(sizes) <= 15 * PANELS_PER_CALL
 
+    def test_rows_of_an_array_are_partitions(self):
+        # A 2-D array whose rows repeat points (the padding of unequal
+        # partitions) gives the list of its deduplicated rows, bit for bit.
+        rows = np.array([[0.0, 0.5, 0.5, 1.0, 1.0], [0.0, 0.0, 0.2, 1.0, 1.0]])
+        f = lambda x, ids: np.exp((1.0 + ids) * x)
+        args = (1e-10, 1e-13, 2000)
+        a = _adaptive(f, rows, *args)
+        b = _adaptive(f, [np.unique(r) for r in rows], *args)
+        for u, v in zip(a[:3], b[:3]):
+            assert np.array_equal(u, v)
+        assert a[3] == b[3]
+
 
 class TestRadialSingular:
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
@@ -369,6 +381,44 @@ class TestExteriorBall:
         )
         assert rep.error_estimate <= spec.tolerance(rep.value)
         assert not rep.converged
+
+    @pytest.mark.parametrize("d, axisymmetric, support", [
+        (1, False, None), (2, False, None), (2, False, 3.0),
+        (3, True, None), (3, False, None),
+    ])
+    def test_batch_of_one_is_the_plain_call(self, d, axisymmetric, support):
+        # Bit for bit: value, error, evals and flag, with radial and angular
+        # breakpoints and with either far field.
+        s = 0.5
+        x = np.array([0.6, -0.3, 0.2][:d])
+        F = _poisson_F(x, s, d)
+        spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+        far = ({"decay_exponent": 2.0 * s} if support is None
+               else {"support_radius": support})
+
+        def bps(rho):
+            return np.column_stack([0.3 / rho, np.full(rho.shape, np.nan)])
+
+        plain = integrate_exterior_ball(
+            F, d, x, s, spec, radial_breakpoints=(1.5, 1.7),
+            angular_breakpoints=bps, axisymmetric=axisymmetric, **far)
+        batch = integrate_exterior_ball(
+            lambda points, norm2m1, ids: F(points, norm2m1), d, x, s, spec,
+            radial_breakpoints=[(1.5, 1.7)],
+            angular_breakpoints=lambda rho, ids: bps(rho),
+            axisymmetric=axisymmetric, batch=1, **far)
+        assert batch.value.shape == batch.error_estimate.shape == (1,)
+        assert (batch.value[0], batch.error_estimate[0]) == \
+            (plain.value, plain.error_estimate)
+        assert (batch.function_evals, batch.converged) == \
+            (plain.function_evals, plain.converged)
+
+    def test_batch_needs_one_breakpoint_sequence_per_integral(self, spec):
+        with pytest.raises(QuadratureError):
+            integrate_exterior_ball(
+                lambda points, norm2m1, ids: np.zeros(points.shape[0]), 2,
+                np.zeros(2), 0.5, spec, support_radius=2.0,
+                radial_breakpoints=[()], batch=2)
 
     def test_requires_far_field_declaration(self, spec):
         def F(points, norm2m1):
