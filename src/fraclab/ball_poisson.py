@@ -12,16 +12,12 @@ oscillation estimate, and a solver/operator cross-validation.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .moduli import oscillation_profile, stieltjes_integral
-from .quadrature import (
-    EvaluationReport,
-    QuadratureSpec,
-    integrate_exterior_ball,
-)
+from .quadrature import QuadratureSpec, _first, integrate_exterior_ball
 
 
 class DomainError(ValueError):
@@ -51,20 +47,28 @@ class PoissonKernel:
         )
 
 
-def poisson_kernel_eval(kernel, x, y):
-    """P(x, y) for |x| < 1 and one or many exterior points |y| > 1."""
+def _interior_point(kernel, x):
+    """x as a 1-D array, checked to lie in the open unit ball of R^d."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y_arr = np.asarray(y, dtype=float)
-    single = y_arr.ndim <= 1
-    pts = np.atleast_2d(y_arr)
-    if x.size != kernel.d or pts.shape[1] != kernel.d:
+    if x.size != kernel.d:
         raise DomainError("point dimension mismatch")
     if np.linalg.norm(x) >= 1.0:
         raise DomainError("x must lie in the open unit ball")
+    return x
+
+
+def poisson_kernel_eval(kernel, x, y):
+    """P(x, y) for |x| < 1 and one or many exterior points |y| > 1."""
+    x = _interior_point(kernel, x)
+    y_arr = np.asarray(y, dtype=float)
+    single = y_arr.ndim <= 1
+    pts = np.atleast_2d(y_arr)
+    if pts.shape[1] != kernel.d:
+        raise DomainError("point dimension mismatch")
     y_norm2 = np.einsum("ij,ij->i", pts, pts)
     if np.any(y_norm2 <= 1.0):
         raise DomainError("y must lie outside the closed unit ball")
-    out = _kernel_integrand(kernel, x)(pts, y_norm2 - 1.0)
+    out = _kernel_integrand(kernel, x)(pts, y_norm2 - 1.0, None)
     return float(out[0]) if single else out
 
 
@@ -87,21 +91,21 @@ class BallProblem:
 
 def _kernel_integrand(kernel, x, weight_fn=None):
     """Exterior integrand P(x, .) [* weight], using the exact boundary offset
-    channel to avoid cancellation in |y|^2 - 1 near the sphere.  Called with
-    the batch ids of ``integrate_exterior_ball``, it passes them on to
-    ``weight_fn``."""
+    channel to avoid cancellation in |y|^2 - 1 near the sphere.  It is
+    called with the ids of ``integrate_exterior_ball`` and passes them on to
+    ``weight_fn(points, ids)``."""
     nx = float(np.linalg.norm(x))
     one_minus_x2 = (1.0 - nx) * (1.0 + nx)
     s, d, c = kernel.s, kernel.d, kernel.normalization
 
-    def F(points, norm2m1, *ids):
+    def F(points, norm2m1, ids):
         diff = points - x[None, :]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         vals = (
             c * (one_minus_x2 / norm2m1) ** s / dist2 ** (0.5 * d)
         )
         if weight_fn is not None:
-            vals = vals * weight_fn(points, *ids)
+            vals = vals * weight_fn(points, ids)
         return vals
 
     return F
@@ -111,25 +115,22 @@ def solve(problem, x, spec=None):
     """u(x) = int_{|y|>1} P(x, y) g(y) dy with an estimated error."""
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.linalg.norm(x) >= 1.0:
-        raise DomainError("x must lie in the open unit ball")
-    F = _kernel_integrand(kernel, x, weight_fn=g)
+    x = _interior_point(kernel, x)
+    F = _kernel_integrand(kernel, x, weight_fn=lambda points, ids: g(points))
     decay = None
     if g.support_radius is None:
         # rho^{d-1} x kernel ~ rho^{-1-2s+growth} after the angular average
         decay = 2.0 * kernel.s - g.growth_exponent
-    return integrate_exterior_ball(
+    return _first(integrate_exterior_ball(
         F,
-        kernel.d,
         x,
         kernel.s,
         spec,
+        [g.radial_breakpoints],
         support_radius=g.support_radius,
         decay_exponent=decay,
-        radial_breakpoints=g.radial_breakpoints,
         axisymmetric=g.axisymmetric,
-    )
+    ))
 
 
 def solve_vt(kernel, z, t, x, spec=None):
@@ -145,13 +146,11 @@ def solve_vt(kernel, z, t, x, spec=None):
     """
     spec = spec or QuadratureSpec()
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _interior_point(kernel, x)
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
     if abs(np.linalg.norm(z) - 1.0) > 1e-12:
         raise DomainError("z must lie on the unit sphere")
-    if np.linalg.norm(x) >= 1.0:
-        raise DomainError("x must lie in the open unit ball")
     if t.ndim > 1 or np.any(ts < 0.0):
         raise DomainError("t must be a nonnegative radius or 1-D array of them")
 
@@ -195,21 +194,10 @@ def solve_vt(kernel, z, t, x, spec=None):
 
     bps = [tuple(p for p in (1.0 + ti, ti - 1.0) if p > 1.0) for ti in ts.tolist()]
     rep = integrate_exterior_ball(
-        F,
-        kernel.d,
-        x,
-        kernel.s,
-        spec,
-        decay_exponent=2.0 * kernel.s,
-        radial_breakpoints=bps,
+        F, x, kernel.s, spec, bps, decay_exponent=2.0 * kernel.s,
         angular_breakpoints=angular_bps,
-        axisymmetric=False,
-        batch=ts.size,
     )
-    if t.ndim == 0:
-        rep = replace(rep, value=float(rep.value[0]),
-                      error_estimate=float(rep.error_estimate[0]))
-    return rep
+    return _first(rep) if t.ndim == 0 else rep
 
 
 @dataclass(frozen=True)
@@ -284,50 +272,51 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
     )
 
 
-def harmonicity_check(problem, x, calibration=1.0, spec=None, solve_spec=None):
+# Rule of the interior solves of ``harmonicity_check``: two digits finer than
+# its default operator rule.
+_HARMONICITY_SOLVE_SPEC = QuadratureSpec(
+    rel_tol=1e-8, abs_tol=1e-11, max_subdivisions=4096
+)
+
+
+def harmonicity_check(problem, x, calibration=1.0, spec=None):
     """Residual of the stable operator applied to the Poisson solution at x.
 
     The solution is extended by the datum outside the closed ball and solved
-    on demand inside; with the rotation-invariant measure (total mass =
-    ``calibration``) the operator is a constant multiple of the fractional
-    Laplacian, so the residual should vanish for every calibration.
+    inside at every point the operator asks for; with the rotation-invariant
+    measure (total mass = ``calibration``) the operator is a constant
+    multiple of the fractional Laplacian, so the residual should vanish for
+    every calibration.
     """
-    from .stable_operator import OperatorSpec, SpectralMeasure, apply_operator
+    from .stable_operator import (
+        OperatorSpec,
+        SpectralMeasure,
+        apply_operator,
+        sphere_crossing_radii,
+    )
 
     spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=4096)
-    solve_spec = solve_spec or QuadratureSpec(
-        rel_tol=1e-8, abs_tol=1e-11, max_subdivisions=4096
-    )
     kernel, g = problem.kernel, problem.datum
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    cache = {}
 
     def u_ext(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        norms = np.linalg.norm(pts, axis=1)
         vals = np.zeros(pts.shape[0])
         errs = np.zeros(pts.shape[0])
-        outside = norms >= 1.0
+        outside = np.linalg.norm(pts, axis=1) >= 1.0
         if outside.any():
             vals[outside] = g(pts[outside])
         for i in np.flatnonzero(~outside):
-            key = tuple(pts[i])
-            if key not in cache:
-                rep = solve(problem, pts[i], solve_spec)
-                cache[key] = (rep.value, rep.error_estimate)
-            vals[i], errs[i] = cache[key]
+            rep = solve(problem, pts[i], _HARMONICITY_SOLVE_SPEC)
+            vals[i], errs[i] = rep.value, rep.error_estimate
         return vals, errs
 
-    op = OperatorSpec(
-        SpectralMeasure.uniform(kernel.d, calibration), s=kernel.s
-    )
+    measure = SpectralMeasure.uniform(kernel.d, calibration)
     return apply_operator(
-        op,
+        OperatorSpec(measure, s=kernel.s),
         u_ext,
         x,
         spec,
         growth_exponent=g.growth_exponent,
         support_radius=g.support_radius,
-        radial_breakpoints=(1.0 - float(np.linalg.norm(x)),
-                            1.0 + float(np.linalg.norm(x))),
+        radial_breakpoints=sphere_crossing_radii(measure, x),
     )

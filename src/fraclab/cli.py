@@ -42,6 +42,7 @@ from .stable_operator import (
     OperatorSpec,
     SpectralMeasure,
     apply_operator,
+    sphere_crossing_radii,
 )
 
 
@@ -193,8 +194,7 @@ def cmd_apply_operator(args):
 
     x = np.array([parse_number(v) for v in args.x.split(",")])
     rep = apply_operator(op, u, x, QuadratureSpec(), support_radius=1.0,
-                         radial_breakpoints=(1.0 - float(np.linalg.norm(x)),
-                                             1.0 + float(np.linalg.norm(x))))
+                         radial_breakpoints=sphere_crossing_radii(measure, x))
     print(f"A u({args.x}) = {rep.value:.12g} +/- {rep.error_estimate:.3g}")
     return 0 if rep.converged else 1
 

@@ -97,7 +97,7 @@ def radial_indicator_datum(a, d):
     )
 
 
-def transverse_modulus_datum(omega, d, cutoff=None):
+def transverse_modulus_datum(omega, d):
     """g(y) = omega(|y'|) eta(|y|) with y = (y_1, y'), for d >= 2.
 
     Vanishes at e_1, is smooth along rays for smooth omega, and has the
@@ -107,7 +107,7 @@ def transverse_modulus_datum(omega, d, cutoff=None):
     """
     if d < 2:
         raise DimensionError("transverse datum needs d >= 2")
-    eta = cutoff or CutoffFunction()
+    eta = CutoffFunction()
 
     def g(pts):
         trans = np.linalg.norm(pts[:, 1:], axis=1)
@@ -211,14 +211,14 @@ def non_dini_datum(iota, s, d):
     return transverse_modulus_datum(omega, d)
 
 
-def sign_changing_datum(s, d, cutoff=None):
+def sign_changing_datum(s, d):
     """g(y) = y_2 |y_2|^{s-1} eta(|y|): odd in y_2, so the on-axis solution
     vanishes by cancellation."""
     if d < 2:
         raise DimensionError("sign-changing datum needs d >= 2")
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    eta = cutoff or CutoffFunction()
+    eta = CutoffFunction()
 
     def g(pts):
         y2 = pts[:, 1]

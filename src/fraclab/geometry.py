@@ -156,7 +156,6 @@ class Paraboloid:
 class ContainmentReport:
     holds_on_samples: bool
     witness: object
-    samples_checked: int
 
 
 def check_exterior_dini(domain, z, paraboloid, samples=10000, seed=0):
@@ -179,8 +178,8 @@ def check_exterior_dini(domain, z, paraboloid, samples=10000, seed=0):
     inside = np.asarray(domain.membership(ambient), dtype=bool)
     if inside.any():
         idx = int(np.flatnonzero(inside)[0])
-        return ContainmentReport(False, ambient[idx].copy(), samples)
-    return ContainmentReport(True, None, samples)
+        return ContainmentReport(False, ambient[idx].copy())
+    return ContainmentReport(True, None)
 
 
 @dataclass(frozen=True)

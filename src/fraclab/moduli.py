@@ -36,11 +36,7 @@ class InvalidModulusError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Quadrature budget exhausted; carries the partial report."""
-
-    def __init__(self, message, partial_report):
-        super().__init__(message)
-        self.partial_report = partial_report
+    """Quadrature budget exhausted."""
 
 
 class ModulusFunction:
@@ -237,7 +233,7 @@ def _modulus_integral(omega, s, lo, hi, abs_tol):
                        math.log(1.0 / hi), math.log(1.0 / lo), spec,
                        breakpoints=bps)
     if not rep.converged:
-        raise BudgetExceededError("weighted modulus integral did not converge", rep)
+        raise BudgetExceededError("weighted modulus integral did not converge")
     return rep
 
 
@@ -283,8 +279,6 @@ class DiniReport:
     convergent: bool
     value: float | None
     error: float | None
-    cutoffs: np.ndarray
-    partials: np.ndarray
     increments: np.ndarray
 
 
@@ -339,7 +333,7 @@ def dini_integral(iota, lower_cutoffs=None, tol=1e-6):
             convergent = q >= 1.2
 
     if not convergent:
-        return DiniReport(False, None, None, cutoffs, partials, increments)
+        return DiniReport(False, None, None, increments)
 
     last = increments[-1]
     if last <= 1e-14 * scale:
@@ -355,7 +349,7 @@ def dini_integral(iota, lower_cutoffs=None, tol=1e-6):
         tail = last * K**q * (K + 0.5) ** (1.0 - q) / (q - 1.0)
     value = partials[-1] + tail
     error = quad_err + 0.25 * tail + 1e-12
-    return DiniReport(True, value, error, cutoffs, partials, increments)
+    return DiniReport(True, value, error, increments)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +361,6 @@ class OscillationProfile:
     """Monotone profile xi(t) = max |g(z) - g(w)| over exterior w within
     distance t of the base point; sampled values are lower bounds."""
 
-    base_point: np.ndarray
     t: np.ndarray
     xi: np.ndarray
     sample_count: int
@@ -379,26 +372,27 @@ class OscillationProfile:
         return np.interp(tq, self.t, self.xi)
 
 
-def oscillation_profile(g, z, t_grid, sphere_samples=96, seed=0):
+def oscillation_profile(g, z, t_grid):
     """Sampled oscillation profile of an exterior datum about z.
 
     Uses the datum's closed-form profile when it provides one for this base
     point; otherwise maximizes |g(z) - g(w)| over sampled exterior points w
-    with |z - w| <= t, with a running maximum enforcing monotonicity.
+    with |z - w| <= t, with a running maximum enforcing monotonicity.  In
+    d >= 2 the directions from z are 96 seeded random ones and the
+    coordinate axes.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     d = g.dimension
     closed = g.oscillation_closed_form(z)
     if closed is not None:
-        return OscillationProfile(z, t_grid, np.asarray(closed(t_grid)), 0, closed)
+        return OscillationProfile(t_grid, np.asarray(closed(t_grid)), 0, closed)
 
-    rng = np.random.default_rng(seed)
     gz = float(g(z[None, :])[0])
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        dirs = rng.standard_normal((sphere_samples, d))
+        dirs = np.random.default_rng(0).standard_normal((96, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = np.concatenate([dirs, np.eye(d), -np.eye(d)])
     fracs = np.concatenate([np.linspace(0.02, 1.0, 25), [0.999, 1.0]])
@@ -416,21 +410,21 @@ def oscillation_profile(g, z, t_grid, sphere_samples=96, seed=0):
             best = max(best, float(vals.max()))
         count += len(w)
         xi[i] = best
-    return OscillationProfile(z, t_grid, xi, count, None)
+    return OscillationProfile(t_grid, xi, count, None)
 
 
 # ---------------------------------------------------------------------------
 # Riemann-Stieltjes integration
 # ---------------------------------------------------------------------------
 
-def stieltjes_integral(f, xi, t_max, tol=1e-6, initial_panels=16,
-                       max_refinements=60, mono_slack=None):
+def stieltjes_integral(f, xi, t_max, tol=1e-6, mono_slack=None):
     """Darboux-bracketed Stieltjes integral int_0^{t_max} f(t) d xi(t).
 
     f must be nonincreasing and xi nondecreasing on [0, t_max]; the upper and
     lower Darboux-Stieltjes sums then bracket the true value and the bracket
     is nested under refinement.  Returns the bracket midpoint with the
-    half-width as the error estimate.
+    half-width as the error estimate.  The bracket starts from 16 equal
+    panels and is refined at most 60 times.
 
     f and xi are vectorized: each refinement level calls each of them once,
     on the array of that level's new abscissae.
@@ -442,12 +436,12 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, initial_panels=16,
         return np.asarray(fn(t), dtype=float)
 
     # geometric points resolve integrators that vary on log scales near 0
-    pts = set(np.linspace(0.0, t_max, initial_panels + 1))
+    pts = set(np.linspace(0.0, t_max, 16 + 1))
     pts |= {t_max * 10.0 ** (-k) for k in range(1, 7)}
     pts = np.array(sorted(pts))
     fs, xs = values(f, pts), values(xi, pts)
 
-    for _ in range(max_refinements + 1):
+    for _ in range(60 + 1):
         slack = mono_slack
         if slack is None:
             slack = 1e-9 * max(1.0, np.abs(fs).max(), np.abs(xs).max())
@@ -481,10 +475,10 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, initial_panels=16,
     )
 
 
-def stieltjes_brackets(f, xi, t_max, levels, initial_panels=16):
+def stieltjes_brackets(f, xi, t_max, levels):
     """(upper, lower) Darboux sums per refinement level; used to check the
     nesting property."""
-    pts = sorted(set(np.linspace(0.0, t_max, initial_panels + 1)))
+    pts = sorted(set(np.linspace(0.0, t_max, 16 + 1)))
     out = []
     for _ in range(levels):
         fs = np.array([float(f(t)) for t in pts])
@@ -505,31 +499,26 @@ class HoelderEstimate:
     """A sampled lower bound for a (generalized) Hoelder seminorm."""
 
     seminorm: float
-    modulus: ModulusFunction
-    pair_count: int
-    max_pair: tuple
 
 
-def _pairwise_max(points, values, denominators):
+def _pairwise_max(values, denominators):
     """Max ratio |v_i - v_j| / den(i, j) over all pairs; den is a callable on
     index arrays."""
-    n = len(points)
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = np.triu_indices(len(values), k=1)
     num = np.abs(values[ii] - values[jj])
     den = denominators(ii, jj)
     ratios = np.full(num.shape, 0.0)
     ok = den > 0.0
     ratios[ok] = num[ok] / den[ok]
     ratios[~ok & (num > 0)] = np.inf
-    k = int(np.argmax(ratios))
-    return float(ratios[k]), (points[ii[k]], points[jj[k]]), len(ii)
+    return float(ratios.max())
 
 
 def seminorm_ext(g, omega, sample_pairs=20000, seed=0, max_radius=None):
     """Sampled exterior seminorm sup |g(y)-g(z)| / omega(|y-z| + d_y + d_z).
 
     Samples are stratified toward the unit sphere (radii 1 + 10^{-k}); the
-    result is a lower bound achieved by the reported pair.
+    result is a lower bound, attained by one sampled pair.
     """
     rng = np.random.default_rng(seed)
     d = g.dimension
@@ -555,8 +544,7 @@ def seminorm_ext(g, omega, sample_pairs=20000, seed=0, max_radius=None):
         sep = np.linalg.norm(pts[ii] - pts[jj], axis=1)
         return np.asarray(omega(sep + dist_bdry[ii] + dist_bdry[jj]))
 
-    best, pair, count = _pairwise_max(pts, vals, den)
-    return HoelderEstimate(best, omega, count, pair)
+    return HoelderEstimate(_pairwise_max(vals, den))
 
 
 def seminorm_interior(u, center, radius, omega, sample_pairs=20000, seed=0):
@@ -576,5 +564,4 @@ def seminorm_interior(u, center, radius, omega, sample_pairs=20000, seed=0):
         sep = np.linalg.norm(pts[ii] - pts[jj], axis=1)
         return np.asarray(omega(sep))
 
-    best, pair, count = _pairwise_max(pts, vals, den)
-    return HoelderEstimate(best, omega, count, pair)
+    return HoelderEstimate(_pairwise_max(vals, den))

@@ -7,13 +7,19 @@ integrals over spheres in d = 2, 3 (``sphere_integrals``, folded by a
 mirror), and the sphere-times-radius rule over the exterior of the unit ball
 for d in {1, 2, 3}, which calls it in a frame along the evaluation point.
 
-All integrands are numpy-vectorized: they accept an ndarray of abscissae and
-return an ndarray of values.  An integrand may instead return a pair
-``(values, errors)``; the per-point errors are then folded into the report's
-error estimate (this is how inner angular integrals propagate their
-uncertainty to the radial rule).  The adaptive driver refines a whole batch
-of integrals at once, so the sphere integrals at all radial nodes of one
-radial panel sweep cost one driver call per level.
+Every rule computes a batch of k integrals in one adaptive pool, and one
+integral is the batch of one: k is read from the per-integral inputs (the
+initial partitions, breakpoints or tolerances), and the report holds
+length-k arrays.  ``_first`` turns the report of one integral into a scalar
+report; ``integrate_1d`` is the public one-integral rule.
+
+Integrands are numpy-vectorized and called as ``f(x, ids)``: an ndarray of
+abscissae and, per abscissa, the index of the integral it belongs to.  They
+return an ndarray of values, or a pair ``(values, errors)`` whose per-point
+errors are folded into the report's error estimate (this is how inner
+angular integrals propagate their uncertainty to the radial rule).  So the
+sphere integrals at all radial nodes of one radial panel sweep cost one
+driver call per level.
 """
 
 from dataclasses import dataclass, replace
@@ -48,11 +54,12 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """A computed scalar with an estimated error and work counters.
+    """A computed value with an estimated error and work counters.
 
-    The batch forms of the rules return one report for k integrals: value
-    and error_estimate are then length-k arrays, function_evals is the total
-    and converged is True when every integral converged.
+    The rules return one report for their k integrals: value and
+    error_estimate are length-k arrays, function_evals is the total and
+    converged is True when every integral converged.  The one-integral
+    functions return the scalar report ``_first`` makes of it.
     """
 
     value: float
@@ -74,6 +81,12 @@ class EvaluationReport:
             value=self.value * factor,
             error_estimate=self.error_estimate * abs(factor),
         )
+
+
+def _first(rep):
+    """The scalar report of a report on one integral."""
+    return replace(rep, value=float(rep.value[0]),
+                   error_estimate=float(rep.error_estimate[0]))
 
 
 # Panels evaluated per integrand call: bounds the size of the abscissa
@@ -130,29 +143,23 @@ def _evaluate_panels(f, lo, hi, ids):
 def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     """Adaptive bisection of a batch of integrals, one per initial partition.
 
-    ``partitions`` is a list of 1-D arrays, or a 2-D array whose rows are the
-    partitions (a repeated point gives an empty panel, which is dropped), and
-    ``abs_tol`` is one value or one per integral.  All panels share one pool,
-    each tagged with the id (index into ``partitions``) of its integral, and
-    every refinement sweep evaluates the new panels of all ids together
-    through ``f(x, ids)``.  Each id follows the scalar rules on its own
-    panels: it stops when its error meets ``max(abs_tol, rel_tol |value|)``,
-    when it holds ``max_subdivisions`` panels, or when integrand-supplied
-    error dominates; otherwise it splits every panel above
-    ``tol / (2 n_panels)`` and at least its worst one.
+    ``partitions`` is a 2-D array whose rows are the partitions (a repeated
+    point gives an empty panel, which is dropped), and ``abs_tol`` is one
+    value or one per integral.  All panels share one pool, each tagged with
+    the id (row of ``partitions``) of its integral, and every refinement
+    sweep evaluates the new panels of all ids together through
+    ``f(x, ids)``.  Each id follows the scalar rules on its own panels: it
+    stops when its error meets ``max(abs_tol, rel_tol |value|)``, when it
+    holds ``max_subdivisions`` panels, or when integrand-supplied error
+    dominates; otherwise it splits every panel above ``tol / (2 n_panels)``
+    and at least its worst one.
 
     Returns (values, errors, function_evals, converged): per-id arrays, and
     one bool that is True when every id met its tolerance.
     """
     n = len(partitions)
-    if isinstance(partitions, np.ndarray):
-        lo, hi = partitions[:, :-1].ravel(), partitions[:, 1:].ravel()
-        ids = np.repeat(np.arange(n), partitions.shape[1] - 1)
-    else:
-        parts = [np.asarray(p, dtype=float) for p in partitions]
-        lo = np.concatenate([p[:-1] for p in parts])
-        hi = np.concatenate([p[1:] for p in parts])
-        ids = np.repeat(np.arange(n), [p.size - 1 for p in parts])
+    lo, hi = partitions[:, :-1].ravel(), partitions[:, 1:].ravel()
+    ids = np.repeat(np.arange(n), partitions.shape[1] - 1)
     keep = hi > lo
     lo, hi, ids = lo[keep], hi[keep], ids[keep]
     values, errors, n_evals = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
@@ -201,22 +208,18 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     return values, errors, n_evals, converged
 
 
-def _integrate(f, points, spec, batch=False, abs_tol=None):
-    """One integral of f(x) over the initial partition ``points``.
-
-    With ``batch``, the integrals of f(x, ids) over the partitions
-    ``points[i]`` instead, in one pool, with one absolute tolerance per
-    integral if ``abs_tol`` is given; the report holds arrays.
-    """
-    if not batch:
-        values, errors, n_evals, ok = _adaptive(
-            lambda x, ids: f(x), [points], spec.rel_tol, spec.abs_tol,
-            spec.max_subdivisions,
-        )
-        return EvaluationReport(float(values[0]), float(errors[0]),
-                                int(n_evals[0]), ok)
+def _integrate(f, partitions, spec, abs_tol=None):
+    """The integrals of f(x, ids) over the initial partitions ``partitions[i]``
+    in one pool, with one absolute tolerance per integral if ``abs_tol`` is
+    given.  Partitions of unequal length are padded by repeating their last
+    point."""
+    if not len(partitions):
+        raise QuadratureError("need at least one integral")
+    width = max(len(p) for p in partitions)
+    rows = np.array([list(p) + [p[-1]] * (width - len(p)) for p in partitions],
+                    dtype=float)
     values, errors, n_evals, ok = _adaptive(
-        f, points, spec.rel_tol, spec.abs_tol if abs_tol is None else abs_tol,
+        f, rows, spec.rel_tol, spec.abs_tol if abs_tol is None else abs_tol,
         spec.max_subdivisions,
     )
     return EvaluationReport(values, errors, int(n_evals.sum()), ok)
@@ -230,28 +233,26 @@ def _partition(a, b, breakpoints=None):
 
 
 def integrate_1d(f, a, b, spec, breakpoints=None):
-    """Adaptive Gauss-Kronrod integration of ``f`` over (a, b)."""
+    """Adaptive Gauss-Kronrod integration of ``f(x)`` over (a, b)."""
     if not a < b:
         raise QuadratureError(f"need a < b, got [{a}, {b}]")
-    return _integrate(f, _partition(a, b, breakpoints), spec)
+    return _first(_integrate(lambda x, ids: f(x),
+                             [_partition(a, b, breakpoints)], spec))
 
 
-def integrate_radial_singular(f, s, R, spec, breakpoints=None, batch=None):
-    """Integrate (rho-1)^{-s} h(rho) over (1, R), h bounded near 1.
+def integrate_radial_singular(f, s, R, spec, breakpoints):
+    """Integrate (rho-1)^{-s} h_i(rho) over (1, R), each h_i bounded near 1.
 
     Uses the substitution rho = 1 + w^{1/(1-s)}; its Jacobian
     w^{s/(1-s)}/(1-s) cancels the endpoint singularity identically, so the
     transformed integrand is bounded and the plain adaptive rule applies.
 
-    The integrand is called as f(q) on the exact boundary offset q = rho - 1
-    (= w^{1/(1-s)}, computed without cancellation), so kernel-type
-    integrands evaluate the singular weight accurately arbitrarily close to
-    the sphere.
-
-    Batch form (``batch`` = k): the k integrals of f(q, ids), ids[j] the
-    integral that q[j] belongs to, run as one adaptive pool; ``breakpoints``
-    then holds one sequence (or None) per integral, and the report's value
-    and error_estimate are length-k arrays.
+    The integrand is called as f(q, ids) on the exact boundary offset
+    q = rho - 1 (= w^{1/(1-s)}, computed without cancellation), so
+    kernel-type integrands evaluate the singular weight accurately
+    arbitrarily close to the sphere; ids[j] is the integral that q[j]
+    belongs to.  ``breakpoints`` holds one sequence of radii per integral,
+    so there are k = len(breakpoints) integrals.
     """
     if R <= 1.0:
         raise QuadratureError("R must exceed 1")
@@ -259,62 +260,50 @@ def integrate_radial_singular(f, s, R, spec, breakpoints=None, batch=None):
         raise QuadratureError("singular exponent must lie in (0, 1)")
     p = 1.0 / (1.0 - s)
 
-    def transformed(w, *ids):
-        q = w**p
-        return _scaled(f(q, *ids), p * w ** (p - 1.0))
+    def transformed(w, ids):
+        return _scaled(f(w**p, ids), p * w ** (p - 1.0))
 
     # Start marginally above zero so q never underflows to an exact 0 (the
     # omitted mass is O(w_lo) times a bounded transformed integrand).
     w_lo = 1e-290 ** (1.0 - s)
 
     def w_partition(bps):
-        w_pts = [w_lo, (R - 1.0) ** (1.0 - s)]
-        if bps is not None:
-            w_pts.extend((r - 1.0) ** (1.0 - s) for r in bps if 1.0 < r < R)
-        return np.array(sorted(set(w_pts)))
+        return sorted({w_lo, (R - 1.0) ** (1.0 - s)}
+                      | {(r - 1.0) ** (1.0 - s) for r in bps if 1.0 < r < R})
 
-    if batch is None:
-        return _integrate(transformed, w_partition(breakpoints), spec)
-    if breakpoints is None or len(breakpoints) != batch:
-        raise QuadratureError("need one breakpoint sequence per integral")
-    return _integrate(transformed, [w_partition(b) for b in breakpoints],
-                      spec, batch=True)
+    return _integrate(transformed, [w_partition(b) for b in breakpoints], spec)
 
 
-def integrate_radial_unbounded(f, R, decay_exponent, spec, batch=None,
-                               abs_tol=None):
-    """Integrate f over (R, infinity) given |f(rho)| <= M rho^{-1-decay}.
+def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
+    """Integrate f_i over (R, infinity) given |f_i(rho)| <= M rho^{-1-decay}.
 
     Maps (R, inf) onto (0, 1] via rho = R/v.  The mapped integrand behaves
     like v^{decay-1} at v = 0, so for decay < 1 a further power substitution
     v = z^{1/decay} flattens the endpoint.  No truncation is performed, hence
     no analytic remainder term enters the estimate.
 
-    Batch form (``batch`` = k): the k integrals of f(rho, ids) run as one
-    adaptive pool, each with its own absolute tolerance ``abs_tol[i]`` if
-    given (else ``spec.abs_tol``); the report holds length-k arrays.
+    The integrand is called as f(rho, ids), ids[j] the integral that rho[j]
+    belongs to.  Integral i gets the absolute tolerance ``abs_tol[i]``, so
+    there are k = len(abs_tol) integrals.
     """
     if decay_exponent <= 0:
         raise QuadratureError("decay_exponent must be positive")
     if R <= 0:
         raise QuadratureError("R must be positive")
 
-    def mapped(v, *ids):
-        return _scaled(f(R / v, *ids), R / v**2)
+    def mapped(v, ids):
+        return _scaled(f(R / v, ids), R / v**2)
 
     if decay_exponent >= 1.0:
         integrand = mapped
     else:
         q = 1.0 / decay_exponent
 
-        def integrand(z, *ids):
-            return _scaled(mapped(z**q, *ids), q * z ** (q - 1.0))
+        def integrand(z, ids):
+            return _scaled(mapped(z**q, ids), q * z ** (q - 1.0))
 
-    points = np.array([0.0, 0.5, 1.0])
-    if batch is None:
-        return _integrate(integrand, points, spec)
-    return _integrate(integrand, [points] * batch, spec, batch=True,
-                      abs_tol=abs_tol)
+    abs_tol = np.asarray(abs_tol, dtype=float)
+    return _integrate(integrand, [(0.0, 0.5, 1.0)] * abs_tol.size, spec, abs_tol)
 
 
 def _frame(x_eval, d):
@@ -369,7 +358,7 @@ def sphere_integrals(g, frame, radii, partitions, rule):
     stacked rows [y; y'], y' the mirror image of y and ``ids[j]`` the radius
     index of row j, and returns values or a (values, errors) pair whose two
     halves are summed.  The outer integral runs over the polar angle from u
-    on the initial partitions ``partitions[i]`` of (0, pi), under ``rule``;
+    on the rows ``partitions[i]`` of (0, pi) of a 2-D array, under ``rule``;
     in d = 3 each polar node opens a longitude integral over (0, pi), and
     those run as one nested batch under ``_inner_spec(rule)``.
 
@@ -422,55 +411,51 @@ def sphere_integrals(g, frame, radii, partitions, rule):
 
 def integrate_exterior_ball(
     F,
-    d,
     x_eval,
     s,
     spec,
+    radial_breakpoints,
     support_radius=None,
     decay_exponent=None,
-    radial_breakpoints=(),
     angular_breakpoints=None,
     axisymmetric=False,
-    batch=None,
 ):
-    """Integrate F over the exterior of the unit ball in dimension d.
+    """Integrate k integrands F_i over the exterior of the unit ball in R^d.
 
-    F is called as F(points, norm2m1) on an (n, d) array of points and the
-    per-point array of |y|^2 - 1, computed without cancellation, and returns
-    n values; it is assumed to carry the boundary weight (|y|^2-1)^{-s} near
-    the unit sphere.  The radial direction uses the singularity-removing
-    substitution with a panel grading keyed to the distance 1-|x_eval| (the
-    Poisson-kernel concentration scale).  The angular direction is
-    ``sphere_integrals`` in a frame along x_eval: the polar angle from
-    x_eval, graded toward the Poisson-kernel peak, with the sphere folded by
-    a mirror so that mirror-symmetric integrands are resolved on exactly
-    mirrored nodes.  ``angular_breakpoints(rho)`` maps an array of radii to
-    an (n, m) array of polar angles in that folded range where F may kink on
-    each sphere; entries outside (0, pi), NaN included, are ignored.  In
-    d = 1 the sphere is the pair {rho, -rho}; in d = 3 an ``axisymmetric``
-    F (symmetric about the line through x_eval) needs the polar integral
-    only.  The angular integrals of all radial nodes in one radial panel
-    sweep run as one batch; if any of them ends unconverged, so does the
-    result.
+    d = len(x_eval) is 1, 2 or 3, and ``radial_breakpoints`` holds one
+    sequence of radii where F_i may kink per integral, so there are
+    k = len(radial_breakpoints) integrals.  F is called as
+    F(points, norm2m1, ids) on an (n, d) array of points, the per-point
+    array of |y|^2 - 1, computed without cancellation, and the per-point
+    index in 0..k-1 of the integral, and returns n values; it is assumed to
+    carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  The
+    radial direction uses the singularity-removing substitution with a panel
+    grading keyed to the distance 1-|x_eval| (the Poisson-kernel
+    concentration scale).  The angular direction is ``sphere_integrals`` in
+    a frame along x_eval: the polar angle from x_eval, graded toward the
+    Poisson-kernel peak, with the sphere folded by a mirror so that
+    mirror-symmetric integrands are resolved on exactly mirrored nodes.
+    ``angular_breakpoints(rho, ids)`` maps an array of radii and their
+    integrals to an (n, m) array of polar angles in that folded range where
+    F may kink on each sphere; entries outside (0, pi), NaN included, are
+    ignored.  In d = 1 the sphere is the pair {rho, -rho}; in d = 3 an
+    ``axisymmetric`` F (symmetric about the line through x_eval) needs the
+    polar integral only.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
-    field.
-
-    Batch form (``batch`` = k): the k integrals of F(points, norm2m1, ids),
-    ids[j] in 0..k-1 the integral that point j belongs to, run together:
-    ``radial_breakpoints`` holds one sequence per integral,
-    ``angular_breakpoints`` is called as (rho, ids), and each integral's far
-    field gets its own tolerance.  Each radial and angular rule is one
-    adaptive pool over the batch, in which every integral gets the panels it
-    gets alone.  The report's value and error_estimate are length-k arrays,
-    function_evals counts every point and converged is the AND over the batch.
+    field; each integral's far field gets its own tolerance.  Each radial
+    and angular rule is one adaptive pool over the k integrals, in which
+    every integral gets the panels it gets alone; the angular integrals of
+    all radial nodes in one radial panel sweep run as one batch.  The
+    report's value and error_estimate are length-k arrays, function_evals
+    counts every point and converged is False if any integral, angular ones
+    included, ends unconverged.
     """
+    x = np.atleast_1d(np.asarray(x_eval, dtype=float))
+    d = x.size
     if d not in (1, 2, 3):
         raise QuadratureError("only d in {1, 2, 3} is supported")
-    x = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    if x.size != d:
-        raise QuadratureError("x_eval dimension mismatch")
     delta = 1.0 - float(np.linalg.norm(x))
     if delta <= 0.0:
         raise QuadratureError("x_eval must lie in the open unit ball")
@@ -478,19 +463,6 @@ def integrate_exterior_ball(
         raise QuadratureError(
             "declare either support_radius or decay_exponent for the far field"
         )
-    if batch is None:
-        # One integral is the batch of one.
-        F_one, bps_one = F, angular_breakpoints
-        radial_breakpoints = [radial_breakpoints]
-
-        def F(points, norm2m1, ids):
-            return F_one(points, norm2m1)
-
-        if bps_one is not None:
-            def angular_breakpoints(rho, ids):
-                return bps_one(rho)
-    k = 1 if batch is None else batch
-
     frame = _frame(x, d)
     inner = _inner_spec(spec)
     evals = [0]
@@ -549,9 +521,7 @@ def integrate_exterior_ball(
     bps = [sorted(graded | {r for r in b if 1.0 < r < r_near_end})
            for b in radial_breakpoints]
 
-    total = integrate_radial_singular(
-        radial_q, s, r_near_end, spec, breakpoints=bps, batch=k
-    )
+    total = integrate_radial_singular(radial_q, s, r_near_end, spec, bps)
     if support_radius is None:
         def radial_far(rho, ids):
             return radial_q(rho - 1.0, ids)
@@ -559,13 +529,9 @@ def integrate_exterior_ball(
         # The far field's error budget is relative to the whole integral, not
         # to its own (possibly tiny) value.
         far = integrate_radial_unbounded(
-            radial_far, r_near_end, decay_exponent, spec, batch=k,
-            abs_tol=np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value)),
+            radial_far, r_near_end, decay_exponent, spec,
+            np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value)),
         )
         total = total + far
-    value, error = total.value, total.error_estimate
-    if batch is None:
-        value, error = float(value[0]), float(error[0])
-    return EvaluationReport(
-        value, error, evals[0], total.converged and inner_ok[0]
-    )
+    return replace(total, function_evals=evals[0],
+                   converged=total.converged and inner_ok[0])

@@ -34,6 +34,7 @@ from .quadrature import (
     sphere_integrals,
     # Not called here: perfbench/tracer.py patches this module's binding.
     _adaptive,  # noqa: F401
+    _first,
     _frame,
     _integrate,
     _scaled,
@@ -146,6 +147,20 @@ def _sphere_grid(d, n):
     return np.column_stack([r * np.cos(a), r * np.sin(a), z])
 
 
+def sphere_crossing_radii(measure, x):
+    """Radii r at which x + r theta crosses the unit sphere, |x| < 1, for
+    theta in the support of ``measure``: where the mu-average of a function
+    that kinks on the unit sphere kinks.  For the uniform measure they are
+    1 - |x| and 1 + |x|; along an atom theta, r = -x.theta +
+    sqrt((x.theta)^2 + 1 - |x|^2)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    nx = float(np.linalg.norm(x))
+    if measure.variant == "uniform":
+        return (1.0 - nx, 1.0 + nx)
+    c = np.array([theta for theta, _ in measure.atoms]) @ x
+    return tuple((np.sqrt(c * c + (1.0 - nx) * (1.0 + nx)) - c).tolist())
+
+
 def nondegeneracy_constant(measure, s, xi_samples=720):
     """Lower-bound estimate of inf_xi int |theta.xi|^{2s} mu(dtheta).
 
@@ -195,7 +210,7 @@ def _average(measure, phi, x, r):
         return (vals.reshape(r.size, -1) @ weights,
                 errs.reshape(r.size, -1) @ weights)
     vals, errs, _ = sphere_integrals(
-        lambda y, ids: phi(y), _frame(x, d), r, [(0.0, np.pi)] * r.size,
+        lambda y, ids: phi(y), _frame(x, d), r, np.tile([0.0, np.pi], (r.size, 1)),
         _SPHERE_RULE,
     )
     c = measure.total_mass / _SPHERE_AREA[d]
@@ -212,13 +227,14 @@ def _abs_average(measure, u, y, r):
 
 
 def _radial(integrand, points, spec, decay=None):
-    """The integral of ``integrand`` over the partition ``points``, plus the
-    one over (points[-1], inf) when ``decay`` is given (|integrand(r)| <=
-    M r^{-1-decay} there)."""
-    rep = _integrate(integrand, np.array(points), spec)
+    """The integral of ``integrand(r, ids)`` over the partition ``points``,
+    plus the one over (points[-1], inf) when ``decay`` is given
+    (|integrand(r)| <= M r^{-1-decay} there)."""
+    rep = _integrate(integrand, [points], spec)
     if decay is not None:
-        rep = rep + integrate_radial_unbounded(integrand, points[-1], decay, spec)
-    return rep
+        rep = rep + integrate_radial_unbounded(integrand, points[-1], decay,
+                                               spec, [spec.abs_tol])
+    return _first(rep)
 
 
 def apply_operator(
@@ -252,7 +268,7 @@ def apply_operator(
         v, e = _values_errors(u(x + y))
         return u0 - v, u0_err + e
 
-    def core(r):
+    def core(r, ids):
         return _scaled(_average(op.measure, first_difference, x, r),
                        r ** (-1.0 - 2.0 * s))
 
@@ -260,8 +276,8 @@ def apply_operator(
     # integrand into a bounded one.
     b = 1.0 / (2.0 - 2.0 * s)
 
-    def near(w):
-        return _scaled(core(w**b), b * w ** (b - 1.0))
+    def near(w, ids):
+        return _scaled(core(w**b, ids), b * w ** (b - 1.0))
 
     w_lo = 1e-200 ** (1.0 / b)
     rep = _radial(near, sorted(
@@ -293,7 +309,7 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
     if growth_exponent >= 2.0 * s:
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
 
-    def integrand(t):
+    def integrand(t, ids):
         return _scaled(_abs_average(op.measure, u, y, t), t ** (-1.0 - 2.0 * s))
 
     if support_radius is None:
@@ -318,7 +334,7 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     area = SpectralMeasure.uniform(d, _SPHERE_AREA[d])
     origin = np.zeros(d)
 
-    def integrand(rho):
+    def integrand(rho, ids):
         return _scaled(_abs_average(area, u, origin, rho),
                        rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s))
 

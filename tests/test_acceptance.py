@@ -40,6 +40,7 @@ from fraclab.stable_operator import (
     OperatorSpec,
     SpectralMeasure,
     apply_operator,
+    sphere_crossing_radii,
     tail,
 )
 
@@ -262,7 +263,7 @@ def test_criterion_09_operator_cross_validation():
     part_b = True
     rel_worst = 0.0
     for x in (0.0, 0.5):
-        bps = tuple(p for p in (1.0 - x, 1.0 + x) if p > 0.0)
+        bps = sphere_crossing_radii(op2.measure, [x])
         a = apply_operator(op2, bump, [x], coarse, support_radius=1.0,
                            radial_breakpoints=bps)
         b = apply_operator(op2, bump, [x], fine, support_radius=1.0,

@@ -17,6 +17,7 @@ from fraclab.quadrature import (
     sphere_integrals,
     PANELS_PER_CALL,
     _adaptive,
+    _first,
     _frame,
 )
 
@@ -111,6 +112,12 @@ BATCH_CASES = [
 ]
 
 
+def _padded(partitions):
+    # rows of equal length, each partition padded by repeating its last point
+    width = max(len(p) for p in partitions)
+    return np.array([list(p) + [p[-1]] * (width - len(p)) for p in partitions])
+
+
 class TestBatchedDriver:
     @pytest.mark.parametrize("rel_tol, max_subdivisions", [(1e-10, 64), (1e-7, 2000)])
     def test_batch_matches_one_integral_at_a_time(self, rel_tol, max_subdivisions):
@@ -132,11 +139,11 @@ class TestBatchedDriver:
 
         args = (rel_tol, 1e-13, max_subdivisions)
         vals, errs, evals, ok = _adaptive(
-            batched, [p for _, p in BATCH_CASES], *args
+            batched, _padded([p for _, p in BATCH_CASES]), *args
         )
         oks = []
         for i, (g, p) in enumerate(BATCH_CASES):
-            v1, e1, n1, ok1 = _adaptive(lambda x, ids: g(x), [p], *args)
+            v1, e1, n1, ok1 = _adaptive(lambda x, ids: g(x), np.array([p]), *args)
             assert abs(vals[i] - v1[0]) <= 1e-14 * max(1.0, abs(v1[0])), i
             assert abs(errs[i] - e1[0]) <= 1e-14 * max(1.0, abs(e1[0])), i
             assert evals[i] == n1[0], i
@@ -146,17 +153,32 @@ class TestBatchedDriver:
         assert evals[-1] == 0 and vals[-1] == 0.0
         assert max(sizes) <= 15 * PANELS_PER_CALL
 
-    def test_rows_of_an_array_are_partitions(self):
-        # A 2-D array whose rows repeat points (the padding of unequal
-        # partitions) gives the list of its deduplicated rows, bit for bit.
+    def test_repeated_points_are_dropped(self):
+        # Rows that repeat points (the padding of unequal partitions) give
+        # the integrals of their deduplicated rows, one at a time, with the
+        # same evals and flags.  Values agree to roundoff only: the G7/K15
+        # matvec rounds a panel by its row's place in the panel array.
         rows = np.array([[0.0, 0.5, 0.5, 1.0, 1.0], [0.0, 0.0, 0.2, 1.0, 1.0]])
         f = lambda x, ids: np.exp((1.0 + ids) * x)
         args = (1e-10, 1e-13, 2000)
         a = _adaptive(f, rows, *args)
-        b = _adaptive(f, [np.unique(r) for r in rows], *args)
-        for u, v in zip(a[:3], b[:3]):
-            assert np.array_equal(u, v)
-        assert a[3] == b[3]
+        ones = [_adaptive(lambda x, ids, i=i: f(x, ids + i), np.unique(r)[None], *args)
+                for i, r in enumerate(rows)]
+        b = [np.concatenate([o[j] for o in ones]) for j in range(3)]
+        assert np.all(np.abs(a[0] - b[0]) <= 1e-14 * np.maximum(1.0, np.abs(b[0])))
+        assert np.all(np.abs(a[1] - b[1]) <= 1e-14 * np.maximum(1.0, np.abs(b[1])))
+        assert np.array_equal(a[2], b[2])
+        assert a[3] == all(o[3] for o in ones)
+
+    def test_zero_integrals_are_rejected(self, spec):
+        f = lambda x, ids: np.ones_like(x)
+        with pytest.raises(QuadratureError):
+            integrate_radial_singular(f, 0.5, 2.0, spec, [])
+        with pytest.raises(QuadratureError):
+            integrate_radial_unbounded(f, 1.0, 1.0, spec, [])
+        with pytest.raises(QuadratureError):
+            integrate_exterior_ball(lambda points, norm2m1, ids: ids * 0.0,
+                                    np.zeros(2), 0.5, spec, [], support_radius=2.0)
 
 
 class TestRadialSingular:
@@ -165,16 +187,17 @@ class TestRadialSingular:
         # int_1^R (rho-1)^{-s} drho = (R-1)^{1-s}/(1-s); the integrand
         # receives q = rho - 1 exactly
         R = 2.0
-        rep = integrate_radial_singular(lambda q: q ** (-s), s, R, spec)
+        rep = _first(integrate_radial_singular(lambda q, ids: q ** (-s), s, R,
+                                               spec, [()]))
         exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= max(rep.error_estimate, 1e-12 * exact)
 
     def test_s_half_weighted_by_rho(self, spec):
         # int_1^2 (rho-1)^{-1/4} * rho drho, reference by dense graded mesh
         s = 0.25
-        rep = integrate_radial_singular(
-            lambda q: q ** (-s) * (1.0 + q), s, 2.0, spec
-        )
+        rep = _first(integrate_radial_singular(
+            lambda q, ids: q ** (-s) * (1.0 + q), s, 2.0, spec, [()]
+        ))
         w = np.linspace(0.0, 1.0, 2_000_001) ** (1.0 / (1.0 - s))
         rho = 1.0 + w[1:]
         ref = np.trapezoid((rho - 1.0) ** (-s) * rho, rho)
@@ -185,49 +208,54 @@ class TestRadialSingular:
         # stays finite and the closed form is reproduced
         s = 0.75
         R = 1.0 + 1e-8
-        rep = integrate_radial_singular(lambda q: q ** (-s), s, R, spec)
+        rep = _first(integrate_radial_singular(lambda q, ids: q ** (-s), s, R,
+                                               spec, [()]))
         # compare against the closed form at the representable radius R
         exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= 1e-12 * exact + 1e-15
 
     def test_zero_function(self, spec):
-        rep = integrate_radial_singular(
-            lambda q: np.zeros_like(q), 0.5, 3.0, spec
-        )
+        rep = _first(integrate_radial_singular(
+            lambda q, ids: np.zeros_like(q), 0.5, 3.0, spec, [()]
+        ))
         assert rep.value == 0.0
 
     def test_rejects_bad_parameters(self, spec):
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda q: q, 0.5, 1.0, spec)
+            integrate_radial_singular(lambda q, ids: q, 0.5, 1.0, spec, [()])
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda q: q, 1.5, 2.0, spec)
+            integrate_radial_singular(lambda q, ids: q, 1.5, 2.0, spec, [()])
 
 
 class TestRadialUnbounded:
     def test_inverse_square(self, spec):
-        rep = integrate_radial_unbounded(lambda r: r**-2.0, 1.0, 1.0, spec)
+        rep = _first(integrate_radial_unbounded(lambda r, ids: r**-2.0, 1.0, 1.0, spec,
+                                                [spec.abs_tol]))
         assert abs(rep.value - 1.0) <= max(rep.error_estimate, 1e-12)
 
     def test_tail_of_constant_matches_antiderivative(self, spec):
         # int_{1/2}^inf r^{-2} dr = 2 (the s = 1/2 tail weight)
-        rep = integrate_radial_unbounded(lambda r: r**-2.0, 0.5, 1.0, spec)
+        rep = _first(integrate_radial_unbounded(lambda r, ids: r**-2.0, 0.5, 1.0, spec,
+                                                [spec.abs_tol]))
         assert abs(rep.value - 2.0) <= max(rep.error_estimate, 1e-11)
 
     def test_slow_decay_uses_endpoint_flattening(self, spec):
         # decay 0.5: int_1^inf r^{-1.5} dr = 2
-        rep = integrate_radial_unbounded(lambda r: r**-1.5, 1.0, 0.5, spec)
+        rep = _first(integrate_radial_unbounded(lambda r, ids: r**-1.5, 1.0, 0.5, spec,
+                                                [spec.abs_tol]))
         assert abs(rep.value - 2.0) <= max(rep.error_estimate, 1e-10)
         assert rep.converged
 
     def test_zero(self, spec):
-        rep = integrate_radial_unbounded(
-            lambda r: np.zeros_like(r), 1.0, 1.0, spec
-        )
+        rep = _first(integrate_radial_unbounded(
+            lambda r, ids: np.zeros_like(r), 1.0, 1.0, spec, [spec.abs_tol]
+        ))
         assert rep.value == 0.0
 
     def test_rejects_nonpositive_decay(self, spec):
         with pytest.raises(QuadratureError):
-            integrate_radial_unbounded(lambda r: r, 1.0, 0.0, spec)
+            integrate_radial_unbounded(lambda r, ids: r, 1.0, 0.0, spec,
+                                       [spec.abs_tol])
 
 
 def _poisson_F(x, s, d):
@@ -236,7 +264,7 @@ def _poisson_F(x, s, d):
     c = math.gamma(0.5 * d) * math.sin(math.pi * s) / math.pi ** (0.5 * d + 1.0)
     one_minus = (1.0 - nx) * (1.0 + nx)
 
-    def F(points, norm2m1):
+    def F(points, norm2m1, ids):
         diff = points - x[None, :]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         return c * (one_minus / norm2m1) ** s / dist2 ** (0.5 * d)
@@ -282,7 +310,7 @@ class TestSphereIntegrals:
     def test_moments_in_a_random_frame(self, d, rng):
         frame = _random_frame(rng, d)
         radii = np.array([0.3, 1.0, 2.5, 10.0])
-        parts = [(0.0, np.pi)] * radii.size
+        parts = np.tile([0.0, np.pi], (radii.size, 1))
         rule = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
         area = 2.0 * np.pi if d == 2 else 4.0 * np.pi
         a = rng.standard_normal(d)
@@ -329,7 +357,7 @@ class TestSphereIntegrals:
         monkeypatch.setattr(quadrature, "_adaptive", spy)
         rule = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-9, max_subdivisions=64)
         vals, errs, ok = sphere_integrals(
-            g, frame, np.array([1.0]), [(0.0, np.pi)], rule
+            g, frame, np.array([1.0]), np.array([[0.0, np.pi]]), rule
         )
         assert flags == [False, True]  # longitude batch, then the polar one
         assert abs(vals[0] - 4.0 * np.pi) <= errs[0] + 1e-9
@@ -342,43 +370,43 @@ class TestExteriorBall:
         s = 0.5
         x = np.zeros(d)
         x[0] = 0.99
-        rep = integrate_exterior_ball(
-            _poisson_F(x, s, d), d, x, s, spec, decay_exponent=2.0 * s,
+        rep = _first(integrate_exterior_ball(
+            _poisson_F(x, s, d), x, s, spec, [()], decay_exponent=2.0 * s,
             axisymmetric=(d == 3),
-        )
+        ))
         assert abs(rep.value - 1.0) <= 1e-7
 
     def test_zero_integrand(self, spec):
-        def F(points, norm2m1):
+        def F(points, norm2m1, ids):
             return np.zeros(points.shape[0])
 
-        rep = integrate_exterior_ball(
-            F, 2, np.array([0.0, 0.0]), 0.5, spec, support_radius=3.0
-        )
+        rep = _first(integrate_exterior_ball(
+            F, np.array([0.0, 0.0]), 0.5, spec, [()], support_radius=3.0
+        ))
         assert rep.value == 0.0
 
     def test_odd_integrand_cancels_exactly(self, spec):
         # odd in y_2 with x on the e1-axis: mirrored angular nodes cancel
-        def F(points, norm2m1):
+        def F(points, norm2m1, ids):
             return points[:, 1] / (1.0 + norm2m1)
 
-        rep = integrate_exterior_ball(
-            F, 2, np.array([0.4, 0.0]), 0.5, spec, support_radius=5.0
-        )
+        rep = _first(integrate_exterior_ball(
+            F, np.array([0.4, 0.0]), 0.5, spec, [()], support_radius=5.0
+        ))
         assert rep.value == 0.0
 
     def test_unconverged_angular_integral_is_reported(self):
         # A square wave of 40 periods in the polar angle, phase-shifted off
         # the angular breakpoints: every inner integral hits its panel cap
         # while the outer estimate alone meets the tolerance.
-        def F(points, norm2m1):
+        def F(points, norm2m1, ids):
             theta = np.arctan2(points[:, 1], points[:, 0])
             return 1.0 + np.floor(40.0 * theta / np.pi + 0.3) % 2
 
         spec = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-12, max_subdivisions=64)
-        rep = integrate_exterior_ball(
-            F, 2, np.array([0.0, 0.0]), 0.5, spec, support_radius=2.0
-        )
+        rep = _first(integrate_exterior_ball(
+            F, np.array([0.0, 0.0]), 0.5, spec, [()], support_radius=2.0
+        ))
         assert rep.error_estimate <= spec.tolerance(rep.value)
         assert not rep.converged
 
@@ -386,52 +414,58 @@ class TestExteriorBall:
         (1, False, None), (2, False, None), (2, False, 3.0),
         (3, True, None), (3, False, None),
     ])
-    def test_batch_of_one_is_the_plain_call(self, d, axisymmetric, support):
-        # Bit for bit: value, error, evals and flag, with radial and angular
-        # breakpoints and with either far field.
+    def test_k_integrals_are_k_one_integral_calls(self, d, axisymmetric, support):
+        # Each integral gets its own radial and angular breakpoints, under
+        # either far field: the same evals and flags as alone, and values
+        # and errors to roundoff (the G7/K15 matvec rounds a panel by its
+        # row's place in the panel array).
         s = 0.5
         x = np.array([0.6, -0.3, 0.2][:d])
-        F = _poisson_F(x, s, d)
+        P = _poisson_F(x, s, d)
         spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
         far = ({"decay_exponent": 2.0 * s} if support is None
                else {"support_radius": support})
+        weight, cut = np.array([1.0, 2.5, 0.5]), np.array([0.3, 0.6, 0.3])
+        radial = [(1.5, 1.7), (1.2,), ()]
 
-        def bps(rho):
-            return np.column_stack([0.3 / rho, np.full(rho.shape, np.nan)])
+        def call(rows):
+            return integrate_exterior_ball(
+                lambda points, norm2m1, ids: weight[rows[ids]] * P(points, norm2m1, ids),
+                x, s, spec, [radial[i] for i in rows],
+                angular_breakpoints=lambda rho, ids: np.column_stack(
+                    [cut[rows[ids]] / rho, np.full(rho.shape, np.nan)]),
+                axisymmetric=axisymmetric, **far)
 
-        plain = integrate_exterior_ball(
-            F, d, x, s, spec, radial_breakpoints=(1.5, 1.7),
-            angular_breakpoints=bps, axisymmetric=axisymmetric, **far)
-        batch = integrate_exterior_ball(
-            lambda points, norm2m1, ids: F(points, norm2m1), d, x, s, spec,
-            radial_breakpoints=[(1.5, 1.7)],
-            angular_breakpoints=lambda rho, ids: bps(rho),
-            axisymmetric=axisymmetric, batch=1, **far)
-        assert batch.value.shape == batch.error_estimate.shape == (1,)
-        assert (batch.value[0], batch.error_estimate[0]) == \
-            (plain.value, plain.error_estimate)
-        assert (batch.function_evals, batch.converged) == \
-            (plain.function_evals, plain.converged)
-
-    def test_batch_needs_one_breakpoint_sequence_per_integral(self, spec):
-        with pytest.raises(QuadratureError):
-            integrate_exterior_ball(
-                lambda points, norm2m1, ids: np.zeros(points.shape[0]), 2,
-                np.zeros(2), 0.5, spec, support_radius=2.0,
-                radial_breakpoints=[()], batch=2)
+        rep = call(np.arange(3))
+        one = [call(np.array([i])) for i in range(3)]
+        assert rep.value.shape == rep.error_estimate.shape == (3,)
+        for got, alone in ((rep.value, [r.value[0] for r in one]),
+                           (rep.error_estimate, [r.error_estimate[0] for r in one])):
+            assert np.all(np.abs(got - alone) <= 1e-14 * np.maximum(1.0, np.abs(alone)))
+        assert rep.function_evals == sum(r.function_evals for r in one)
+        assert rep.converged == all(r.converged for r in one)
 
     def test_requires_far_field_declaration(self, spec):
-        def F(points, norm2m1):
+        def F(points, norm2m1, ids):
             return np.zeros(points.shape[0])
 
         with pytest.raises(QuadratureError):
-            integrate_exterior_ball(F, 2, np.array([0.0, 0.0]), 0.5, spec)
+            integrate_exterior_ball(F, np.array([0.0, 0.0]), 0.5, spec, [()])
 
     def test_rejects_exterior_evaluation_point(self, spec):
-        def F(points, norm2m1):
+        def F(points, norm2m1, ids):
             return np.zeros(points.shape[0])
 
         with pytest.raises(QuadratureError):
             integrate_exterior_ball(
-                F, 1, np.array([1.5]), 0.5, spec, support_radius=2.0
+                F, np.array([1.5]), 0.5, spec, [()], support_radius=2.0
+            )
+
+    def test_rejects_dimension_above_3(self, spec):
+        def F(points, norm2m1, ids):
+            return np.zeros(points.shape[0])
+
+        with pytest.raises(QuadratureError):
+            integrate_exterior_ball(
+                F, np.zeros(4), 0.5, spec, [()], support_radius=2.0
             )

@@ -12,6 +12,7 @@ from fraclab.stable_operator import (
     SpectralMeasure,
     apply_operator,
     nondegeneracy_constant,
+    sphere_crossing_radii,
     tail,
     tail_space_norm,
 )
@@ -19,6 +20,15 @@ from fraclab.stable_operator import (
 
 def pm_atoms_1d(w=1.0):
     return SpectralMeasure.atomic(1, [((1.0,), w), ((-1.0,), w)])
+
+
+def bump(s):
+    # (1-|x|^2)_+^s: A bump = (1-s) m pi / (2 sin(pi s)) inside the ball for
+    # the uniform measure of total mass m, and for atoms of total mass m
+    def u(pts):
+        return np.maximum(1.0 - np.einsum("ij,ij->i", pts, pts), 0.0) ** s
+
+    return u
 
 
 class TestSpectralMeasure:
@@ -89,15 +99,11 @@ class TestApplyOperator:
     def test_bump_profile_constant_inside_ball(self, spec):
         s = 0.5
         op = OperatorSpec(SpectralMeasure.uniform(1, 2.0), s=s)
-
-        def u(pts):
-            r2 = np.einsum("ij,ij->i", pts, pts)
-            return np.maximum(1.0 - r2, 0.0) ** s
-
         vals = []
-        for x, bps in [(0.0, (1.0,)), (0.5, (0.5, 1.5))]:
-            rep = apply_operator(op, u, [x], spec, support_radius=1.0,
-                                 radial_breakpoints=bps)
+        for x in (0.0, 0.5):
+            rep = apply_operator(op, bump(s), [x], spec, support_radius=1.0,
+                                 radial_breakpoints=sphere_crossing_radii(
+                                     op.measure, [x]))
             vals.append(rep.value)
         assert abs(vals[0] - vals[1]) <= 1e-3 * abs(vals[0])
 
@@ -177,17 +183,49 @@ class TestApplyOperator:
         else:
             mu = SpectralMeasure.coordinate_axes(d, m / (2 * d))
         op = OperatorSpec(mu, s=s)
-
-        def u(pts):
-            return np.maximum(1.0 - np.einsum("ij,ij->i", pts, pts), 0.0) ** s
-
-        r = math.hypot(*x)
-        rep = apply_operator(op, u, x, fast_spec, support_radius=1.0,
-                             radial_breakpoints=(1.0 - r, 1.0 + r))
+        rep = apply_operator(op, bump(s), x, fast_spec, support_radius=1.0,
+                             radial_breakpoints=sphere_crossing_radii(mu, x))
         exact = (1.0 - s) * m * math.pi / (2.0 * math.sin(math.pi * s))
         assert rep.converged
         miss = abs(rep.value - exact)
-        assert miss <= rep.error_estimate + fast_spec.tolerance(exact)
+        assert miss <= rep.error_estimate + fast_spec.abs_tol
+
+    @pytest.mark.parametrize(
+        "x", [(0.22054855, -0.21983425), (0.3, -0.2, 0.15)], ids=["d2", "d3"]
+    )
+    def test_atomic_bump_kinks_are_breakpoints(self, x, fast_spec):
+        # Along an atom theta the bump kinks where |x + r theta| = 1, not at
+        # 1 -+ |x|; with 1 -+ |x| the d = 2 value misses pi/2 by 1.7e-6
+        # against an estimate of 5.5e-7.
+        s, d = 0.5, len(x)
+        mu = SpectralMeasure.coordinate_axes(d, 1.0 / d)
+        rep = apply_operator(OperatorSpec(mu, s=s), bump(s), x, fast_spec,
+                             support_radius=1.0,
+                             radial_breakpoints=sphere_crossing_radii(mu, x))
+        assert rep.converged
+        assert abs(rep.value - 0.5 * math.pi) <= rep.error_estimate + fast_spec.abs_tol
+
+
+class TestSphereCrossingRadii:
+    @pytest.mark.parametrize("x", [[0.3], [-0.7], [0.0], [0.3, -0.4],
+                                   [0.1, 0.2, -0.3]])
+    def test_uniform_gives_nearest_and_farthest_distance(self, x):
+        r = float(np.linalg.norm(np.asarray(x)))
+        radii = sphere_crossing_radii(SpectralMeasure.uniform(len(x), 2.0), x)
+        assert radii == (1.0 - r, 1.0 + r)
+
+    def test_atoms_meet_the_unit_sphere(self, rng):
+        x = np.array([0.3, -0.2, 0.15])
+        pairs = []
+        for v in rng.standard_normal((3, 3)):
+            v /= np.linalg.norm(v)
+            pairs += [(v, 0.5), (-v, 0.5)]
+        mu = SpectralMeasure.atomic(3, pairs)
+        radii = sphere_crossing_radii(mu, x)
+        assert len(radii) == len(mu.atoms)
+        for (theta, _), r in zip(mu.atoms, radii):
+            assert r > 0.0
+            assert abs(np.linalg.norm(x + r * np.asarray(theta)) - 1.0) <= 1e-15
 
 
 class TestTail:
