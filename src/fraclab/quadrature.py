@@ -85,8 +85,8 @@ class EvaluationReport:
 
 def _first(rep):
     """The scalar report of a report on one integral."""
-    return replace(rep, value=float(rep.value[0]),
-                   error_estimate=float(rep.error_estimate[0]))
+    return EvaluationReport(float(rep.value[0]), float(rep.error_estimate[0]),
+                            rep.function_evals, rep.converged)
 
 
 # Panels evaluated per integrand call: bounds the size of the abscissa

@@ -148,17 +148,23 @@ def _sphere_grid(d, n):
 
 
 def sphere_crossing_radii(measure, x):
-    """Radii r at which x + r theta crosses the unit sphere, |x| < 1, for
-    theta in the support of ``measure``: where the mu-average of a function
-    that kinks on the unit sphere kinks.  For the uniform measure they are
-    1 - |x| and 1 + |x|; along an atom theta, r = -x.theta +
-    sqrt((x.theta)^2 + 1 - |x|^2)."""
+    """Radii r > 0 at which x + r theta crosses the unit sphere, for theta
+    in the support of ``measure``: where the mu-average of a function that
+    kinks on the unit sphere kinks.  For the uniform measure they are
+    |1 - |x|| and 1 + |x|; along an atom theta, the positive ones of
+    r = -x.theta +- sqrt((x.theta)^2 + 1 - |x|^2) (only the + root when
+    |x| < 1, none when the ray misses the sphere)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size != measure.dimension:
+        raise QuadratureError("point dimension mismatch")
     nx = float(np.linalg.norm(x))
     if measure.variant == "uniform":
-        return (1.0 - nx, 1.0 + nx)
+        return (abs(1.0 - nx), 1.0 + nx)
     c = np.array([theta for theta, _ in measure.atoms]) @ x
-    return tuple((np.sqrt(c * c + (1.0 - nx) * (1.0 + nx)) - c).tolist())
+    radicand = c * c + (1.0 - nx) * (1.0 + nx)
+    c, root = c[radicand >= 0.0], np.sqrt(radicand[radicand >= 0.0])
+    r = np.concatenate([root - c, -root - c])
+    return tuple(r[r > 0.0].tolist())
 
 
 def nondegeneracy_constant(measure, s, xi_samples=720):

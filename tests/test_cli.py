@@ -102,6 +102,8 @@ def test_unknown_command_exits_with_usage_error():
          "malformed number 'abc'"),
         (("apply-operator", "--d", "2", "--measure", "uniform:x", "--x", "0,0"),
          "malformed number 'x'"),
+        (("apply-operator", "--d", "2", "--measure", "atomic:1,0,1;-1,0,1",
+          "--x", "0.1,0.2,0.3"), "point dimension mismatch"),
         (("sweep-upper", "--config", "[experiment]\ns = abc\n"),
          "malformed number 'abc'"),
         (("sweep-upper", "--config", "[experiment]\nd = 2.5\n"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclab import quadrature
+from fraclab import _accel, quadrature
 from fraclab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -118,9 +118,42 @@ def _padded(partitions):
     return np.array([list(p) + [p[-1]] * (width - len(p)) for p in partitions])
 
 
+class _RowWise(np.ndarray):
+    """Gauss-Kronrod weights whose product with a panel array takes one dot
+    product per row, so a panel's rounding does not depend on its row."""
+
+    __array_ufunc__ = None
+
+    def __rmatmul__(self, rows):
+        return np.array([row @ self.view(np.ndarray) for row in rows])
+
+
+@pytest.fixture(params=["matvec", "rowwise"])
+def reduction(request, monkeypatch):
+    """The panel reduction: the shipped matrix-vector products, which may
+    round a panel by its row in the panel array, or one dot product per row,
+    under which a batch reproduces each of its integrals bit for bit."""
+    if request.param == "rowwise":
+        for module, name in ((_accel, "GK_WEIGHTS_K"), (_accel, "GK_WEIGHTS_G"),
+                             (quadrature, "GK_WEIGHTS_K")):
+            monkeypatch.setattr(module, name, getattr(module, name).view(_RowWise))
+    return request.param
+
+
+def _assert_same(got, alone, reduction):
+    """Bit for bit under the row-wise reduction, to roundoff under the
+    matrix-vector one."""
+    got, alone = np.asarray(got), np.asarray(alone)
+    if reduction == "rowwise":
+        assert np.array_equal(got, alone)
+    else:
+        assert np.all(np.abs(got - alone) <= 1e-14 * np.maximum(1.0, np.abs(alone)))
+
+
 class TestBatchedDriver:
     @pytest.mark.parametrize("rel_tol, max_subdivisions", [(1e-10, 64), (1e-7, 2000)])
-    def test_batch_matches_one_integral_at_a_time(self, rel_tol, max_subdivisions):
+    def test_batch_matches_one_integral_at_a_time(self, rel_tol, max_subdivisions,
+                                                  reduction):
         sizes = []
 
         def batched(x, ids):
@@ -144,8 +177,8 @@ class TestBatchedDriver:
         oks = []
         for i, (g, p) in enumerate(BATCH_CASES):
             v1, e1, n1, ok1 = _adaptive(lambda x, ids: g(x), np.array([p]), *args)
-            assert abs(vals[i] - v1[0]) <= 1e-14 * max(1.0, abs(v1[0])), i
-            assert abs(errs[i] - e1[0]) <= 1e-14 * max(1.0, abs(e1[0])), i
+            _assert_same(vals[i], v1[0], reduction)
+            _assert_same(errs[i], e1[0], reduction)
             assert evals[i] == n1[0], i
             oks.append(ok1)
         assert ok == all(oks)
@@ -154,20 +187,27 @@ class TestBatchedDriver:
         assert max(sizes) <= 15 * PANELS_PER_CALL
 
     def test_repeated_points_are_dropped(self):
-        # Rows that repeat points (the padding of unequal partitions) give
-        # the integrals of their deduplicated rows, one at a time, with the
-        # same evals and flags.  Values agree to roundoff only: the G7/K15
-        # matvec rounds a panel by its row's place in the panel array.
+        # A 2-D array whose rows repeat points (the padding of unequal
+        # partitions) gives the array of its deduplicated rows, bit for bit.
+        rows = np.array([[0.0, 0.5, 0.5, 1.0, 1.0], [0.0, 0.0, 0.2, 1.0, 1.0]])
+        f = lambda x, ids: np.exp((1.0 + ids) * x)
+        args = (1e-10, 1e-13, 2000)
+        a = _adaptive(f, rows, *args)
+        b = _adaptive(f, np.array([np.unique(r) for r in rows]), *args)
+        for u, v in zip(a[:3], b[:3]):
+            assert np.array_equal(u, v)
+        assert a[3] == b[3]
+
+    def test_padded_rows_are_their_integrals_one_at_a_time(self, reduction):
         rows = np.array([[0.0, 0.5, 0.5, 1.0, 1.0], [0.0, 0.0, 0.2, 1.0, 1.0]])
         f = lambda x, ids: np.exp((1.0 + ids) * x)
         args = (1e-10, 1e-13, 2000)
         a = _adaptive(f, rows, *args)
         ones = [_adaptive(lambda x, ids, i=i: f(x, ids + i), np.unique(r)[None], *args)
                 for i, r in enumerate(rows)]
-        b = [np.concatenate([o[j] for o in ones]) for j in range(3)]
-        assert np.all(np.abs(a[0] - b[0]) <= 1e-14 * np.maximum(1.0, np.abs(b[0])))
-        assert np.all(np.abs(a[1] - b[1]) <= 1e-14 * np.maximum(1.0, np.abs(b[1])))
-        assert np.array_equal(a[2], b[2])
+        _assert_same(a[0], np.concatenate([o[0] for o in ones]), reduction)
+        _assert_same(a[1], np.concatenate([o[1] for o in ones]), reduction)
+        assert np.array_equal(a[2], np.concatenate([o[2] for o in ones]))
         assert a[3] == all(o[3] for o in ones)
 
     def test_zero_integrals_are_rejected(self, spec):
@@ -414,11 +454,11 @@ class TestExteriorBall:
         (1, False, None), (2, False, None), (2, False, 3.0),
         (3, True, None), (3, False, None),
     ])
-    def test_k_integrals_are_k_one_integral_calls(self, d, axisymmetric, support):
+    def test_k_integrals_are_k_one_integral_calls(self, d, axisymmetric, support,
+                                                  reduction):
         # Each integral gets its own radial and angular breakpoints, under
-        # either far field: the same evals and flags as alone, and values
-        # and errors to roundoff (the G7/K15 matvec rounds a panel by its
-        # row's place in the panel array).
+        # either far field: the same values, errors, evals and flags as
+        # alone (see ``reduction`` for when bit for bit).
         s = 0.5
         x = np.array([0.6, -0.3, 0.2][:d])
         P = _poisson_F(x, s, d)
@@ -439,9 +479,8 @@ class TestExteriorBall:
         rep = call(np.arange(3))
         one = [call(np.array([i])) for i in range(3)]
         assert rep.value.shape == rep.error_estimate.shape == (3,)
-        for got, alone in ((rep.value, [r.value[0] for r in one]),
-                           (rep.error_estimate, [r.error_estimate[0] for r in one])):
-            assert np.all(np.abs(got - alone) <= 1e-14 * np.maximum(1.0, np.abs(alone)))
+        _assert_same(rep.value, [r.value[0] for r in one], reduction)
+        _assert_same(rep.error_estimate, [r.error_estimate[0] for r in one], reduction)
         assert rep.function_evals == sum(r.function_evals for r in one)
         assert rep.converged == all(r.converged for r in one)
 

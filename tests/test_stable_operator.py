@@ -1,6 +1,7 @@
 """Spectral measures, the stable operator, tails, and their invariances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,24 @@ class TestSphereCrossingRadii:
         for (theta, _), r in zip(mu.atoms, radii):
             assert r > 0.0
             assert abs(np.linalg.norm(x + r * np.asarray(theta)) - 1.0) <= 1e-15
+
+    def test_point_outside_the_ball_gives_the_real_positive_radii(self):
+        # From x = (1.5, 0): the ray along +e1 leaves the sphere behind it,
+        # the rays along +-e2 miss it, and the ray along -e1 enters at 0.5
+        # and leaves at 2.5.
+        x = np.array([1.5, 0.0])
+        mu = SpectralMeasure.coordinate_axes(2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radii = sphere_crossing_radii(mu, x)
+            uniform = sphere_crossing_radii(SpectralMeasure.uniform(2, 2.0), x)
+        assert sorted(radii) == [0.5, 2.5]
+        assert uniform == (0.5, 2.5)
+
+    def test_rejects_point_of_the_wrong_dimension(self):
+        mu = SpectralMeasure.coordinate_axes(2, 0.5)
+        with pytest.raises(QuadratureError, match="dimension mismatch"):
+            sphere_crossing_radii(mu, [0.1, 0.2, 0.3])
 
 
 class TestTail:
