@@ -146,6 +146,8 @@ def solve_vt(kernel, z, t, x, spec=None):
     """
     spec = spec or QuadratureSpec()
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.size != kernel.d:
+        raise DomainError("point dimension mismatch")
     x = _interior_point(kernel, x)
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
@@ -288,12 +290,7 @@ def harmonicity_check(problem, x, calibration=1.0, spec=None):
     multiple of the fractional Laplacian, so the residual should vanish for
     every calibration.
     """
-    from .stable_operator import (
-        OperatorSpec,
-        SpectralMeasure,
-        apply_operator,
-        sphere_crossing_radii,
-    )
+    from .stable_operator import OperatorSpec, SpectralMeasure, apply_operator
 
     spec = spec or QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_subdivisions=4096)
     kernel, g = problem.kernel, problem.datum
@@ -310,13 +307,11 @@ def harmonicity_check(problem, x, calibration=1.0, spec=None):
             vals[i], errs[i] = rep.value, rep.error_estimate
         return vals, errs
 
-    measure = SpectralMeasure.uniform(kernel.d, calibration)
     return apply_operator(
-        OperatorSpec(measure, s=kernel.s),
+        OperatorSpec(SpectralMeasure.uniform(kernel.d, calibration), s=kernel.s),
         u_ext,
         x,
         spec,
         growth_exponent=g.growth_exponent,
         support_radius=g.support_radius,
-        radial_breakpoints=sphere_crossing_radii(measure, x),
     )

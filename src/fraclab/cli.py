@@ -42,7 +42,6 @@ from .stable_operator import (
     OperatorSpec,
     SpectralMeasure,
     apply_operator,
-    sphere_crossing_radii,
 )
 
 
@@ -193,8 +192,7 @@ def cmd_apply_operator(args):
         return np.maximum(1.0 - r2, 0.0) ** s
 
     x = np.array([parse_number(v) for v in args.x.split(",")])
-    rep = apply_operator(op, u, x, QuadratureSpec(), support_radius=1.0,
-                         radial_breakpoints=sphere_crossing_radii(measure, x))
+    rep = apply_operator(op, u, x, QuadratureSpec(), support_radius=1.0)
     print(f"A u({args.x}) = {rep.value:.12g} +/- {rep.error_estimate:.3g}")
     return 0 if rep.converged else 1
 

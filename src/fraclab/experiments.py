@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ConfigError("s must lie in (0, 1)")
         if self.grid_k_max <= 0 or self.grid_k_step <= 0:
             raise ConfigError("grid parameters must be positive")
+        if len(self.grid_k) < 2:
+            raise ConfigError("the k grid needs at least two points")
 
     @property
     def grid_k(self):

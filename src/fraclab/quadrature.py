@@ -3,9 +3,10 @@
 One-dimensional adaptive Gauss-Kronrod (7/15 embedded pair) with panel-wise
 error estimates, endpoint substitutions that remove the (rho^2-1)^{-s}
 boundary weight analytically, an unbounded-domain map, one routine for
-integrals over spheres in d = 2, 3 (``sphere_integrals``, folded by a
-mirror), and the sphere-times-radius rule over the exterior of the unit ball
-for d in {1, 2, 3}, which calls it in a frame along the evaluation point.
+integrals over spheres in every d (``sphere_integrals``, a polar recursion
+down to the mirror pair S^0), and the sphere-times-radius rule over the
+exterior of the unit ball for d in {1, 2, 3}, which calls it in a frame
+along the evaluation point.
 
 Every rule computes a batch of k integrals in one adaptive pool, and one
 integral is the batch of one: k is read from the per-integral inputs (the
@@ -350,63 +351,69 @@ def _inner_spec(spec):
     )
 
 
-def sphere_integrals(g, frame, radii, partitions, rule):
+# Area of the unit sphere S^{d-1} of R^d.
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
+
+def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     """Integrals over the unit sphere S^{d-1} of theta -> g(radii[i] theta).
 
-    ``frame`` is an orthonormal basis (u, ..., v) of R^d, d = len(frame) in
-    {2, 3}.  The sphere is folded by the mirror in v: ``g(y, ids)`` gets the
-    stacked rows [y; y'], y' the mirror image of y and ``ids[j]`` the radius
-    index of row j, and returns values or a (values, errors) pair whose two
-    halves are summed.  The outer integral runs over the polar angle from u
-    on the rows ``partitions[i]`` of (0, pi) of a 2-D array, under ``rule``;
-    in d = 3 each polar node opens a longitude integral over (0, pi), and
-    those run as one nested batch under ``_inner_spec(rule)``.
+    ``frame`` is an orthonormal basis of R^d, d = len(frame), and the sphere
+    is one recursion over it: S^{d-1} is the polar angle phi from frame[0],
+    weighted by sin^{d-2} phi, times S^{d-2} in frame[1:], down to S^0, the
+    mirror pair in frame[-1].  ``g(y, ids)`` gets the stacked pairs [y; y']
+    and ``ids[j]`` the radius index of row j, and returns values or a
+    (values, errors) pair whose two halves are summed.  The top polar level
+    runs over the rows ``partitions[i]`` of (0, pi) of a 2-D array (None:
+    (0, pi) for every radius) under ``rule``, each nested level over (0, pi)
+    as one batch under ``_inner_spec(rule)``.  An ``axisymmetric`` g
+    (symmetric about the line of frame[0]) stops after the top level: each
+    nested sphere contributes its area times g at one point.
 
-    Returns (values, errors, converged): per-radius arrays, and one bool that
-    is True when every integral at both levels met its tolerance.
+    Returns (result, converged): result in the integrand form, per radius
+    (in d = 1 the pair sums, with no rule), and converged True when every
+    integral at every level met its tolerance.
     """
-    u, v = frame[0], frame[-1]
     ok = [True]
 
-    def batch(f, parts, spec):
-        vals, errs, _, conv = _adaptive(
-            f, parts, spec.rel_tol, spec.abs_tol, spec.max_subdivisions
-        )
-        ok[0] = ok[0] and conv
-        return vals, errs
-
     def folded(base, off, ids):
-        # g(base + off) + g(base - off) with one call of g
-        res = g(np.concatenate([base + off, base - off]), np.concatenate([ids, ids]))
+        # g(base + off) + g(base - off) with one call of g; base None is 0
+        y = np.concatenate([off, -off] if base is None else [base + off, base - off])
+        res = g(y, np.concatenate([ids, ids]))
         n = ids.size
         if isinstance(res, tuple):
             vals, errs = _values_errors(res)
             return vals[:n] + vals[n:], errs[:n] + errs[n:]
         return res[:n] + res[n:]
 
-    if len(frame) == 2:
-        def polar(phi, ids):
-            r = radii[ids]
-            return folded((r * np.cos(phi))[:, None] * u,
-                          (r * np.sin(phi))[:, None] * v, ids)
-    else:
-        v1 = frame[1]
-        inner = _inner_spec(rule)
+    def sphere(k, base, scale, ids, level):
+        # Row j: the sphere of radius scale[j] about base[j] in frame[k:].
+        # ``level`` is this function, passed rather than closed over: a closure
+        # over its own name is a cycle that keeps each call's arrays until gc.
+        if k == len(frame) - 1:
+            return folded(base, scale[:, None] * frame[k], ids)
+        m = len(frame) - 1 - k  # the sphere is S^m
 
-        def polar(phi, ids):
-            r = radii[ids]
-            axial, trans = r * np.cos(phi), r * np.sin(phi)
+        def polar(phi, j):
+            axial = (scale[j] * np.cos(phi))[:, None] * frame[k]
+            b = axial if base is None else base[j] + axial
+            t = scale[j] * np.sin(phi)
+            if axisymmetric:
+                w = _SPHERE_AREA[m] * np.sin(phi) ** (m - 1)
+                return _scaled(g(b + t[:, None] * frame[k + 1], ids[j]), w)
+            res = level(k + 1, b, t, ids[j], level)
+            return res if m == 1 else _scaled(res, np.sin(phi) ** (m - 1))
 
-            def longitude(alpha, j):
-                base = axial[j, None] * u + (trans[j] * np.cos(alpha))[:, None] * v1
-                return folded(base, (trans[j] * np.sin(alpha))[:, None] * v, ids[j])
+        parts = (partitions if k == 0 and partitions is not None
+                 else np.tile([0.0, np.pi], (scale.size, 1)))
+        spec = rule if k == 0 else _inner_spec(rule)
+        vals, errs, _, conv = _adaptive(
+            polar, parts, spec.rel_tol, spec.abs_tol, spec.max_subdivisions
+        )
+        ok[0] = ok[0] and conv
+        return vals, errs
 
-            vals, errs = batch(longitude, np.tile([0.0, np.pi], (phi.size, 1)),
-                               inner)
-            return np.sin(phi) * vals, np.sin(phi) * errs
-
-    vals, errs = batch(polar, partitions, rule)
-    return vals, errs, ok[0]
+    return sphere(0, None, radii, np.arange(radii.size), sphere), ok[0]
 
 
 def integrate_exterior_ball(
@@ -431,14 +438,14 @@ def integrate_exterior_ball(
     carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  The
     radial direction uses the singularity-removing substitution with a panel
     grading keyed to the distance 1-|x_eval| (the Poisson-kernel
-    concentration scale).  The angular direction is ``sphere_integrals`` in
-    a frame along x_eval: the polar angle from x_eval, graded toward the
-    Poisson-kernel peak, with the sphere folded by a mirror so that
-    mirror-symmetric integrands are resolved on exactly mirrored nodes.
-    ``angular_breakpoints(rho, ids)`` maps an array of radii and their
-    integrals to an (n, m) array of polar angles in that folded range where
-    F may kink on each sphere; entries outside (0, pi), NaN included, are
-    ignored.  In d = 1 the sphere is the pair {rho, -rho}; in d = 3 an
+    concentration scale).  The angular direction is one ``sphere_integrals``
+    call in a frame along x_eval, in every d: the pair {rho, -rho} in d = 1,
+    else the polar angle from x_eval, graded toward the Poisson-kernel peak,
+    with the sphere folded by a mirror so that mirror-symmetric integrands
+    are resolved on exactly mirrored nodes.  ``angular_breakpoints(rho,
+    ids)`` maps an array of radii and their integrals to an (n, m) array of
+    polar angles in that folded range where F may kink on each sphere;
+    entries outside (0, pi), NaN included, are ignored.  In d = 3 an
     ``axisymmetric`` F (symmetric about the line through x_eval) needs the
     polar integral only.
 
@@ -486,33 +493,15 @@ def integrate_exterior_ball(
         ends = np.ones((q.size, 1))
         return np.concatenate([0.0 * ends, cuts, np.pi * ends], axis=1)
 
-    if d == 1:
-        def radial_q(q, ids):
-            rho = (1.0 + q)[:, None]
-            vals = call_F(np.concatenate([rho, -rho]), np.concatenate([q, q]),
-                          np.concatenate([ids, ids]))
-            return vals[: q.size] + vals[q.size:]
-    else:
-        def radial_q(q, ids):
-            rho = 1.0 + q
-            if d == 3 and axisymmetric:
-                # F is symmetric about the line through x_eval: polar only
-                def polar(phi, j):
-                    y = ((rho[j] * np.cos(phi))[:, None] * frame[0]
-                         + (rho[j] * np.sin(phi))[:, None] * frame[1])
-                    return 2.0 * np.pi * np.sin(phi) * call_F(y, q[j], ids[j])
-
-                vals, errs, _, ok = _adaptive(
-                    polar, polar_partitions(q, ids), inner.rel_tol,
-                    inner.abs_tol, inner.max_subdivisions,
-                )
-            else:
-                vals, errs, ok = sphere_integrals(
-                    lambda y, j: call_F(y, q[j], ids[j]), frame, rho,
-                    polar_partitions(q, ids), inner,
-                )
-            inner_ok[0] = inner_ok[0] and ok
-            return rho ** (d - 1) * vals, rho ** (d - 1) * errs
+    def radial_q(q, ids):
+        rho = 1.0 + q
+        res, ok = sphere_integrals(
+            lambda y, j: call_F(y, q[j], ids[j]), frame, rho,
+            polar_partitions(q, ids) if d > 1 else None, inner,
+            axisymmetric and d == 3,
+        )
+        inner_ok[0] = inner_ok[0] and ok
+        return _scaled(res, rho ** (d - 1)) if d > 1 else res
 
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.

@@ -21,7 +21,7 @@ into the report.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .quadrature import (
     integrate_1d,
     integrate_radial_unbounded,
     sphere_integrals,
+    _SPHERE_AREA,
     # Not called here: perfbench/tracer.py patches this module's binding.
     _adaptive,  # noqa: F401
     _first,
@@ -147,16 +148,21 @@ def _sphere_grid(d, n):
     return np.column_stack([r * np.cos(a), r * np.sin(a), z])
 
 
-def sphere_crossing_radii(measure, x):
-    """Radii r > 0 at which x + r theta crosses the unit sphere, for theta
-    in the support of ``measure``: where the mu-average of a function that
-    kinks on the unit sphere kinks.  For the uniform measure they are
-    |1 - |x|| and 1 + |x|; along an atom theta, the positive ones of
-    r = -x.theta +- sqrt((x.theta)^2 + 1 - |x|^2) (only the + root when
-    |x| < 1, none when the ray misses the sphere)."""
+def sphere_crossing_radii(measure, x, support_radius=None):
+    """Radii r > 0 at which x + r theta crosses the unit sphere, and the
+    sphere |y| = support_radius if that is given and nonzero, for theta in
+    the support of ``measure``: where the mu-average of a function that
+    kinks or jumps on those spheres does.  For the unit sphere and the
+    uniform measure they are |1 - |x|| and 1 + |x|; along an atom theta,
+    the positive ones of r = -x.theta +- sqrt((x.theta)^2 + 1 - |x|^2)
+    (only the + root when |x| < 1, none when the ray misses the sphere)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != measure.dimension:
         raise QuadratureError("point dimension mismatch")
+    if support_radius:
+        outer = sphere_crossing_radii(measure, x / support_radius)
+        return sphere_crossing_radii(measure, x) + tuple(support_radius * r
+                                                         for r in outer)
     nx = float(np.linalg.norm(x))
     if measure.variant == "uniform":
         return (abs(1.0 - nx), 1.0 + nx)
@@ -196,15 +202,13 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
 # Adaptive rule of the angular integrals inside the radial integrands.
 _SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
 
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
-
-def _average(measure, phi, x, r):
+def _average(measure, phi, x, r, ok):
     """(vals, errs) of int phi(r theta) mu(dtheta) over a batch of radii r.
 
     ``phi`` takes an (n, d) array of offsets y = r theta.  Atoms are summed
     with one call of phi; the uniform measure in d = 2, 3 is integrated with
-    ``sphere_integrals`` in a frame along x.
+    ``sphere_integrals`` in a frame along x, its flag ANDed into ok[0].
     """
     d = measure.dimension
     if measure.atoms:
@@ -215,32 +219,33 @@ def _average(measure, phi, x, r):
         )
         return (vals.reshape(r.size, -1) @ weights,
                 errs.reshape(r.size, -1) @ weights)
-    vals, errs, _ = sphere_integrals(
-        lambda y, ids: phi(y), _frame(x, d), r, np.tile([0.0, np.pi], (r.size, 1)),
-        _SPHERE_RULE,
+    (vals, errs), converged = sphere_integrals(
+        lambda y, ids: phi(y), _frame(x, d), r, None, _SPHERE_RULE
     )
+    ok[0] = ok[0] and converged
     c = measure.total_mass / _SPHERE_AREA[d]
     return c * vals, c * errs
 
 
-def _abs_average(measure, u, y, r):
+def _abs_average(measure, u, y, r, ok):
     """(vals, errs) of int |u(y + r theta)| mu(dtheta) over a radius batch."""
     def absolute(z):
         v, e = _values_errors(u(y + z))
         return np.abs(v), e
 
-    return _average(measure, absolute, y, r)
+    return _average(measure, absolute, y, r, ok)
 
 
-def _radial(integrand, points, spec, decay=None):
+def _radial(integrand, points, spec, ok, decay=None):
     """The integral of ``integrand(r, ids)`` over the partition ``points``,
     plus the one over (points[-1], inf) when ``decay`` is given
-    (|integrand(r)| <= M r^{-1-decay} there)."""
+    (|integrand(r)| <= M r^{-1-decay} there); converged also needs ok[0],
+    the flag of the integrand's sphere averages."""
     rep = _integrate(integrand, [points], spec)
     if decay is not None:
         rep = rep + integrate_radial_unbounded(integrand, points[-1], decay,
                                                spec, [spec.abs_tol])
-    return _first(rep)
+    return replace(_first(rep), converged=rep.converged and ok[0])
 
 
 def apply_operator(
@@ -257,7 +262,8 @@ def apply_operator(
     ``growth_exponent`` declares |u(y)| = O(|y|^growth) at infinity and must
     be < 2s for the tail integral to converge.  If ``support_radius`` is
     given (u vanishes for |y| > support_radius) the far tail reduces to a
-    closed form of u(x).
+    closed form of u(x).  The radial rule breaks at ``radial_breakpoints``
+    and where x + r theta crosses the unit or the support sphere.
     """
     spec = spec or QuadratureSpec()
     s = op.s
@@ -269,13 +275,14 @@ def apply_operator(
             "growth_exponent must be < 2s for the operator to be defined"
         )
     u0, u0_err = (float(a[0]) for a in _values_errors(u(x[None, :])))
+    ok = [True]
 
     def first_difference(y):
         v, e = _values_errors(u(x + y))
         return u0 - v, u0_err + e
 
     def core(r, ids):
-        return _scaled(_average(op.measure, first_difference, x, r),
+        return _scaled(_average(op.measure, first_difference, x, r, ok),
                        r ** (-1.0 - 2.0 * s))
 
     # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
@@ -285,18 +292,20 @@ def apply_operator(
     def near(w, ids):
         return _scaled(core(w**b, ids), b * w ** (b - 1.0))
 
+    radial_breakpoints = {*radial_breakpoints,
+                          *sphere_crossing_radii(op.measure, x, support_radius)}
     w_lo = 1e-200 ** (1.0 / b)
     rep = _radial(near, sorted(
         {w_lo, 1.0}
         | {p ** (1.0 / b) for p in radial_breakpoints if w_lo < p < 1.0}
-    ), spec)
+    ), spec, ok)
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
         r_end, decay = float(np.linalg.norm(x)) + support_radius + 0.5, None
     rep = rep + _radial(core, sorted(
         {1.0, r_end} | {p for p in radial_breakpoints if 1.0 < p < r_end}
-    ), spec, decay)
+    ), spec, ok, decay)
     if support_radius is not None:
         # Beyond r_end every u(x + r theta) vanishes, so the integrand is
         # exactly total_mass * u(x) * r^{-1-2s}.
@@ -306,7 +315,8 @@ def apply_operator(
 
 
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
-    """(1-s) int_{1/2}^inf int |u(y + t theta)| / t^{1+2s} mu(dtheta) dt."""
+    """(1-s) int_{1/2}^inf int |u(y + t theta)| / t^{1+2s} mu(dtheta) dt,
+    breaking where y + t theta crosses the unit or the support sphere."""
     spec = spec or QuadratureSpec()
     s = op.s
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -314,15 +324,18 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         raise QuadratureError("point dimension mismatch")
     if growth_exponent >= 2.0 * s:
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
+    ok = [True]
 
     def integrand(t, ids):
-        return _scaled(_abs_average(op.measure, u, y, t), t ** (-1.0 - 2.0 * s))
+        return _scaled(_abs_average(op.measure, u, y, t, ok), t ** (-1.0 - 2.0 * s))
 
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
         r_end, decay = float(np.linalg.norm(y)) + support_radius + 0.5, None
-    return _radial(integrand, [0.5, r_end], spec, decay).scaled(1.0 - s)
+    kinks = sphere_crossing_radii(op.measure, y, support_radius)
+    points = sorted({0.5, r_end} | {t for t in kinks if 0.5 < t < r_end})
+    return _radial(integrand, points, spec, ok, decay).scaled(1.0 - s)
 
 
 def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
@@ -339,10 +352,11 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     # integral.
     area = SpectralMeasure.uniform(d, _SPHERE_AREA[d])
     origin = np.zeros(d)
+    ok = [True]
 
     def integrand(rho, ids):
-        return _scaled(_abs_average(area, u, origin, rho),
+        return _scaled(_abs_average(area, u, origin, rho, ok),
                        rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s))
 
-    return _radial(integrand, [1e-290, 1.0, 2.0], spec,
+    return _radial(integrand, [1e-290, 1.0, 2.0], spec, ok,
                    2.0 * s - growth_exponent).scaled(1.0 - s)

@@ -194,6 +194,11 @@ def _vt_oracle_d2(x, z, t, s):
 
 
 class TestModelSolutions:
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [0.3, 0.0]])
+    def test_rejects_boundary_point_of_the_wrong_dimension(self, x, spec):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            solve_vt(PoissonKernel(2, 0.5), [1.0], 0.5, x, spec)
+
     def test_t_zero_is_full_mass(self, spec):
         k = PoissonKernel(2, 0.5)
         z = np.array([1.0, 0.0])

@@ -20,7 +20,7 @@ class TestSelftest:
 
 
 class TestSolve:
-    def test_prints_certified_value(self, capsys):
+    def test_prints_converged_value(self, capsys):
         code, out = run(
             capsys, "solve", "--d", "1", "--s", "0.5",
             "--datum", "prop42", "--x", "0.5",
@@ -108,6 +108,12 @@ def test_unknown_command_exits_with_usage_error():
          "malformed number 'abc'"),
         (("sweep-upper", "--config", "[experiment]\nd = 2.5\n"),
          "not an integer: '2.5'"),
+        (("sweep-lower", "--d", "2", "--config",
+          "[experiment]\ngrid_k_max = 1\ngrid_k_step = 3\n"),
+         "at least two points"),
+        (("blowup", "--d", "1", "--datum", "cex14", "--config",
+          "[experiment]\ngrid_k_max = 1\ngrid_k_step = 3\n"),
+         "at least two points"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):

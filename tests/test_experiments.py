@@ -47,6 +47,8 @@ class TestConfig:
             ExperimentConfig(s=1.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(grid_k_step=0.0)
+        with pytest.raises(ConfigError, match="at least two points"):
+            ExperimentConfig(grid_k_max=1.0, grid_k_step=3.0)
 
     def test_load_config_ini_with_overrides(self, tmp_path):
         p = tmp_path / "exp.ini"

@@ -1,4 +1,4 @@
-"""Certified quadrature: closed-form oracles and error-contract properties."""
+"""Quadrature: closed-form oracles and error-contract properties."""
 
 import math
 
@@ -346,13 +346,13 @@ class TestFrame:
 
 
 class TestSphereIntegrals:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_moments_in_a_random_frame(self, d, rng):
         frame = _random_frame(rng, d)
         radii = np.array([0.3, 1.0, 2.5, 10.0])
         parts = np.tile([0.0, np.pi], (radii.size, 1))
         rule = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
-        area = 2.0 * np.pi if d == 2 else 4.0 * np.pi
+        area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
         a = rng.standard_normal(d)
 
         def const(y, ids):
@@ -367,16 +367,30 @@ class TestSphereIntegrals:
             assert np.allclose(mid @ frame[-1], 0.0, atol=1e-14 * radii.max())
             return np.ones(len(y))
 
-        vals, errs, ok = sphere_integrals(const, frame, radii, parts, rule)
+        res, ok = sphere_integrals(const, frame, radii, parts, rule)
+        vals, errs = quadrature._values_errors(res)
         assert ok
         assert np.allclose(vals, area, rtol=1e-12, atol=0.0)
 
-        vals, errs, ok = sphere_integrals(
-            lambda y, ids: (y @ a) ** 2, frame, radii, parts, rule
-        )
+        res, ok = sphere_integrals(lambda y, ids: (y @ a) ** 2, frame, radii,
+                                   None, rule)
+        vals, errs = quadrature._values_errors(res)
         exact = radii**2 * (a @ a) * area / d
         assert ok
         assert np.all(np.abs(vals - exact) <= errs + 1e-10 * exact)
+
+        if d == 3:
+            # exp(y . frame[0]) is symmetric about the axis of frame[0]: the
+            # polar level alone gives 4 pi sinh(r) / r, as the full rule does
+            def along_axis(y, ids):
+                return np.exp(y @ frame[0])
+
+            exact = 4.0 * np.pi * np.sinh(radii) / radii
+            for axisymmetric in (True, False):
+                (vals, errs), ok = sphere_integrals(along_axis, frame, radii,
+                                                    None, rule, axisymmetric)
+                assert ok
+                assert np.all(np.abs(vals - exact) <= errs + 1e-10 * exact)
 
     def test_longitude_at_its_panel_cap_is_reported(self, rng, monkeypatch):
         # cos(K alpha) in the longitude alpha alone: every longitude integral
@@ -396,7 +410,7 @@ class TestSphereIntegrals:
 
         monkeypatch.setattr(quadrature, "_adaptive", spy)
         rule = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-9, max_subdivisions=64)
-        vals, errs, ok = sphere_integrals(
+        (vals, errs), ok = sphere_integrals(
             g, frame, np.array([1.0]), np.array([[0.0, np.pi]]), rule
         )
         assert flags == [False, True]  # longitude batch, then the polar one

@@ -5,8 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from fraclab.quadrature import QuadratureError
+from fraclab import stable_operator
+from fraclab.exterior_data import halfline_modulus_datum
+from fraclab.moduli import ModulusFunction
+from fraclab.quadrature import QuadratureError, QuadratureSpec
 from fraclab.stable_operator import (
     MeasureError,
     OperatorSpec,
@@ -241,6 +245,14 @@ class TestSphereCrossingRadii:
         assert sorted(radii) == [0.5, 2.5]
         assert uniform == (0.5, 2.5)
 
+    def test_support_sphere_radii_follow_the_unit_ones(self):
+        mu = SpectralMeasure.uniform(2, 1.0)
+        radii = sphere_crossing_radii(mu, [0.3, 0.4], support_radius=3.0)
+        assert np.allclose(radii, [0.5, 1.5, 2.5, 3.5], rtol=1e-15, atol=0.0)
+        # a support of radius 0 (u vanishes off the origin) adds no sphere
+        assert (sphere_crossing_radii(mu, [0.3, 0.4], 0.0)
+                == sphere_crossing_radii(mu, [0.3, 0.4]))
+
     def test_rejects_point_of_the_wrong_dimension(self):
         mu = SpectralMeasure.coordinate_axes(2, 0.5)
         with pytest.raises(QuadratureError, match="dimension mismatch"):
@@ -286,6 +298,40 @@ class TestTail:
         u = lambda pts: pts[:, 0]
         with pytest.raises(QuadratureError):
             tail(op, u, [0.0], spec, growth_exponent=1.0)
+
+    def test_halfline_datum_against_quadpack(self, spec):
+        # (y + t - 1)^s on y + t in [1, 3]: a root kink where y + t crosses
+        # the unit sphere and a jump at the support sphere; without radial
+        # breakpoints there the rule missed by 9.2e-6, 2,300x its estimate
+        s, y = 0.5, -0.2017
+        op = OperatorSpec(SpectralMeasure.uniform(1, 1.0), s=s)
+        datum = halfline_modulus_datum(ModulusFunction.power(s))
+        rep = tail(op, datum, [y], spec, support_radius=3.0)
+        val, err = scipy.integrate.quad(
+            lambda t: t ** (-1.0 - 2.0 * s), 1.0 - y, 3.0 - y,
+            weight="alg", wvar=(s, 0.0), epsabs=1e-14, epsrel=1e-13)
+        ref = (1.0 - s) * 0.5 * val
+        assert rep.converged
+        assert abs(rep.value - ref) <= (rep.error_estimate + spec.tolerance(ref)
+                                        + (1.0 - s) * 0.5 * err)
+
+
+@pytest.mark.parametrize("norm", ["tail", "tail_space_norm"])
+def test_unconverged_sphere_is_reported(norm, spec, monkeypatch):
+    # A tiny oscillation in the angle alone: every radius has nearly the
+    # same sphere average, so the radial rule converges, while a 64-panel
+    # sphere rule at rel_tol 1e-12 cannot resolve it
+    monkeypatch.setattr(stable_operator, "_SPHERE_RULE", QuadratureSpec(
+        rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=64))
+    u = lambda pts: 1.0 + 3e-10 * np.cos(
+        100000.5 * np.arctan2(pts[:, 1], pts[:, 0]))
+    if norm == "tail":
+        op = OperatorSpec(SpectralMeasure.uniform(2, 1.0), s=0.5)
+        rep = tail(op, u, [0.0, 0.0], spec)
+    else:
+        rep = tail_space_norm(u, 0.5, 2, spec)
+    assert np.isfinite(rep.value)
+    assert not rep.converged
 
 
 class TestTailSpaceNorm:
