@@ -32,8 +32,8 @@ class PoissonKernel:
     s: float
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise DomainError("only d in {1, 2, 3} is supported")
+        if self.d < 1:
+            raise DomainError("dimension must be >= 1")
         if not 0.0 < self.s < 1.0:
             raise DomainError("s must lie in (0, 1)")
 

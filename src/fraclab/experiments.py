@@ -83,7 +83,8 @@ class ExperimentConfig:
 
     @property
     def grid_k(self):
-        n = int(round(self.grid_k_max / self.grid_k_step))
+        # No step past grid_k_max; the 1e-9 keeps 0.3 / 0.1 (< 3) at 3 steps.
+        n = math.floor(self.grid_k_max / self.grid_k_step + 1e-9)
         return [i * self.grid_k_step for i in range(n + 1)]
 
     @property

@@ -5,8 +5,8 @@ error estimates, endpoint substitutions that remove the (rho^2-1)^{-s}
 boundary weight analytically, an unbounded-domain map, one routine for
 integrals over spheres in every d (``sphere_integrals``, a polar recursion
 down to the mirror pair S^0), and the sphere-times-radius rule over the
-exterior of the unit ball for d in {1, 2, 3}, which calls it in a frame
-along the evaluation point.
+exterior of the unit ball in every d, which calls it in a frame along the
+evaluation point.
 
 Every rule computes a batch of k integrals in one adaptive pool, and one
 integral is the batch of one: k is read from the per-integral inputs (the
@@ -351,8 +351,11 @@ def _inner_spec(spec):
     )
 
 
-# Area of the unit sphere S^{d-1} of R^d.
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+def _sphere_area(d):
+    """|S^{d-1}| of R^d: 2, 2 pi, then 2 pi / (d - 2) |S^{d-3}|."""
+    if d <= 2:
+        return 2.0 * np.pi ** (d - 1)
+    return 2.0 * np.pi / (d - 2) * _sphere_area(d - 2)
 
 
 def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
@@ -399,7 +402,7 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
             b = axial if base is None else base[j] + axial
             t = scale[j] * np.sin(phi)
             if axisymmetric:
-                w = _SPHERE_AREA[m] * np.sin(phi) ** (m - 1)
+                w = _sphere_area(m) * np.sin(phi) ** (m - 1)
                 return _scaled(g(b + t[:, None] * frame[k + 1], ids[j]), w)
             res = level(k + 1, b, t, ids[j], level)
             return res if m == 1 else _scaled(res, np.sin(phi) ** (m - 1))
@@ -429,7 +432,7 @@ def integrate_exterior_ball(
 ):
     """Integrate k integrands F_i over the exterior of the unit ball in R^d.
 
-    d = len(x_eval) is 1, 2 or 3, and ``radial_breakpoints`` holds one
+    d = len(x_eval) >= 1, and ``radial_breakpoints`` holds one
     sequence of radii where F_i may kink per integral, so there are
     k = len(radial_breakpoints) integrals.  F is called as
     F(points, norm2m1, ids) on an (n, d) array of points, the per-point
@@ -447,7 +450,9 @@ def integrate_exterior_ball(
     polar angles in that folded range where F may kink on each sphere;
     entries outside (0, pi), NaN included, are ignored.  In d = 3 an
     ``axisymmetric`` F (symmetric about the line through x_eval) needs the
-    polar integral only.
+    polar integral only.  Data flag symmetry about e1, that line only on the
+    axis (off it: the open axisym-offaxis defect), so d >= 4 runs the full
+    recursion rather than spread the defect.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -461,8 +466,8 @@ def integrate_exterior_ball(
     """
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
     d = x.size
-    if d not in (1, 2, 3):
-        raise QuadratureError("only d in {1, 2, 3} is supported")
+    if d < 1:
+        raise QuadratureError("x_eval needs at least one coordinate")
     delta = 1.0 - float(np.linalg.norm(x))
     if delta <= 0.0:
         raise QuadratureError("x_eval must lie in the open unit ball")

@@ -10,9 +10,9 @@ alike integrate this first difference: by the symmetry of mu its average
 D(r) over mu equals that of the symmetrized second difference
 (2u(x) - u(x+r theta) - u(x-r theta)) / 2, so D(r) = O(r^2) near r = 0 for
 u twice differentiable and no epsilon-excision is needed.  Atomic measures
-(and the uniform measure in d = 1, the atoms +-1 of half the mass each) are
-summed over their atoms; the uniform measure in d = 2, 3 is integrated with
-``quadrature.sphere_integrals``, in a frame along x and folded by a mirror.
+are summed over their atoms; the uniform measure is integrated with
+``quadrature.sphere_integrals``, in a frame along x and folded by a mirror
+(in d = 1 that is the pair x +- r, with no adaptive rule).
 
 Functions u are numpy-vectorized over an (n, d) array of points; they may
 return a pair (values, errors) when their own evaluation carries numerical
@@ -29,16 +29,16 @@ from .quadrature import (
     EvaluationReport,
     QuadratureError,
     QuadratureSpec,
-    integrate_1d,
     integrate_radial_unbounded,
     sphere_integrals,
-    _SPHERE_AREA,
-    # Not called here: perfbench/tracer.py patches this module's binding.
+    # Not called here: perfbench/tracer.py patches this module's bindings.
     _adaptive,  # noqa: F401
+    integrate_1d,  # noqa: F401
     _first,
     _frame,
     _integrate,
     _scaled,
+    _sphere_area,
     _values_errors,
 )
 
@@ -51,8 +51,7 @@ class MeasureError(ValueError):
 class SpectralMeasure:
     """Finite symmetric measure on the unit sphere S^{d-1}.
 
-    variant "uniform": the rotation-invariant measure with the given total
-    mass; in d = 1 it is stored as its two atoms +-1 of half the mass each.
+    variant "uniform": the rotation-invariant measure of the given mass.
     variant "atomic": point masses, required to come in symmetric pairs
     (theta, w), (-theta, w).
     """
@@ -68,11 +67,6 @@ class SpectralMeasure:
         if self.variant == "uniform":
             if self.total_mass <= 0:
                 raise MeasureError("uniform measure needs positive total mass")
-            half = 0.5 * self.total_mass
-            object.__setattr__(
-                self, "atoms",
-                (((1.0,), half), ((-1.0,), half)) if self.dimension == 1 else (),
-            )
         elif self.variant == "atomic":
             if not self.atoms:
                 raise MeasureError("atomic measure needs at least one atom")
@@ -133,7 +127,9 @@ class OperatorSpec:
 
 
 def _sphere_grid(d, n):
-    """Quasi-uniform direction grid on S^{d-1}."""
+    """Quasi-uniform direction grid on S^{d-1}, d <= 3."""
+    if d > 3:
+        raise MeasureError(f"no direction grid on S^{d - 1}, d > 3")
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
@@ -176,42 +172,37 @@ def sphere_crossing_radii(measure, x, support_radius=None):
 def nondegeneracy_constant(measure, s, xi_samples=720):
     """Lower-bound estimate of inf_xi int |theta.xi|^{2s} mu(dtheta).
 
-    Atomic measures are summed exactly per grid direction; the uniform
-    measure uses an angular quadrature (its value is xi-independent by
-    rotation invariance, which the tests check on the grid).
+    Atomic measures (d <= 3) are summed exactly per direction of a grid on
+    the sphere.  The uniform measure of mass m gives the same value for
+    every xi, m times the mean of |theta_1|^{2s} over S^{d-1}:
+    m Gamma(d/2) Gamma(s + 1/2) / (sqrt(pi) Gamma(d/2 + s)).
     """
     if not 0.0 < s < 1.0:
         raise MeasureError("order s must lie in (0, 1)")
     d = measure.dimension
+    if measure.variant == "uniform":
+        return (measure.total_mass * math.gamma(0.5 * d) * math.gamma(s + 0.5)
+                / (math.sqrt(math.pi) * math.gamma(0.5 * d + s)))
     xis = _sphere_grid(d, xi_samples)
-    if measure.atoms:
-        thetas = np.array([np.asarray(t, dtype=float) for t, _ in measure.atoms])
-        weights = np.array([w for _, w in measure.atoms])
-        vals = np.abs(xis @ thetas.T) ** (2.0 * s) @ weights
-        return float(vals.min())
-    m = measure.total_mass
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12)
-    if d == 2:
-        # (m / 2pi) int_0^{2pi} |cos|^{2s} = (2m/pi) int_0^{pi/2} cos^{2s}
-        rep = integrate_1d(lambda p: np.cos(p) ** (2.0 * s), 0.0, 0.5 * np.pi, spec)
-        return m * 2.0 / np.pi * rep.value
-    # (m / 4pi) int |cos phi|^{2s} dS = (m/2) int_0^pi |cos|^{2s} sin = m/(2s+1)
-    return m / (2.0 * s + 1.0)
+    thetas = np.array([np.asarray(t, dtype=float) for t, _ in measure.atoms])
+    weights = np.array([w for _, w in measure.atoms])
+    vals = np.abs(xis @ thetas.T) ** (2.0 * s) @ weights
+    return float(vals.min())
 
 
 # Adaptive rule of the angular integrals inside the radial integrands.
 _SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
 
 
-def _average(measure, phi, x, r, ok):
+def _average(measure, phi, frame, r, ok):
     """(vals, errs) of int phi(r theta) mu(dtheta) over a batch of radii r.
 
     ``phi`` takes an (n, d) array of offsets y = r theta.  Atoms are summed
-    with one call of phi; the uniform measure in d = 2, 3 is integrated with
-    ``sphere_integrals`` in a frame along x, its flag ANDed into ok[0].
+    with one call of phi; the uniform measure is integrated with
+    ``sphere_integrals`` in ``frame``, its flag ANDed into ok[0].
     """
     d = measure.dimension
-    if measure.atoms:
+    if measure.variant == "atomic":
         thetas = np.array([theta for theta, _ in measure.atoms])
         weights = np.array([w for _, w in measure.atoms])
         vals, errs = _values_errors(
@@ -220,20 +211,20 @@ def _average(measure, phi, x, r, ok):
         return (vals.reshape(r.size, -1) @ weights,
                 errs.reshape(r.size, -1) @ weights)
     (vals, errs), converged = sphere_integrals(
-        lambda y, ids: phi(y), _frame(x, d), r, None, _SPHERE_RULE
+        lambda y, ids: phi(y), frame, r, None, _SPHERE_RULE
     )
     ok[0] = ok[0] and converged
-    c = measure.total_mass / _SPHERE_AREA[d]
+    c = measure.total_mass / _sphere_area(d)
     return c * vals, c * errs
 
 
-def _abs_average(measure, u, y, r, ok):
+def _abs_average(measure, u, y, frame, r, ok):
     """(vals, errs) of int |u(y + r theta)| mu(dtheta) over a radius batch."""
     def absolute(z):
         v, e = _values_errors(u(y + z))
         return np.abs(v), e
 
-    return _average(measure, absolute, y, r, ok)
+    return _average(measure, absolute, frame, r, ok)
 
 
 def _radial(integrand, points, spec, ok, decay=None):
@@ -275,6 +266,7 @@ def apply_operator(
             "growth_exponent must be < 2s for the operator to be defined"
         )
     u0, u0_err = (float(a[0]) for a in _values_errors(u(x[None, :])))
+    frame = _frame(x, x.size)
     ok = [True]
 
     def first_difference(y):
@@ -282,7 +274,7 @@ def apply_operator(
         return u0 - v, u0_err + e
 
     def core(r, ids):
-        return _scaled(_average(op.measure, first_difference, x, r, ok),
+        return _scaled(_average(op.measure, first_difference, frame, r, ok),
                        r ** (-1.0 - 2.0 * s))
 
     # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
@@ -324,10 +316,12 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         raise QuadratureError("point dimension mismatch")
     if growth_exponent >= 2.0 * s:
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
+    frame = _frame(y, y.size)
     ok = [True]
 
     def integrand(t, ids):
-        return _scaled(_abs_average(op.measure, u, y, t, ok), t ** (-1.0 - 2.0 * s))
+        return _scaled(_abs_average(op.measure, u, y, frame, t, ok),
+                       t ** (-1.0 - 2.0 * s))
 
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
@@ -339,10 +333,8 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
 
 
 def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
-    """(1-s) int_{R^d} |u(x)| / (1+|x|)^{d+2s} dx for d in {1, 2, 3}."""
+    """(1-s) int_{R^d} |u(x)| / (1+|x|)^{d+2s} dx."""
     spec = spec or QuadratureSpec()
-    if d not in (1, 2, 3):
-        raise QuadratureError("only d in {1, 2, 3} is supported")
     if not 0.0 < s < 1.0:
         raise QuadratureError("s must lie in (0, 1)")
     if growth_exponent >= 2.0 * s:
@@ -350,12 +342,13 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     # Polar coordinates about the origin: the uniform measure of mass equal
     # to the sphere's area turns the spherical average into the surface
     # integral.
-    area = SpectralMeasure.uniform(d, _SPHERE_AREA[d])
+    area = SpectralMeasure.uniform(d, _sphere_area(d))
     origin = np.zeros(d)
+    frame = _frame(origin, d)
     ok = [True]
 
     def integrand(rho, ids):
-        return _scaled(_abs_average(area, u, origin, rho, ok),
+        return _scaled(_abs_average(area, u, origin, frame, rho, ok),
                        rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s))
 
     return _radial(integrand, [1e-290, 1.0, 2.0], spec, ok,

@@ -76,7 +76,7 @@ class TestKernel:
         with pytest.raises(DomainError):
             poisson_kernel_eval(k, [0.0], [0.5])
         with pytest.raises(DomainError):
-            PoissonKernel(4, 0.5)
+            PoissonKernel(0, 0.5)
         with pytest.raises(DomainError):
             PoissonKernel(2, 1.0)
 
@@ -107,6 +107,17 @@ class TestSolve:
         x[0] = 0.4
         rep = solve(problem, x, spec)
         assert abs(rep.value - 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("x", [(0.5, 0.0, 0.0, 0.0), (0.2, -0.3, 0.1, 0.25)],
+                             ids=["on-axis", "off-axis"])
+    def test_kernel_mass_d4(self, x, s):
+        # d = 4 runs the full sphere recursion, axisymmetric datum or not
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+        problem = BallProblem(PoissonKernel(4, s), constant_datum(1.0, 4))
+        rep = solve(problem, x, spec)
+        assert rep.converged
+        assert abs(rep.value - 1.0) <= rep.error_estimate
 
     def test_linearity_in_datum(self, spec):
         k = PoissonKernel(1, 0.5)
@@ -142,8 +153,8 @@ class TestSolve:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        d=st.sampled_from([2, 3]),
-        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        d=st.sampled_from([2, 3, 4]),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
         radius=st.floats(0.0, 0.9),
     )
     # Radii where the squares in |x| underflow: the solver's frame must
@@ -154,6 +165,8 @@ class TestSolve:
     # A direction within 1e-6 of -e1, where the frame must not degenerate.
     @example(d=3, direction=[-0.9131337914689075, 7.940973710992278e-07, 8.6e-69],
              radius=0.030261775741958083)
+    @example(d=4, direction=[-0.9131337914689075, 7.940973710992278e-07, 8.6e-69,
+                             0.0], radius=0.030261775741958083)
     def test_general_rule_is_rotation_invariant(self, d, direction, radius):
         # The kernel mass is 1 at every x, so the constant datum on the
         # general (non-axisymmetric) angular rule must give 1 at any point.

@@ -1,5 +1,7 @@
 """End-to-end command-line interface behavior."""
 
+import math
+
 import pytest
 
 from fraclab.cli import main
@@ -81,6 +83,13 @@ class TestApplyOperator:
         )
         assert code == 0
         assert "A u(0) =" in out
+
+    def test_bump_in_d4(self, capsys):
+        # the bump's value is pi/2 at every point inside the ball
+        code, out = run(capsys, "apply-operator", "--d", "4", "--x", "0,0,0,0.3")
+        assert code == 0
+        value, estimate = (float(v) for v in out.split("=")[1].split("+/-"))
+        assert abs(value - math.pi / 2) <= estimate
 
 
 def test_unknown_command_exits_with_usage_error():

@@ -40,6 +40,18 @@ class TestConfig:
         assert cfg.grid_t[0] == 0.0
         assert abs(cfg.grid_t[-1] - (1.0 - 1e-4)) < 1e-15
 
+    @pytest.mark.parametrize("k_max, step, grid", [
+        (4.0, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0]),
+        # A maximum between two steps ends the grid at the step below it,
+        # whichever way half a step would round.
+        (2.5, 1.0, [0.0, 1.0, 2.0]),
+        (3.5, 1.0, [0.0, 1.0, 2.0, 3.0]),
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point.
+        (0.3, 0.1, [0.0, 0.1, 0.2, 0.30000000000000004]),
+    ])
+    def test_grid_stops_at_its_maximum(self, k_max, step, grid):
+        assert ExperimentConfig(grid_k_max=k_max, grid_k_step=step).grid_k == grid
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(datum="nope")

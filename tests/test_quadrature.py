@@ -346,13 +346,22 @@ class TestFrame:
 
 
 class TestSphereIntegrals:
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sphere_area(self):
+        # 2 pi^{d/2} / Gamma(d/2), and in d <= 3 bitwise the values 2, 2 pi
+        # and 4 pi
+        for d in range(1, 9):
+            exact = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+            assert abs(quadrature._sphere_area(d) - exact) <= 1e-15 * exact, d
+        assert [quadrature._sphere_area(d) for d in (1, 2, 3)] == [
+            2.0, 2.0 * np.pi, 4.0 * np.pi]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_moments_in_a_random_frame(self, d, rng):
         frame = _random_frame(rng, d)
         radii = np.array([0.3, 1.0, 2.5, 10.0])
         parts = np.tile([0.0, np.pi], (radii.size, 1))
         rule = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
-        area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+        area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
         a = rng.standard_normal(d)
 
         def const(y, ids):
@@ -514,11 +523,11 @@ class TestExteriorBall:
                 F, np.array([1.5]), 0.5, spec, [()], support_radius=2.0
             )
 
-    def test_rejects_dimension_above_3(self, spec):
+    def test_rejects_dimension_zero(self, spec):
         def F(points, norm2m1, ids):
             return np.zeros(points.shape[0])
 
         with pytest.raises(QuadratureError):
             integrate_exterior_ball(
-                F, np.zeros(4), 0.5, spec, [()], support_radius=2.0
+                F, np.zeros(0), 0.5, spec, [()], support_radius=2.0
             )

@@ -77,6 +77,30 @@ class TestNondegeneracy:
         s = 0.3
         assert abs(nondegeneracy_constant(m, s) - 4.0 * math.pi / (2 * s + 1)) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_uniform_is_the_mean_of_a_coordinate_power(self, d):
+        # m times the mean of |theta_1|^{2s} over S^{d-1}: the atoms +-1 in
+        # d = 1, else an integral over the polar angle weighted by sin^{d-2}
+        m = 3.0
+        for s in (0.25, 0.5, 0.75):
+            got = nondegeneracy_constant(SpectralMeasure.uniform(d, m), s)
+            if d == 1:
+                expect = m
+            else:
+                def mean(f):
+                    return scipy.integrate.quad(
+                        lambda p: f(p) * math.sin(p) ** (d - 2), 0.0,
+                        0.5 * math.pi, epsabs=0.0, epsrel=1e-13)[0]
+
+                expect = m * mean(lambda p: math.cos(p) ** (2 * s)) / mean(
+                    lambda p: 1.0)
+            assert abs(got - expect) <= 1e-11 * expect, (d, s)
+
+    def test_atomic_needs_a_direction_grid(self):
+        # the xi grid covers S^{d-1} for d <= 3 only
+        with pytest.raises(MeasureError):
+            nondegeneracy_constant(SpectralMeasure.coordinate_axes(4), 0.5)
+
     def test_degenerate_atomic_pair_in_d2(self):
         m = SpectralMeasure.atomic(2, [((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)])
         # near xi = e2 the integrand 2|cos phi|^{2s} collapses
@@ -172,9 +196,10 @@ class TestApplyOperator:
             (0.5, 0.0, 0.0),
             tuple(0.5 / math.sqrt(3.0) * np.ones(3)),
             (0.3, 0.2, -0.3),
+            (0.0, 0.0, 0.0, 0.3),
         ],
         ids=["d2-axis", "d2-diagonal", "d2-generic",
-             "d3-axis", "d3-diagonal", "d3-generic"],
+             "d3-axis", "d3-diagonal", "d3-generic", "d4-axis"],
     )
     @pytest.mark.parametrize("measure", ["uniform", "axes"])
     def test_bump_value_is_the_same_at_every_point(self, x, measure, fast_spec):
@@ -344,6 +369,13 @@ class TestTailSpaceNorm:
         u = lambda pts: np.ones(pts.shape[0])
         rep = tail_space_norm(u, 0.5, 1, spec)
         assert abs(rep.value - 1.0) <= max(rep.error_estimate, 1e-9)
+
+    def test_constant_d4(self, spec):
+        # (1-s) |S^3| B(4, 2s) = 0.5 * 2 pi^2 * 1/4 for s = 1/2
+        u = lambda pts: np.ones(pts.shape[0])
+        rep = tail_space_norm(u, 0.5, 4, spec)
+        assert rep.converged
+        assert abs(rep.value - 0.25 * math.pi**2) <= max(rep.error_estimate, 1e-9)
 
     def test_power_growth_against_reference(self, spec):
         s = 0.5
