@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moduli import oscillation_profile, stieltjes_integral
-from .quadrature import QuadratureSpec, _first, integrate_exterior_ball
+from .quadrature import (EvaluationReport, QuadratureSpec, _first,
+                         integrate_exterior_ball)
 
 
 class DomainError(ValueError):
@@ -55,6 +56,16 @@ def _interior_point(kernel, x):
     if np.linalg.norm(x) >= 1.0:
         raise DomainError("x must lie in the open unit ball")
     return x
+
+
+def _boundary_point(kernel, z):
+    """z as a 1-D array, checked to lie on the unit sphere of R^d."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.size != kernel.d:
+        raise DomainError("point dimension mismatch")
+    if abs(np.linalg.norm(z) - 1.0) > 1e-12:
+        raise DomainError("z must lie on the unit sphere")
+    return z
 
 
 def poisson_kernel_eval(kernel, x, y):
@@ -145,14 +156,10 @@ def solve_vt(kernel, z, t, x, spec=None):
     the report's value and error_estimate are arrays over t.
     """
     spec = spec or QuadratureSpec()
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != kernel.d:
-        raise DomainError("point dimension mismatch")
+    z = _boundary_point(kernel, z)
     x = _interior_point(kernel, x)
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
-    if abs(np.linalg.norm(z) - 1.0) > 1e-12:
-        raise DomainError("z must lie on the unit sphere")
     if t.ndim > 1 or np.any(ts < 0.0):
         raise DomainError("t must be a nonnegative radius or 1-D array of them")
 
@@ -228,12 +235,13 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
 
     xi_z is the datum's oscillation profile about z; v_t is nonincreasing in
     t, so the Stieltjes integral is bracketed by monotone upper/lower sums.
-    Returns both sides with their estimated errors folded into ``holds``.
+    Returns both sides with their estimated errors folded into ``holds``;
+    x and z are checked before any work.
     """
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    x = _interior_point(kernel, x)
+    z = _boundary_point(kernel, z)
     if t_max is None:
         if g.support_radius is None:
             raise DomainError("t_max required for data of unbounded support")
@@ -251,26 +259,17 @@ def interior_to_boundary_check(problem, x, z, t_max=None, spec=None, tol=5e-3):
         abs_tol=max(spec.abs_tol, 1e-9),
         max_subdivisions=spec.max_subdivisions,
     )
-    vt_err, vt_ok = [0.0], [True]
-
-    def v_of_t(ts):
-        rep = solve_vt(kernel, z, ts, x, vt_spec)
-        vt_err[0] = max(vt_err[0], float(np.max(rep.error_estimate)))
-        vt_ok[0] = vt_ok[0] and rep.converged
-        return rep.value
-
-    rhs = stieltjes_integral(v_of_t, xi, t_max, tol=tol, mono_slack=1e-6)
-    # the bracket assumes exact integrand values; charge the worst v_t
-    # quadrature error against the full integrator variation on top
-    rhs_err = rhs.error_estimate + vt_err[0] * float(xi(t_max))
-    holds = lhs <= rhs.value + rhs_err + u.error_estimate + spec.abs_tol
+    # The bracket charges the worst v_t error and ANDs the v_t flags.
+    rhs = stieltjes_integral(lambda ts: solve_vt(kernel, z, ts, x, vt_spec),
+                             xi, t_max, tol=tol, mono_slack=1e-6)
+    holds = lhs <= rhs.value + rhs.error_estimate + u.error_estimate + spec.abs_tol
     return BoundaryCheck(
         lhs=lhs,
         lhs_error=u.error_estimate,
         rhs=rhs.value,
-        rhs_error=rhs_err,
+        rhs_error=rhs.error_estimate,
         holds=bool(holds),
-        converged=bool(u.converged and vt_ok[0] and rhs.converged),
+        converged=bool(u.converged and rhs.converged),
     )
 
 
@@ -288,7 +287,9 @@ def harmonicity_check(problem, x, calibration=1.0, spec=None):
     inside at every point the operator asks for; with the rotation-invariant
     measure (total mass = ``calibration``) the operator is a constant
     multiple of the fractional Laplacian, so the residual should vanish for
-    every calibration.
+    every calibration.  The report's function_evals counts the datum rows
+    and the kernel evaluations of the interior solves, and converged is
+    False if any interior solve is unconverged.
     """
     from .stable_operator import OperatorSpec, SpectralMeasure, apply_operator
 
@@ -299,13 +300,17 @@ def harmonicity_check(problem, x, calibration=1.0, spec=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vals = np.zeros(pts.shape[0])
         errs = np.zeros(pts.shape[0])
+        evals = np.ones(pts.shape[0], dtype=int)
         outside = np.linalg.norm(pts, axis=1) >= 1.0
         if outside.any():
             vals[outside] = g(pts[outside])
-        for i in np.flatnonzero(~outside):
-            rep = solve(problem, pts[i], _HARMONICITY_SOLVE_SPEC)
-            vals[i], errs[i] = rep.value, rep.error_estimate
-        return vals, errs
+        inside = np.flatnonzero(~outside)
+        reps = [solve(problem, pts[i], _HARMONICITY_SOLVE_SPEC) for i in inside]
+        vals[inside] = [rep.value for rep in reps]
+        errs[inside] = [rep.error_estimate for rep in reps]
+        evals[inside] = [rep.function_evals for rep in reps]
+        return EvaluationReport(vals, errs, evals,
+                                all(rep.converged for rep in reps))
 
     return apply_operator(
         OperatorSpec(SpectralMeasure.uniform(kernel.d, calibration), s=kernel.s),

@@ -193,7 +193,8 @@ def cmd_apply_operator(args):
 
     x = np.array([parse_number(v) for v in args.x.split(",")])
     rep = apply_operator(op, u, x, QuadratureSpec(), support_radius=1.0)
-    print(f"A u({args.x}) = {rep.value:.12g} +/- {rep.error_estimate:.3g}")
+    print(f"A u({args.x}) = {rep.value:.12g} +/- {rep.error_estimate:.3g}  "
+          f"(evals={rep.function_evals}, converged={rep.converged})")
     return 0 if rep.converged else 1
 
 

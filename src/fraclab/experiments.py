@@ -179,25 +179,18 @@ def build_datum(config):
 
 
 def _solve_on_grid(config, datum):
+    """(g(e_1), [(t, report of u(t e_1)) for t on the grid])."""
     problem = BallProblem(PoissonKernel(config.d, config.s), datum)
-    spec = config.quadrature
-    rows = []
-    for t in config.grid_t:
-        x = np.zeros(config.d)
-        x[0] = t
-        rep = solve(problem, x, spec)
-        rows.append((t, rep))
-    return rows
+    e1 = np.eye(config.d)[0]
+    rows = [(t, solve(problem, t * e1, config.quadrature)) for t in config.grid_t]
+    return float(datum(e1[None, :])[0]), rows
 
 
 def run_upper_bound_sweep(config):
     """|u(t e_1) - g(e_1)| against the predicted modulus sigma(1 - t)."""
     datum = build_datum(config)
     omega = datum.modulus or ModulusFunction.zero()
-    sol = _solve_on_grid(config, datum)
-    z = np.zeros(config.d)
-    z[0] = 1.0
-    gz = float(datum(z[None, :])[0])
+    gz, sol = _solve_on_grid(config, datum)
     rows = []
     for t, rep in sol:
         numer = abs(rep.value - gz)
@@ -223,10 +216,7 @@ def run_lower_bound_sweep(config):
     if datum.modulus is None:
         raise ConfigError("the lower-bound sweep needs a modulus-based datum")
     omega = datum.modulus
-    sol = _solve_on_grid(config, datum)
-    z = np.zeros(config.d)
-    z[0] = 1.0
-    gz = float(datum(z[None, :])[0])
+    gz, sol = _solve_on_grid(config, datum)
     s = config.s
     rows = []
     for t, rep in sol:
@@ -268,10 +258,7 @@ def run_blowup_experiment(config):
     dini = dini_integral(iota)
     datum = non_dini_datum(iota, config.s, config.d)
     omega = datum.modulus
-    sol = _solve_on_grid(config, datum)
-    z = np.zeros(config.d)
-    z[0] = 1.0
-    gz = float(datum(z[None, :])[0])
+    gz, sol = _solve_on_grid(config, datum)
     s = config.s
     tag = "divergent" if not dini.convergent else "convergent"
     rows = []
@@ -295,8 +282,8 @@ def run_cancellation_experiment(config):
         raise ConfigError("the cancellation experiment needs d >= 2")
     odd = sign_changing_datum(config.s, config.d)
     even = transverse_modulus_datum(ModulusFunction.power(config.s), config.d)
-    sol_odd = _solve_on_grid(config, odd)
-    sol_even = _solve_on_grid(config, even)
+    _, sol_odd = _solve_on_grid(config, odd)
+    _, sol_even = _solve_on_grid(config, even)
     rows = []
     for (t, ro), (_, re_) in zip(sol_odd, sol_even):
         contrast = re_.value

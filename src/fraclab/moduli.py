@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import EvaluationReport, QuadratureSpec, integrate_1d
+from .quadrature import EvaluationReport, QuadratureSpec, _as_report, integrate_1d
 
 
 class InvalidModulusError(ValueError):
@@ -427,19 +427,19 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, mono_slack=None):
     panels and is refined at most 60 times.
 
     f and xi are vectorized: each refinement level calls each of them once,
-    on the array of that level's new abscissae.
+    on the array of that level's new abscissae.  An f that returns a report
+    has max |f error| (xi(t_max) - xi(0)) charged on top of the half-width,
+    its flags ANDed into converged and its evaluations summed.
     """
     if t_max <= 0 or tol <= 0:
         raise ValueError("need t_max > 0 and tol > 0")
-
-    def values(fn, t):
-        return np.asarray(fn(t), dtype=float)
 
     # geometric points resolve integrators that vary on log scales near 0
     pts = set(np.linspace(0.0, t_max, 16 + 1))
     pts |= {t_max * 10.0 ** (-k) for k in range(1, 7)}
     pts = np.array(sorted(pts))
-    fs, xs = values(f, pts), values(xi, pts)
+    f_reps = [_as_report(f(pts))]  # f's report on each level's new points
+    fs, xs = f_reps[0].value, np.asarray(xi(pts), dtype=float)
 
     for _ in range(60 + 1):
         slack = mono_slack
@@ -452,10 +452,9 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, mono_slack=None):
         dxi = np.diff(xs)
         upper = float(np.sum(fs[:-1] * dxi))
         lower = float(np.sum(fs[1:] * dxi))
-        if upper - lower <= 2.0 * tol:
-            return EvaluationReport(
-                0.5 * (upper + lower), 0.5 * (upper - lower), len(pts), True
-            )
+        converged = upper - lower <= 2.0 * tol
+        if converged:
+            break
         # Bisect only the intervals holding more than their share of the
         # bracket width; the bracket is still nested since points are only
         # ever added.  Each level evaluates f and xi at its new points only.
@@ -467,11 +466,16 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, mono_slack=None):
         mids = mids[(a < mids) & (mids < b)]  # between adjacent floats: none
         if mids.size:
             at = np.searchsorted(pts, mids)
-            fs = np.insert(fs, at, values(f, mids))
-            xs = np.insert(xs, at, values(xi, mids))
+            f_reps.append(_as_report(f(mids)))
+            fs = np.insert(fs, at, f_reps[-1].value)
+            xs = np.insert(xs, at, np.asarray(xi(mids), dtype=float))
             pts = np.insert(pts, at, mids)
+    f_err = max(float(np.max(np.abs(r.error_estimate))) for r in f_reps)
     return EvaluationReport(
-        0.5 * (upper + lower), 0.5 * (upper - lower), len(pts), False
+        0.5 * (upper + lower),
+        0.5 * (upper - lower) + f_err * float(xs[-1] - xs[0]),
+        sum(int(np.sum(r.function_evals)) for r in f_reps),
+        converged and all(r.converged for r in f_reps),
     )
 
 

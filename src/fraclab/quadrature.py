@@ -16,14 +16,15 @@ report; ``integrate_1d`` is the public one-integral rule.
 
 Integrands are numpy-vectorized and called as ``f(x, ids)``: an ndarray of
 abscissae and, per abscissa, the index of the integral it belongs to.  They
-return an ndarray of values, or a pair ``(values, errors)`` whose per-point
-errors are folded into the report's error estimate (this is how inner
-angular integrals propagate their uncertainty to the radial rule).  So the
-sphere integrals at all radial nodes of one radial panel sweep cost one
-driver call per level.
+return an ndarray of values, or an ``EvaluationReport`` of per-point arrays
+when each value is itself computed (an inner rule, a solve), whose errors,
+evaluation counts and flag the rule folds into its own report.  So
+function_evals counts leaf evaluations at every level (one per point of a
+plain integrand), and the sphere integrals at all radial nodes of one
+radial panel sweep cost one driver call per level.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +56,16 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """A computed value with an estimated error and work counters.
+    """A computed value with an estimated error, its work and a flag.
 
-    The rules return one report for their k integrals: value and
-    error_estimate are length-k arrays, function_evals is the total and
-    converged is True when every integral converged.  The one-integral
-    functions return the scalar report ``_first`` makes of it.
+    function_evals counts leaf evaluations; converged is True when every
+    rule at every level below met its tolerance.  An integrand's report
+    holds per-point arrays of value, error_estimate and function_evals.
+    The rules return one report for their k integrals: length-k value and
+    error_estimate and the total function_evals (``sphere_integrals`` keeps
+    it per radius: its report is an integrand result).  The one-integral
+    functions return the scalar report ``_first`` makes of it.  Reports add
+    (parts of one integral), and ``report * factor`` scales value and error.
     """
 
     value: float
@@ -76,18 +81,26 @@ class EvaluationReport:
             converged=self.converged and other.converged,
         )
 
-    def scaled(self, factor):
-        return replace(
-            self,
-            value=self.value * factor,
-            error_estimate=self.error_estimate * abs(factor),
-        )
+    def __mul__(self, factor):
+        return EvaluationReport(self.value * factor,
+                                self.error_estimate * abs(factor),
+                                self.function_evals, self.converged)
 
 
 def _first(rep):
     """The scalar report of a report on one integral."""
     return EvaluationReport(float(rep.value[0]), float(rep.error_estimate[0]),
                             rep.function_evals, rep.converged)
+
+
+def _as_report(res):
+    """An integrand result as a report of per-point arrays: a report as it
+    is, plain values with zero errors, one evaluation each and converged."""
+    if isinstance(res, EvaluationReport):
+        return res
+    values = np.asarray(res, dtype=float)
+    return EvaluationReport(values, np.zeros(values.shape),
+                            np.ones(values.shape, dtype=int), True)
 
 
 # Panels evaluated per integrand call: bounds the size of the abscissa
@@ -99,46 +112,35 @@ PANELS_PER_CALL = 64
 RADIAL_GRADING = 16.0
 
 
-def _values_errors(res):
-    """(values, errors) arrays of an integrand result: values, or a pair
-    (values, errors) whose errors are taken in absolute value."""
-    if isinstance(res, tuple):
-        return (np.asarray(res[0], dtype=float),
-                np.abs(np.asarray(res[1], dtype=float)))
-    values = np.asarray(res, dtype=float)
-    return values, np.zeros_like(values)
-
-
-def _scaled(res, factor):
-    """An integrand result (values, or a (values, errors) pair) times factor."""
-    if isinstance(res, tuple):
-        return res[0] * factor, res[1] * factor
-    return res * factor
-
-
 def _evaluate_panels(f, lo, hi, ids):
     """Evaluate f on the 15 Kronrod nodes of each panel.
 
     ``f(x, ids)`` is called on at most ``PANELS_PER_CALL`` panels at a time,
     with ``ids[j]`` the integral that abscissa ``x[j]`` belongs to.  Returns
-    (panel_values, panel_errors, aux_errors) where aux_errors carries
-    integrand-supplied per-point uncertainties.
+    (panel_values, panel_errors, aux_errors, panel_evals, converged):
+    aux_errors and panel_evals fold the integrand's per-point errors and
+    evaluation counts over each panel, and converged ANDs its flags.
     """
     halves = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi)[:, None] + halves[:, None] * GK_NODES[None, :]
-    fv = np.empty_like(x)
-    fe = np.zeros_like(x)
+    fv, fe, fn = np.empty(x.shape), np.zeros(x.shape), np.empty(x.shape)
+    converged = True
     for k in range(0, len(lo), PANELS_PER_CALL):
         rows = slice(k, k + PANELS_PER_CALL)
         res = f(x[rows].ravel(), np.repeat(ids[rows], 15))
-        if isinstance(res, tuple):
-            fe[rows] = np.abs(np.asarray(res[1], dtype=float)).reshape(-1, 15)
-            res = res[0]
+        if isinstance(res, EvaluationReport):
+            fe[rows] = res.error_estimate.reshape(-1, 15)
+            fn[rows] = res.function_evals.reshape(-1, 15)
+            converged = converged and bool(res.converged)
+            res = res.value
+        else:
+            fn[rows] = 1
         fv[rows] = np.asarray(res, dtype=float).reshape(-1, 15)
-    if not np.all(np.isfinite(fv)):
+    if not np.isfinite(fv).all():
         raise QuadratureError("integrand returned a non-finite value")
     values, errors = panel_reduce(fv, halves)
-    return values, errors, halves * (fe @ GK_WEIGHTS_K)
+    return (values, errors, halves * (fe @ GK_WEIGHTS_K), fn.sum(axis=1),
+            converged)
 
 
 def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
@@ -155,18 +157,19 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     dominates; otherwise it splits every panel above ``tol / (2 n_panels)``
     and at least its worst one.
 
-    Returns (values, errors, function_evals, converged): per-id arrays, and
-    one bool that is True when every id met its tolerance.
+    Returns (values, errors, function_evals, converged): per-id arrays, the
+    evaluations counted as the integrand reports them, and one bool that is
+    True when every id met its tolerance and the integrand reported no
+    unconverged point.
     """
     n = len(partitions)
     lo, hi = partitions[:, :-1].ravel(), partitions[:, 1:].ravel()
     ids = np.repeat(np.arange(n), partitions.shape[1] - 1)
     keep = hi > lo
     lo, hi, ids = lo[keep], hi[keep], ids[keep]
-    values, errors, n_evals = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
-    converged = True
-    pv, pe, pa = _evaluate_panels(f, lo, hi, ids)
-    n_evals += 15 * np.bincount(ids, minlength=n)
+    values, errors = np.zeros(n), np.zeros(n)
+    pv, pe, pa, pn, converged = _evaluate_panels(f, lo, hi, ids)
+    n_evals = np.bincount(ids, pn, n)
     while ids.size:
         count = np.bincount(ids, minlength=n)
         total = np.bincount(ids, pv, n)
@@ -181,12 +184,13 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
             ok | (count >= max_subdivisions)
             | ((aux_err > 0.5 * tol) & (gk_err <= 0.5 * tol))
         )
-        values[done], errors[done] = total[done], err[done]
-        converged = converged and bool(ok[done].all())
-        live = ~done[ids]
-        lo, hi, ids, pv, pe, pa = (a[live] for a in (lo, hi, ids, pv, pe, pa))
-        if not ids.size:
-            break
+        if done.any():
+            values[done], errors[done] = total[done], err[done]
+            converged = converged and bool(ok[done].all())
+            live = ~done[ids]
+            lo, hi, ids, pv, pe, pa = (a[live] for a in (lo, hi, ids, pv, pe, pa))
+            if not ids.size:
+                break
         # Split every panel holding more than its share of the budget; always
         # split at least the worst one (the first, on ties).
         split = pe > tol[ids] / (2.0 * count[ids])
@@ -200,13 +204,14 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
         mid = 0.5 * (s_lo + s_hi)
         new = (np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi]),
                np.concatenate([s_ids, s_ids]))
-        nv, ne, na = _evaluate_panels(f, *new)
-        n_evals += 15 * np.bincount(new[2], minlength=n)
+        nv, ne, na, nn, new_ok = _evaluate_panels(f, *new)
+        n_evals += np.bincount(new[2], nn, n)
+        converged = converged and new_ok
         old = ~split
         lo, hi, ids = (np.concatenate([a[old], b]) for a, b in zip((lo, hi, ids), new))
         pv, pe, pa = (np.concatenate([a[old], b])
                       for a, b in zip((pv, pe, pa), (nv, ne, na)))
-    return values, errors, n_evals, converged
+    return values, errors, n_evals.astype(int), converged
 
 
 def _integrate(f, partitions, spec, abs_tol=None):
@@ -262,7 +267,7 @@ def integrate_radial_singular(f, s, R, spec, breakpoints):
     p = 1.0 / (1.0 - s)
 
     def transformed(w, ids):
-        return _scaled(f(w**p, ids), p * w ** (p - 1.0))
+        return f(w**p, ids) * (p * w ** (p - 1.0))
 
     # Start marginally above zero so q never underflows to an exact 0 (the
     # omitted mass is O(w_lo) times a bounded transformed integrand).
@@ -293,7 +298,7 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
         raise QuadratureError("R must be positive")
 
     def mapped(v, ids):
-        return _scaled(f(R / v, ids), R / v**2)
+        return f(R / v, ids) * (R / v**2)
 
     if decay_exponent >= 1.0:
         integrand = mapped
@@ -301,7 +306,7 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
         q = 1.0 / decay_exponent
 
         def integrand(z, ids):
-            return _scaled(mapped(z**q, ids), q * z ** (q - 1.0))
+            return mapped(z**q, ids) * (q * z ** (q - 1.0))
 
     abs_tol = np.asarray(abs_tol, dtype=float)
     return _integrate(integrand, [(0.0, 0.5, 1.0)] * abs_tol.size, spec, abs_tol)
@@ -365,29 +370,32 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     is one recursion over it: S^{d-1} is the polar angle phi from frame[0],
     weighted by sin^{d-2} phi, times S^{d-2} in frame[1:], down to S^0, the
     mirror pair in frame[-1].  ``g(y, ids)`` gets the stacked pairs [y; y']
-    and ``ids[j]`` the radius index of row j, and returns values or a
-    (values, errors) pair whose two halves are summed.  The top polar level
+    and ``ids[j]`` the radius index of row j, and returns values or a report
+    of per-point arrays, whose two halves are summed.  The top polar level
     runs over the rows ``partitions[i]`` of (0, pi) of a 2-D array (None:
     (0, pi) for every radius) under ``rule``, each nested level over (0, pi)
     as one batch under ``_inner_spec(rule)``.  An ``axisymmetric`` g
     (symmetric about the line of frame[0]) stops after the top level: each
     nested sphere contributes its area times g at one point.
 
-    Returns (result, converged): result in the integrand form, per radius
-    (in d = 1 the pair sums, with no rule), and converged True when every
-    integral at every level met its tolerance.
+    Returns one report per radius (in d = 1 the pair sum, with no rule):
+    value, error_estimate and function_evals (the rows handed to g, or the
+    evaluations g reports for them) are arrays over the radii, and converged
+    is True when g reported no unconverged point and every integral at
+    every level met its tolerance.
     """
-    ok = [True]
 
     def folded(base, off, ids):
         # g(base + off) + g(base - off) with one call of g; base None is 0
         y = np.concatenate([off, -off] if base is None else [base + off, base - off])
         res = g(y, np.concatenate([ids, ids]))
         n = ids.size
-        if isinstance(res, tuple):
-            vals, errs = _values_errors(res)
-            return vals[:n] + vals[n:], errs[:n] + errs[n:]
-        return res[:n] + res[n:]
+        # Plain values, those of the innermost and most called integrand,
+        # are summed alone: two evaluations and no error per pair.
+        if isinstance(res, EvaluationReport):
+            pairs = (res.value, res.error_estimate, res.function_evals)
+            return EvaluationReport(*(a[:n] + a[n:] for a in pairs), res.converged)
+        return EvaluationReport(res[:n] + res[n:], np.zeros(n), np.full(n, 2), True)
 
     def sphere(k, base, scale, ids, level):
         # Row j: the sphere of radius scale[j] about base[j] in frame[k:].
@@ -398,25 +406,24 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
         m = len(frame) - 1 - k  # the sphere is S^m
 
         def polar(phi, j):
-            axial = (scale[j] * np.cos(phi))[:, None] * frame[k]
+            radius, sin = scale[j], np.sin(phi)
+            axial = (radius * np.cos(phi))[:, None] * frame[k]
             b = axial if base is None else base[j] + axial
-            t = scale[j] * np.sin(phi)
+            t = radius * sin
             if axisymmetric:
-                w = _sphere_area(m) * np.sin(phi) ** (m - 1)
-                return _scaled(g(b + t[:, None] * frame[k + 1], ids[j]), w)
-            res = level(k + 1, b, t, ids[j], level)
-            return res if m == 1 else _scaled(res, np.sin(phi) ** (m - 1))
+                w = _sphere_area(m) * sin ** (m - 1)
+                return g(b + t[:, None] * frame[k + 1], ids[j]) * w
+            rep = level(k + 1, b, t, ids[j], level)
+            return rep if m == 1 else rep * sin ** (m - 1)
 
         parts = (partitions if k == 0 and partitions is not None
                  else np.tile([0.0, np.pi], (scale.size, 1)))
         spec = rule if k == 0 else _inner_spec(rule)
-        vals, errs, _, conv = _adaptive(
+        return EvaluationReport(*_adaptive(
             polar, parts, spec.rel_tol, spec.abs_tol, spec.max_subdivisions
-        )
-        ok[0] = ok[0] and conv
-        return vals, errs
+        ))
 
-    return sphere(0, None, radii, np.arange(radii.size), sphere), ok[0]
+    return sphere(0, None, radii, np.arange(radii.size), sphere)
 
 
 def integrate_exterior_ball(
@@ -461,8 +468,8 @@ def integrate_exterior_ball(
     every integral gets the panels it gets alone; the angular integrals of
     all radial nodes in one radial panel sweep run as one batch.  The
     report's value and error_estimate are length-k arrays, function_evals
-    counts every point and converged is False if any integral, angular ones
-    included, ends unconverged.
+    counts the rows passed to F and converged is False if any integral,
+    angular ones included, ends unconverged.
     """
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
     d = x.size
@@ -477,14 +484,6 @@ def integrate_exterior_ball(
         )
     frame = _frame(x, d)
     inner = _inner_spec(spec)
-    evals = [0]
-    inner_ok = [True]
-
-    def call_F(points, q, ids):
-        # q holds the exact boundary offset |y| - 1 of each point; kernel
-        # integrands use it to form |y|^2 - 1 = q(2+q) without cancellation.
-        evals[0] += points.shape[0]
-        return np.asarray(F(points, q * (2.0 + q), ids), dtype=float)
 
     def polar_partitions(q, ids):
         # Per radial node, one row: the folded range (0, pi), graded toward
@@ -499,14 +498,15 @@ def integrate_exterior_ball(
         return np.concatenate([0.0 * ends, cuts, np.pi * ends], axis=1)
 
     def radial_q(q, ids):
-        rho = 1.0 + q
-        res, ok = sphere_integrals(
-            lambda y, j: call_F(y, q[j], ids[j]), frame, rho,
+        # q holds the exact boundary offset |y| - 1 of each radial node;
+        # kernel integrands use it to form |y|^2 - 1 = q(2+q) without
+        # cancellation.
+        rho, norm2m1 = 1.0 + q, q * (2.0 + q)
+        return sphere_integrals(
+            lambda y, j: F(y, norm2m1[j], ids[j]), frame, rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
             axisymmetric and d == 3,
-        )
-        inner_ok[0] = inner_ok[0] and ok
-        return _scaled(res, rho ** (d - 1)) if d > 1 else res
+        ) * rho ** (d - 1)
 
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
@@ -527,5 +527,4 @@ def integrate_exterior_ball(
             np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value)),
         )
         total = total + far
-    return replace(total, function_evals=evals[0],
-                   converged=total.converged and inner_ok[0])
+    return total

@@ -14,14 +14,16 @@ are summed over their atoms; the uniform measure is integrated with
 ``quadrature.sphere_integrals``, in a frame along x and folded by a mirror
 (in d = 1 that is the pair x +- r, with no adaptive rule).
 
-Functions u are numpy-vectorized over an (n, d) array of points; they may
-return a pair (values, errors) when their own evaluation carries numerical
-uncertainty (e.g. a quadrature-based solution), and those errors propagate
-into the report.
+Functions u are numpy-vectorized over an (n, d) array of points.  They
+return values, or an ``EvaluationReport`` of per-point arrays when their
+own evaluation is a computation (e.g. a quadrature-based solution): its
+errors, evaluation counts and flag then flow into the operator's report.
+function_evals counts leaf evaluations: the rows u was given, or the counts
+u reports for them.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +36,11 @@ from .quadrature import (
     # Not called here: perfbench/tracer.py patches this module's bindings.
     _adaptive,  # noqa: F401
     integrate_1d,  # noqa: F401
+    _as_report,
     _first,
     _frame,
     _integrate,
-    _scaled,
     _sphere_area,
-    _values_errors,
 )
 
 
@@ -194,49 +195,47 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
 _SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
 
 
-def _average(measure, phi, frame, r, ok):
-    """(vals, errs) of int phi(r theta) mu(dtheta) over a batch of radii r.
+def _average(measure, phi, frame, r):
+    """The report of int phi(r theta) mu(dtheta) over a batch of radii r.
 
-    ``phi`` takes an (n, d) array of offsets y = r theta.  Atoms are summed
-    with one call of phi; the uniform measure is integrated with
-    ``sphere_integrals`` in ``frame``, its flag ANDed into ok[0].
+    ``phi`` takes an (n, d) array of offsets y = r theta and returns values
+    or a report.  Atoms are summed with one call of phi; the uniform measure
+    is integrated with ``sphere_integrals`` in ``frame``.
     """
     d = measure.dimension
     if measure.variant == "atomic":
         thetas = np.array([theta for theta, _ in measure.atoms])
         weights = np.array([w for _, w in measure.atoms])
-        vals, errs = _values_errors(
-            phi((r[:, None, None] * thetas).reshape(-1, d))
+        rep = _as_report(phi((r[:, None, None] * thetas).reshape(-1, d)))
+        return EvaluationReport(
+            rep.value.reshape(r.size, -1) @ weights,
+            rep.error_estimate.reshape(r.size, -1) @ weights,
+            rep.function_evals.reshape(r.size, -1).sum(axis=1),
+            rep.converged,
         )
-        return (vals.reshape(r.size, -1) @ weights,
-                errs.reshape(r.size, -1) @ weights)
-    (vals, errs), converged = sphere_integrals(
-        lambda y, ids: phi(y), frame, r, None, _SPHERE_RULE
-    )
-    ok[0] = ok[0] and converged
-    c = measure.total_mass / _sphere_area(d)
-    return c * vals, c * errs
+    rep = sphere_integrals(lambda y, ids: phi(y), frame, r, None, _SPHERE_RULE)
+    return rep * (measure.total_mass / _sphere_area(d))
 
 
-def _abs_average(measure, u, y, frame, r, ok):
-    """(vals, errs) of int |u(y + r theta)| mu(dtheta) over a radius batch."""
+def _abs_average(measure, u, y, frame, r):
+    """The report of int |u(y + r theta)| mu(dtheta) over a radius batch."""
     def absolute(z):
-        v, e = _values_errors(u(y + z))
-        return np.abs(v), e
+        rep = _as_report(u(y + z))
+        return EvaluationReport(np.abs(rep.value), rep.error_estimate,
+                                rep.function_evals, rep.converged)
 
-    return _average(measure, absolute, frame, r, ok)
+    return _average(measure, absolute, frame, r)
 
 
-def _radial(integrand, points, spec, ok, decay=None):
+def _radial(integrand, points, spec, decay=None):
     """The integral of ``integrand(r, ids)`` over the partition ``points``,
     plus the one over (points[-1], inf) when ``decay`` is given
-    (|integrand(r)| <= M r^{-1-decay} there); converged also needs ok[0],
-    the flag of the integrand's sphere averages."""
+    (|integrand(r)| <= M r^{-1-decay} there)."""
     rep = _integrate(integrand, [points], spec)
     if decay is not None:
         rep = rep + integrate_radial_unbounded(integrand, points[-1], decay,
                                                spec, [spec.abs_tol])
-    return replace(_first(rep), converged=rep.converged and ok[0])
+    return _first(rep)
 
 
 def apply_operator(
@@ -255,6 +254,7 @@ def apply_operator(
     given (u vanishes for |y| > support_radius) the far tail reduces to a
     closed form of u(x).  The radial rule breaks at ``radial_breakpoints``
     and where x + r theta crosses the unit or the support sphere.
+    function_evals counts the rows of u, u(x) included.
     """
     spec = spec or QuadratureSpec()
     s = op.s
@@ -265,24 +265,25 @@ def apply_operator(
         raise QuadratureError(
             "growth_exponent must be < 2s for the operator to be defined"
         )
-    u0, u0_err = (float(a[0]) for a in _values_errors(u(x[None, :])))
+    u0 = _as_report(u(x[None, :]))
+    u0_value, u0_error = float(u0.value[0]), float(u0.error_estimate[0])
     frame = _frame(x, x.size)
-    ok = [True]
 
     def first_difference(y):
-        v, e = _values_errors(u(x + y))
-        return u0 - v, u0_err + e
+        rep = _as_report(u(x + y))
+        return EvaluationReport(u0_value - rep.value, u0_error + rep.error_estimate,
+                                rep.function_evals, rep.converged)
 
     def core(r, ids):
-        return _scaled(_average(op.measure, first_difference, frame, r, ok),
-                       r ** (-1.0 - 2.0 * s))
+        return (_average(op.measure, first_difference, frame, r)
+                * r ** (-1.0 - 2.0 * s))
 
     # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
     # integrand into a bounded one.
     b = 1.0 / (2.0 - 2.0 * s)
 
     def near(w, ids):
-        return _scaled(core(w**b, ids), b * w ** (b - 1.0))
+        return core(w**b, ids) * (b * w ** (b - 1.0))
 
     radial_breakpoints = {*radial_breakpoints,
                           *sphere_crossing_radii(op.measure, x, support_radius)}
@@ -290,20 +291,22 @@ def apply_operator(
     rep = _radial(near, sorted(
         {w_lo, 1.0}
         | {p ** (1.0 / b) for p in radial_breakpoints if w_lo < p < 1.0}
-    ), spec, ok)
+    ), spec)
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
         r_end, decay = float(np.linalg.norm(x)) + support_radius + 0.5, None
     rep = rep + _radial(core, sorted(
         {1.0, r_end} | {p for p in radial_breakpoints if 1.0 < p < r_end}
-    ), spec, ok, decay)
-    if support_radius is not None:
-        # Beyond r_end every u(x + r theta) vanishes, so the integrand is
-        # exactly total_mass * u(x) * r^{-1-2s}.
-        c = op.measure.total_mass * r_end ** (-2.0 * s) / (2.0 * s)
-        rep = rep + EvaluationReport(u0 * c, u0_err * c, 1, True)
-    return rep.scaled(1.0 - s)
+    ), spec, decay)
+    # u(x) adds its evaluation and flag, and with a support radius the tail:
+    # beyond r_end every u(x + r theta) vanishes, so the integrand is exactly
+    # total_mass * u(x) * r^{-1-2s}.
+    c = (0.0 if support_radius is None
+         else op.measure.total_mass * r_end ** (-2.0 * s) / (2.0 * s))
+    rep = rep + EvaluationReport(u0_value * c, u0_error * c,
+                                 int(u0.function_evals[0]), u0.converged)
+    return rep * (1.0 - s)
 
 
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
@@ -317,11 +320,10 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
     if growth_exponent >= 2.0 * s:
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
     frame = _frame(y, y.size)
-    ok = [True]
 
     def integrand(t, ids):
-        return _scaled(_abs_average(op.measure, u, y, frame, t, ok),
-                       t ** (-1.0 - 2.0 * s))
+        return (_abs_average(op.measure, u, y, frame, t)
+                * t ** (-1.0 - 2.0 * s))
 
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
@@ -329,7 +331,7 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         r_end, decay = float(np.linalg.norm(y)) + support_radius + 0.5, None
     kinks = sphere_crossing_radii(op.measure, y, support_radius)
     points = sorted({0.5, r_end} | {t for t in kinks if 0.5 < t < r_end})
-    return _radial(integrand, points, spec, ok, decay).scaled(1.0 - s)
+    return _radial(integrand, points, spec, decay) * (1.0 - s)
 
 
 def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
@@ -345,11 +347,10 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     area = SpectralMeasure.uniform(d, _sphere_area(d))
     origin = np.zeros(d)
     frame = _frame(origin, d)
-    ok = [True]
 
     def integrand(rho, ids):
-        return _scaled(_abs_average(area, u, origin, frame, rho, ok),
-                       rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s))
+        return (_abs_average(area, u, origin, frame, rho)
+                * (rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s)))
 
-    return _radial(integrand, [1e-290, 1.0, 2.0], spec, ok,
-                   2.0 * s - growth_exponent).scaled(1.0 - s)
+    return _radial(integrand, [1e-290, 1.0, 2.0], spec,
+                   2.0 * s - growth_exponent) * (1.0 - s)

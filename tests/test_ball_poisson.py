@@ -25,6 +25,7 @@ from fraclab.exterior_data import (
     halfline_modulus_datum,
     radial_indicator_datum,
     sign_changing_datum,
+    transverse_modulus_datum,
 )
 from fraclab.moduli import ModulusFunction
 from fraclab.quadrature import QuadratureSpec
@@ -331,6 +332,20 @@ class TestBoundaryCheck:
         assert ref.converged and not chk.converged
         assert (chk.lhs, chk.rhs, chk.holds) == (ref.lhs, ref.rhs, ref.holds)
 
+    @pytest.mark.parametrize("z, message", [
+        ([1.0, 0.0, 0.0], "dimension mismatch"),
+        ([0.9, 0.0], "unit sphere"),
+    ])
+    def test_checks_z_before_any_work(self, z, message, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before z was checked")
+
+        monkeypatch.setattr(ball_poisson, "solve", no_solve)
+        problem = BallProblem(PoissonKernel(2, 0.5), transverse_modulus_datum(
+            ModulusFunction.power(0.5), 2))
+        with pytest.raises(DomainError, match=message):
+            interior_to_boundary_check(problem, [0.5, 0.0], z)
+
     def test_requires_t_max_for_unbounded_data(self):
         problem = BallProblem(PoissonKernel(1, 0.5), constant_datum(1.0, 1))
         assert problem.datum.support_radius is None
@@ -354,3 +369,33 @@ class TestHarmonicity:
         b = harmonicity_check(problem, [0.2], calibration=3.0)
         assert abs(a.value) <= 1e-4
         assert abs(b.value) <= 3e-4
+
+    def test_reports_the_interior_solves(self, monkeypatch):
+        # function_evals counts every datum row, those of the interior solves
+        # included, and one unconverged interior solve clears the flag.
+        datum = radial_indicator_datum(0.5, 1)
+        rows = []
+
+        def counted(pts):
+            rows.append(len(pts))
+            return datum.eval(pts)
+
+        problem = BallProblem(PoissonKernel(1, 0.5),
+                              dataclasses.replace(datum, eval=counted))
+        ref = harmonicity_check(problem, [0.0])
+        assert ref.converged
+        assert ref.function_evals == sum(rows)
+
+        solve_converged = ball_poisson.solve
+        solves = []
+
+        def third_unconverged(*args, **kwargs):
+            solves.append(solve_converged(*args, **kwargs))
+            return dataclasses.replace(solves[-1], converged=len(solves) != 3)
+
+        monkeypatch.setattr(ball_poisson, "solve", third_unconverged)
+        rep = harmonicity_check(problem, [0.0])
+        assert len(solves) > 3
+        assert not rep.converged
+        assert (rep.value, rep.error_estimate, rep.function_evals) == (
+            ref.value, ref.error_estimate, ref.function_evals)

@@ -1,6 +1,7 @@
 """End-to-end command-line interface behavior."""
 
 import math
+import re
 
 import pytest
 
@@ -83,12 +84,14 @@ class TestApplyOperator:
         )
         assert code == 0
         assert "A u(0) =" in out
+        assert re.search(r"\(evals=[1-9]\d*, converged=True\)", out)
 
     def test_bump_in_d4(self, capsys):
         # the bump's value is pi/2 at every point inside the ball
         code, out = run(capsys, "apply-operator", "--d", "4", "--x", "0,0,0,0.3")
         assert code == 0
-        value, estimate = (float(v) for v in out.split("=")[1].split("+/-"))
+        value, estimate = (float(v) for v in re.search(
+            r"= (\S+) \+/- (\S+)  \(evals=\d+, converged=True\)", out).groups())
         assert abs(value - math.pi / 2) <= estimate
 
 

@@ -20,6 +20,7 @@ from fraclab.moduli import (
     stieltjes_integral,
 )
 from fraclab.exterior_data import constant_datum, halfline_modulus_datum
+from fraclab.quadrature import EvaluationReport
 
 
 def random_table_modulus(rng, n_max=8):
@@ -330,6 +331,27 @@ class TestStieltjes:
         assert len(f_calls) == len(xi_calls) > 1
         assert f_calls == xi_calls
         assert sum(f_calls) == rep.function_evals
+
+    def test_reported_errors_and_flags_are_charged(self):
+        # f's worst error times xi(t_max) - xi(0) = 1 goes on top of the
+        # bracket; the bracket, and so the points, are those of the values
+        xi = lambda t: np.minimum(t, 1.0)
+        plain = stieltjes_integral(lambda t: np.exp(-t), xi, 2.0, tol=1e-6)
+
+        def reported(t, converged=True):
+            return EvaluationReport(np.exp(-t), 1e-4 * t,
+                                    np.full(t.shape, 5), converged)
+
+        rep = stieltjes_integral(reported, xi, 2.0, tol=1e-6)
+        assert rep.value == plain.value
+        assert rep.error_estimate == plain.error_estimate + 2e-4
+        assert rep.function_evals == 5 * plain.function_evals
+        assert rep.converged
+        # t_max is in the first level only
+        rep = stieltjes_integral(lambda t: reported(t, 2.0 not in t), xi, 2.0,
+                                 tol=1e-6)
+        assert rep.value == plain.value
+        assert not rep.converged
 
     def test_brackets_are_nested(self):
         f = lambda t: 1.0 / (1.0 + t)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraclab import _accel, quadrature
 from fraclab.quadrature import (
+    EvaluationReport,
     QuadratureError,
     QuadratureSpec,
     integrate_1d,
@@ -96,17 +97,25 @@ class TestIntegrate1d:
         assert abs(rep.value - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+def _reported(values, errors, evals=1):
+    """An integrand report: per-point values and errors, ``evals`` leaf
+    evaluations per point, converged."""
+    return EvaluationReport(values, errors,
+                            np.full(np.shape(values), evals, dtype=int), True)
+
+
 # Integrands and initial partitions for the batched driver: smooth, kinked
-# off the partition, a jump, a (values, errors) pair whose error dominates,
-# a zero integrand and an empty partition.
+# off the partition, a jump, reports with small errors and with dominating
+# errors (and two leaf evaluations per point), a zero integrand and an empty
+# partition.
 BATCH_CASES = [
     (np.sin, [0.0, np.pi]),
     (lambda x: np.exp(-x * x), [-3.0, 0.0, 3.0]),
     (lambda x: np.abs(x - 0.3), [0.0, 1.0]),
     (lambda x: np.sqrt(np.abs(np.sin(5.0 * x))), [0.0, 0.7, 2.0]),
     (lambda x: (x > 1.0 / 3.0).astype(float), [0.0, 0.25, 1.0]),
-    (lambda x: (np.cos(x), 1e-12 * np.ones_like(x)), [0.0, 1.0, 1.5]),
-    (lambda x: (x * x, 1e-3 * np.abs(x)), [0.0, 0.5, 2.0]),
+    (lambda x: _reported(np.cos(x), 1e-12 * np.ones_like(x)), [0.0, 1.0, 1.5]),
+    (lambda x: _reported(x * x, 1e-3 * np.abs(x), 2), [0.0, 0.5, 2.0]),
     (lambda x: np.zeros_like(x), [0.0, 1.0]),
     (np.sin, [1.0, 1.0]),
 ]
@@ -158,17 +167,15 @@ class TestBatchedDriver:
 
         def batched(x, ids):
             sizes.append(x.size)
-            vals = np.empty_like(x)
-            errs = np.zeros_like(x)
+            vals, errs = np.empty_like(x), np.zeros_like(x)
+            evals = np.ones(x.shape, dtype=int)
             for i, (g, _) in enumerate(BATCH_CASES):
                 sel = ids == i
                 if sel.any():
-                    res = g(x[sel])
-                    if isinstance(res, tuple):
-                        vals[sel], errs[sel] = res
-                    else:
-                        vals[sel] = res
-            return vals, errs
+                    rep = quadrature._as_report(g(x[sel]))
+                    vals[sel], errs[sel] = rep.value, rep.error_estimate
+                    evals[sel] = rep.function_evals
+            return EvaluationReport(vals, errs, evals, True)
 
         args = (rel_tol, 1e-13, max_subdivisions)
         vals, errs, evals, ok = _adaptive(
@@ -182,8 +189,9 @@ class TestBatchedDriver:
             assert evals[i] == n1[0], i
             oks.append(ok1)
         assert ok == all(oks)
-        assert not all(oks)  # the error-dominated pair stops unconverged
+        assert not all(oks)  # the error-dominated report stops unconverged
         assert evals[-1] == 0 and vals[-1] == 0.0
+        assert evals[6] % 30 == 0  # two leaf evaluations per Kronrod node
         assert max(sizes) <= 15 * PANELS_PER_CALL
 
     def test_repeated_points_are_dropped(self):
@@ -376,17 +384,16 @@ class TestSphereIntegrals:
             assert np.allclose(mid @ frame[-1], 0.0, atol=1e-14 * radii.max())
             return np.ones(len(y))
 
-        res, ok = sphere_integrals(const, frame, radii, parts, rule)
-        vals, errs = quadrature._values_errors(res)
-        assert ok
-        assert np.allclose(vals, area, rtol=1e-12, atol=0.0)
+        rep = sphere_integrals(const, frame, radii, parts, rule)
+        assert rep.converged
+        assert np.allclose(rep.value, area, rtol=1e-12, atol=0.0)
 
-        res, ok = sphere_integrals(lambda y, ids: (y @ a) ** 2, frame, radii,
-                                   None, rule)
-        vals, errs = quadrature._values_errors(res)
+        rep = sphere_integrals(lambda y, ids: (y @ a) ** 2, frame, radii,
+                               None, rule)
         exact = radii**2 * (a @ a) * area / d
-        assert ok
-        assert np.all(np.abs(vals - exact) <= errs + 1e-10 * exact)
+        assert rep.converged
+        assert np.all(np.abs(rep.value - exact)
+                      <= rep.error_estimate + 1e-10 * exact)
 
         if d == 3:
             # exp(y . frame[0]) is symmetric about the axis of frame[0]: the
@@ -396,10 +403,31 @@ class TestSphereIntegrals:
 
             exact = 4.0 * np.pi * np.sinh(radii) / radii
             for axisymmetric in (True, False):
-                (vals, errs), ok = sphere_integrals(along_axis, frame, radii,
-                                                    None, rule, axisymmetric)
-                assert ok
-                assert np.all(np.abs(vals - exact) <= errs + 1e-10 * exact)
+                rep = sphere_integrals(along_axis, frame, radii, None, rule,
+                                       axisymmetric)
+                assert rep.converged
+                assert np.all(np.abs(rep.value - exact)
+                              <= rep.error_estimate + 1e-10 * exact)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("axisymmetric", [False, True])
+    @pytest.mark.parametrize("evals", [None, 3])
+    def test_function_evals_are_the_rows_of_g(self, d, axisymmetric, evals, rng):
+        # per radius: the rows handed to g, or the evaluations g reports
+        frame = _random_frame(rng, d)
+        radii = np.array([0.5, 2.0, 3.0])
+        rows = np.zeros(radii.size, dtype=int)
+
+        def g(y, ids):
+            rows[:] += np.bincount(ids, minlength=radii.size)
+            vals = np.exp(y @ frame[0])
+            return vals if evals is None else _reported(vals, 0.0 * vals, evals)
+
+        rep = sphere_integrals(g, frame, radii, None,
+                               QuadratureSpec(rel_tol=1e-8), axisymmetric)
+        assert rep.converged
+        assert rows.min() > 0
+        assert np.array_equal(rep.function_evals, (evals or 1) * rows)
 
     def test_longitude_at_its_panel_cap_is_reported(self, rng, monkeypatch):
         # cos(K alpha) in the longitude alpha alone: every longitude integral
@@ -419,12 +447,13 @@ class TestSphereIntegrals:
 
         monkeypatch.setattr(quadrature, "_adaptive", spy)
         rule = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-9, max_subdivisions=64)
-        (vals, errs), ok = sphere_integrals(
+        rep = sphere_integrals(
             g, frame, np.array([1.0]), np.array([[0.0, np.pi]]), rule
         )
-        assert flags == [False, True]  # longitude batch, then the polar one
-        assert abs(vals[0] - 4.0 * np.pi) <= errs[0] + 1e-9
-        assert not ok
+        # the longitude batch, then the polar one, which carries its flag up
+        assert flags == [False, False]
+        assert abs(rep.value[0] - 4.0 * np.pi) <= rep.error_estimate[0] + 1e-9
+        assert not rep.converged
 
 
 class TestExteriorBall:

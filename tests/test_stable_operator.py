@@ -10,7 +10,7 @@ import scipy.integrate
 from fraclab import stable_operator
 from fraclab.exterior_data import halfline_modulus_datum
 from fraclab.moduli import ModulusFunction
-from fraclab.quadrature import QuadratureError, QuadratureSpec
+from fraclab.quadrature import EvaluationReport, QuadratureError, QuadratureSpec
 from fraclab.stable_operator import (
     MeasureError,
     OperatorSpec,
@@ -66,11 +66,16 @@ class TestNondegeneracy:
 
     def test_uniform_d2_is_direction_independent(self):
         m = SpectralMeasure.uniform(2, 2.0 * math.pi)
-        v1 = nondegeneracy_constant(m, 0.5, xi_samples=360)
-        v2 = nondegeneracy_constant(m, 0.5, xi_samples=721)
-        assert abs(v1 - v2) < 1e-9
-        # (2 pi / 2 pi) * int_0^{2 pi} |cos|^{1} / (2 pi) ... = 4 for mass 2 pi
-        assert abs(v1 - 4.0) < 1e-9
+        # int_0^{2 pi} |cos phi| dphi = 4 for mass 2 pi
+        assert abs(nondegeneracy_constant(m, 0.5) - 4.0) < 1e-9
+        # 180 equally spaced atom pairs of the same mass: the minimum over
+        # the direction grid approaches the uniform value
+        phi = np.arange(360) * math.pi / 180.0
+        atoms = SpectralMeasure.atomic(2, [
+            ((math.cos(a), math.sin(a)), 2.0 * math.pi / 360) for a in phi])
+        for s in (0.25, 0.5, 0.75):
+            uniform = nondegeneracy_constant(m, s)
+            assert abs(nondegeneracy_constant(atoms, s) - uniform) <= 5e-4 * uniform
 
     def test_uniform_d3_closed_form(self):
         m = SpectralMeasure.uniform(3, 4.0 * math.pi)
@@ -357,6 +362,51 @@ def test_unconverged_sphere_is_reported(norm, spec, monkeypatch):
         rep = tail_space_norm(u, 0.5, 2, spec)
     assert np.isfinite(rep.value)
     assert not rep.converged
+
+
+class _CountingU:
+    """u with the number of rows it was called on; with ``evals`` it returns
+    a report of that many leaf evaluations per point, converged unless
+    ``unconverged``."""
+
+    def __init__(self, u, evals=None, unconverged=False):
+        self.u, self.evals, self.unconverged, self.rows = u, evals, unconverged, 0
+
+    def __call__(self, pts):
+        self.rows += len(pts)
+        vals = self.u(pts)
+        if self.evals is None:
+            return vals
+        return EvaluationReport(vals, np.zeros_like(vals),
+                                np.full(len(pts), self.evals),
+                                not self.unconverged)
+
+
+@pytest.mark.parametrize("measure", [
+    SpectralMeasure.uniform(1, 2.0), SpectralMeasure.uniform(2, 2.0),
+    SpectralMeasure.coordinate_axes(2),
+], ids=["uniform-d1", "uniform-d2", "axes-d2"])
+def test_function_evals_are_the_rows_of_u(measure, fast_spec):
+    s = 0.5
+    op = OperatorSpec(measure, s=s)
+    d = measure.dimension
+    x = np.linspace(0.3, -0.2, d)
+    for run in (
+        lambda u: apply_operator(op, u, x, fast_spec, support_radius=1.0),
+        lambda u: apply_operator(op, u, x, fast_spec),
+        lambda u: tail(op, u, x, fast_spec, support_radius=1.0),
+        lambda u: tail_space_norm(u, s, d, fast_spec),
+    ):
+        u = _CountingU(bump(s))
+        rep = run(u)
+        assert rep.converged
+        assert rep.function_evals == u.rows > 0
+        # a u that reports its own work and flag passes both on
+        reporting = _CountingU(bump(s), evals=3, unconverged=True)
+        rep3 = run(reporting)
+        assert (rep3.value, rep3.error_estimate) == (rep.value, rep.error_estimate)
+        assert rep3.function_evals == 3 * reporting.rows == 3 * u.rows
+        assert not rep3.converged
 
 
 class TestTailSpaceNorm:
