@@ -49,20 +49,39 @@ class PoissonKernel:
 
 
 def _interior_point(kernel, x):
-    """x as a 1-D array, checked to lie in the open unit ball of R^d."""
+    """x as a 1-D array, checked to be a finite point of the open unit ball
+    of R^d."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != kernel.d:
+    if x.shape != (kernel.d,):
         raise DomainError("point dimension mismatch")
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite")
     if np.linalg.norm(x) >= 1.0:
         raise DomainError("x must lie in the open unit ball")
     return x
 
 
-def _boundary_point(kernel, z):
-    """z as a 1-D array, checked to lie on the unit sphere of R^d."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != kernel.d:
+def _interior_points(kernel, x):
+    """x as an (n, d) array of n >= 1 points, each checked as by
+    ``_interior_point``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != kernel.d:
         raise DomainError("point dimension mismatch")
+    if not len(x):
+        raise DomainError("need at least one point")
+    for p in x:
+        _interior_point(kernel, p)
+    return x
+
+
+def _boundary_point(kernel, z):
+    """z as a 1-D array, checked to be a finite point of the unit sphere of
+    R^d."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (kernel.d,):
+        raise DomainError("point dimension mismatch")
+    if not np.isfinite(z).all():
+        raise DomainError("z must be finite")
     if abs(np.linalg.norm(z) - 1.0) > 1e-12:
         raise DomainError("z must lie on the unit sphere")
     return z
@@ -102,18 +121,21 @@ class BallProblem:
 
 def _kernel_integrand(kernel, x, weight_fn=None):
     """Exterior integrand P(x, .) [* weight], using the exact boundary offset
-    channel to avoid cancellation in |y|^2 - 1 near the sphere.  It is
-    called with the ids of ``integrate_exterior_ball`` and passes them on to
+    channel to avoid cancellation in |y|^2 - 1 near the sphere.  x is one
+    point of shape (d,), or one per integral of shape (k, d), indexed by
+    the ids of ``integrate_exterior_ball``; they are passed on to
     ``weight_fn(points, ids)``."""
-    nx = float(np.linalg.norm(x))
+    xs = np.atleast_2d(x)
+    nx = np.array([np.linalg.norm(p) for p in xs])
     one_minus_x2 = (1.0 - nx) * (1.0 + nx)
     s, d, c = kernel.s, kernel.d, kernel.normalization
 
     def F(points, norm2m1, ids):
-        diff = points - x[None, :]
+        j = 0 if x.ndim == 1 else ids
+        diff = points - xs[j]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         vals = (
-            c * (one_minus_x2 / norm2m1) ** s / dist2 ** (0.5 * d)
+            c * (one_minus_x2[j] / norm2m1) ** s / dist2 ** (0.5 * d)
         )
         if weight_fn is not None:
             vals = vals * weight_fn(points, ids)
@@ -123,25 +145,35 @@ def _kernel_integrand(kernel, x, weight_fn=None):
 
 
 def solve(problem, x, spec=None):
-    """u(x) = int_{|y|>1} P(x, y) g(y) dy with an estimated error."""
+    """u(x) = int_{|y|>1} P(x, y) g(y) dy with an estimated error.
+
+    x is one point, or an (n, d) array of n points: these are solved in one
+    batched exterior integral, in which each point gets the panels it gets
+    alone, and the report's value and error_estimate are length-n arrays,
+    function_evals is the total over the batch and converged is False if
+    any point's integral ends unconverged.  Every point is checked before
+    any work.
+    """
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
-    x = _interior_point(kernel, x)
+    many = np.ndim(x) == 2
+    x = _interior_points(kernel, x) if many else _interior_point(kernel, x)
     F = _kernel_integrand(kernel, x, weight_fn=lambda points, ids: g(points))
     decay = None
     if g.support_radius is None:
         # rho^{d-1} x kernel ~ rho^{-1-2s+growth} after the angular average
         decay = 2.0 * kernel.s - g.growth_exponent
-    return _first(integrate_exterior_ball(
+    rep = integrate_exterior_ball(
         F,
         x,
         kernel.s,
         spec,
-        [g.radial_breakpoints],
+        [g.radial_breakpoints] * (len(x) if many else 1),
         support_radius=g.support_radius,
         decay_exponent=decay,
         axisymmetric=g.axisymmetric,
-    ))
+    )
+    return rep if many else _first(rep)
 
 
 def solve_vt(kernel, z, t, x, spec=None):
@@ -284,12 +316,13 @@ def harmonicity_check(problem, x, calibration=1.0, spec=None):
     """Residual of the stable operator applied to the Poisson solution at x.
 
     The solution is extended by the datum outside the closed ball and solved
-    inside at every point the operator asks for; with the rotation-invariant
+    inside at every point the operator asks for: the interior points of one
+    call of u are one many-point ``solve``.  With the rotation-invariant
     measure (total mass = ``calibration``) the operator is a constant
     multiple of the fractional Laplacian, so the residual should vanish for
     every calibration.  The report's function_evals counts the datum rows
-    and the kernel evaluations of the interior solves, and converged is
-    False if any interior solve is unconverged.
+    and the kernel evaluations of the interior solves (each batch's total),
+    and converged is False if any batch of interior solves is unconverged.
     """
     from .stable_operator import OperatorSpec, SpectralMeasure, apply_operator
 
@@ -305,12 +338,15 @@ def harmonicity_check(problem, x, calibration=1.0, spec=None):
         if outside.any():
             vals[outside] = g(pts[outside])
         inside = np.flatnonzero(~outside)
-        reps = [solve(problem, pts[i], _HARMONICITY_SOLVE_SPEC) for i in inside]
-        vals[inside] = [rep.value for rep in reps]
-        errs[inside] = [rep.error_estimate for rep in reps]
-        evals[inside] = [rep.function_evals for rep in reps]
-        return EvaluationReport(vals, errs, evals,
-                                all(rep.converged for rep in reps))
+        if not inside.size:
+            return EvaluationReport(vals, errs, evals, True)
+        rep = solve(problem, pts[inside], _HARMONICITY_SOLVE_SPEC)
+        vals[inside], errs[inside] = rep.value, rep.error_estimate
+        # The batch reports its total evaluations; the operator reads only
+        # their sum, so the first inside point carries them all.
+        evals[inside] = 0
+        evals[inside[0]] = rep.function_evals
+        return EvaluationReport(vals, errs, evals, rep.converged)
 
     return apply_operator(
         OperatorSpec(SpectralMeasure.uniform(kernel.d, calibration), s=kernel.s),

@@ -5,8 +5,8 @@ error estimates, endpoint substitutions that remove the (rho^2-1)^{-s}
 boundary weight analytically, an unbounded-domain map, one routine for
 integrals over spheres in every d (``sphere_integrals``, a polar recursion
 down to the mirror pair S^0), and the sphere-times-radius rule over the
-exterior of the unit ball in every d, which calls it in a frame along the
-evaluation point.
+exterior of the unit ball in every d, which calls it in a frame along each
+integral's evaluation point.
 
 Every rule computes a batch of k integrals in one adaptive pool, and one
 integral is the batch of one: k is read from the per-integral inputs (the
@@ -117,9 +117,10 @@ def _evaluate_panels(f, lo, hi, ids):
 
     ``f(x, ids)`` is called on at most ``PANELS_PER_CALL`` panels at a time,
     with ``ids[j]`` the integral that abscissa ``x[j]`` belongs to.  Returns
-    (panel_values, panel_errors, aux_errors, panel_evals, converged):
-    aux_errors and panel_evals fold the integrand's per-point errors and
-    evaluation counts over each panel, and converged ANDs its flags.
+    (pool, panel_evals, converged): pool is a (5, n) array whose rows are
+    lo, hi, the panel values, their Kronrod errors and the integrand's
+    per-point errors folded over each panel; panel_evals folds its
+    evaluation counts, and converged ANDs its flags.
     """
     halves = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi)[:, None] + halves[:, None] * GK_NODES[None, :]
@@ -138,9 +139,11 @@ def _evaluate_panels(f, lo, hi, ids):
         fv[rows] = np.asarray(res, dtype=float).reshape(-1, 15)
     if not np.isfinite(fv).all():
         raise QuadratureError("integrand returned a non-finite value")
-    values, errors = panel_reduce(fv, halves)
-    return (values, errors, halves * (fe @ GK_WEIGHTS_K), fn.sum(axis=1),
-            converged)
+    pool = np.empty((5, len(lo)))
+    pool[0], pool[1] = lo, hi
+    pool[2], pool[3] = panel_reduce(fv, halves)
+    pool[4] = halves * (fe @ GK_WEIGHTS_K)
+    return pool, fn.sum(axis=1), converged
 
 
 def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
@@ -166,15 +169,16 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     lo, hi = partitions[:, :-1].ravel(), partitions[:, 1:].ravel()
     ids = np.repeat(np.arange(n), partitions.shape[1] - 1)
     keep = hi > lo
-    lo, hi, ids = lo[keep], hi[keep], ids[keep]
+    ids = ids[keep]
     values, errors = np.zeros(n), np.zeros(n)
-    pv, pe, pa, pn, converged = _evaluate_panels(f, lo, hi, ids)
+    # The panels, as the columns of ``pool`` (see _evaluate_panels), and ids.
+    pool, pn, converged = _evaluate_panels(f, lo[keep], hi[keep], ids)
     n_evals = np.bincount(ids, pn, n)
     while ids.size:
         count = np.bincount(ids, minlength=n)
-        total = np.bincount(ids, pv, n)
-        gk_err = np.bincount(ids, pe, n)
-        aux_err = np.bincount(ids, pa, n)
+        total = np.bincount(ids, pool[2], n)
+        gk_err = np.bincount(ids, pool[3], n)
+        aux_err = np.bincount(ids, pool[4], n)
         err = gk_err + aux_err
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         ok = err <= tol
@@ -188,11 +192,12 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
             values[done], errors[done] = total[done], err[done]
             converged = converged and bool(ok[done].all())
             live = ~done[ids]
-            lo, hi, ids, pv, pe, pa = (a[live] for a in (lo, hi, ids, pv, pe, pa))
+            pool, ids = pool.compress(live, axis=1), ids[live]
             if not ids.size:
                 break
         # Split every panel holding more than its share of the budget; always
         # split at least the worst one (the first, on ties).
+        pe = pool[3]
         split = pe > tol[ids] / (2.0 * count[ids])
         lacking = np.flatnonzero(np.bincount(ids[split], minlength=n)[ids] == 0)
         if lacking.size:
@@ -200,17 +205,17 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
             np.maximum.at(worst, ids[lacking], pe[lacking])
             ties = lacking[pe[lacking] == worst[ids[lacking]]]
             split[ties[np.unique(ids[ties], return_index=True)[1]]] = True
-        s_lo, s_hi, s_ids = lo[split], hi[split], ids[split]
+        s_lo, s_hi = pool[:2].compress(split, axis=1)
+        s_ids = ids[split]
         mid = 0.5 * (s_lo + s_hi)
-        new = (np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi]),
-               np.concatenate([s_ids, s_ids]))
-        nv, ne, na, nn, new_ok = _evaluate_panels(f, *new)
-        n_evals += np.bincount(new[2], nn, n)
+        new_ids = np.concatenate([s_ids, s_ids])
+        new, nn, new_ok = _evaluate_panels(f, np.concatenate([s_lo, mid]),
+                                           np.concatenate([mid, s_hi]), new_ids)
+        n_evals += np.bincount(new_ids, nn, n)
         converged = converged and new_ok
         old = ~split
-        lo, hi, ids = (np.concatenate([a[old], b]) for a, b in zip((lo, hi, ids), new))
-        pv, pe, pa = (np.concatenate([a[old], b])
-                      for a, b in zip((pv, pe, pa), (nv, ne, na)))
+        pool = np.concatenate([pool.compress(old, axis=1), new], axis=1)
+        ids = np.concatenate([ids[old], new_ids])
     return values, errors, n_evals.astype(int), converged
 
 
@@ -313,7 +318,8 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
 
 
 def _frame(x_eval, d):
-    """Orthonormal frame (u, v1[, v2]) with u pointing along x_eval.
+    """Orthonormal frame (u, v1, ...), the rows of a (d, d) array, with u
+    pointing along x_eval.
 
     Falls back to the coordinate axes when x_eval = 0, so evaluation grids
     stay mirror-symmetric in the second coordinate for on-axis points.
@@ -325,14 +331,14 @@ def _frame(x_eval, d):
     x = np.asarray(x_eval, dtype=float)
     scale = float(np.max(np.abs(x)))
     if scale == 0.0:
-        return list(np.eye(d))
+        return np.eye(d)
     x = x / scale
     u = x / np.linalg.norm(x)
     basis = [u]
     for e in np.delete(np.eye(d), np.argmax(np.abs(u)), axis=0):
         w = e - sum(np.dot(e, b) * b for b in basis)
         basis.append(w / np.linalg.norm(w))
-    return basis
+    return np.array(basis)
 
 
 def _graded_scales(scale, upper, factor):
@@ -366,17 +372,19 @@ def _sphere_area(d):
 def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     """Integrals over the unit sphere S^{d-1} of theta -> g(radii[i] theta).
 
-    ``frame`` is an orthonormal basis of R^d, d = len(frame), and the sphere
-    is one recursion over it: S^{d-1} is the polar angle phi from frame[0],
-    weighted by sin^{d-2} phi, times S^{d-2} in frame[1:], down to S^0, the
-    mirror pair in frame[-1].  ``g(y, ids)`` gets the stacked pairs [y; y']
-    and ``ids[j]`` the radius index of row j, and returns values or a report
-    of per-point arrays, whose two halves are summed.  The top polar level
-    runs over the rows ``partitions[i]`` of (0, pi) of a 2-D array (None:
-    (0, pi) for every radius) under ``rule``, each nested level over (0, pi)
-    as one batch under ``_inner_spec(rule)``.  An ``axisymmetric`` g
-    (symmetric about the line of frame[0]) stops after the top level: each
-    nested sphere contributes its area times g at one point.
+    ``frame`` is an orthonormal basis of R^d, the rows of a (d, d) array, for
+    all radii, or one such basis per radius, an (n, d, d) array for n radii.
+    The sphere is one recursion over the frame: S^{d-1} is the polar angle
+    phi from frame[0], weighted by sin^{d-2} phi, times S^{d-2} in
+    frame[1:], down to S^0, the mirror pair in frame[-1].  ``g(y, ids)``
+    gets the stacked pairs [y; y'] and ``ids[j]`` the radius index of row j,
+    and returns values or a report of per-point arrays, whose two halves are
+    summed.  The top polar level runs over the rows ``partitions[i]`` of
+    (0, pi) of a 2-D array (None: (0, pi) for every radius) under ``rule``,
+    each nested level over (0, pi) as one batch under ``_inner_spec(rule)``.
+    An ``axisymmetric`` g (symmetric about the line of frame[0]) stops after
+    the top level: each nested sphere contributes its area times g at one
+    point.
 
     Returns one report per radius (in d = 1 the pair sum, with no rule):
     value, error_estimate and function_evals (the rows handed to g, or the
@@ -384,6 +392,12 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     is True when g reported no unconverged point and every integral at
     every level met its tolerance.
     """
+    frame = np.asarray(frame, dtype=float)
+    d = frame.shape[-1]
+
+    def axis(k, ids):
+        # frame[k] of the radii ids: one vector, or one row per radius
+        return frame[k] if frame.ndim == 2 else frame[ids, k]
 
     def folded(base, off, ids):
         # g(base + off) + g(base - off) with one call of g; base None is 0
@@ -401,18 +415,18 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
         # Row j: the sphere of radius scale[j] about base[j] in frame[k:].
         # ``level`` is this function, passed rather than closed over: a closure
         # over its own name is a cycle that keeps each call's arrays until gc.
-        if k == len(frame) - 1:
-            return folded(base, scale[:, None] * frame[k], ids)
-        m = len(frame) - 1 - k  # the sphere is S^m
+        if k == d - 1:
+            return folded(base, scale[:, None] * axis(k, ids), ids)
+        m = d - 1 - k  # the sphere is S^m
 
         def polar(phi, j):
             radius, sin = scale[j], np.sin(phi)
-            axial = (radius * np.cos(phi))[:, None] * frame[k]
+            axial = (radius * np.cos(phi))[:, None] * axis(k, ids[j])
             b = axial if base is None else base[j] + axial
             t = radius * sin
             if axisymmetric:
                 w = _sphere_area(m) * sin ** (m - 1)
-                return g(b + t[:, None] * frame[k + 1], ids[j]) * w
+                return g(b + t[:, None] * axis(k + 1, ids[j]), ids[j]) * w
             rep = level(k + 1, b, t, ids[j], level)
             return rep if m == 1 else rep * sin ** (m - 1)
 
@@ -439,24 +453,26 @@ def integrate_exterior_ball(
 ):
     """Integrate k integrands F_i over the exterior of the unit ball in R^d.
 
-    d = len(x_eval) >= 1, and ``radial_breakpoints`` holds one
-    sequence of radii where F_i may kink per integral, so there are
-    k = len(radial_breakpoints) integrals.  F is called as
+    ``radial_breakpoints`` holds one sequence of radii where F_i may kink
+    per integral, so there are k = len(radial_breakpoints) integrals.
+    ``x_eval`` broadcasts against them: one evaluation point of shape (d,)
+    for all, or one per integral, shape (k, d); d >= 1.  F is called as
     F(points, norm2m1, ids) on an (n, d) array of points, the per-point
     array of |y|^2 - 1, computed without cancellation, and the per-point
     index in 0..k-1 of the integral, and returns n values; it is assumed to
-    carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  The
-    radial direction uses the singularity-removing substitution with a panel
-    grading keyed to the distance 1-|x_eval| (the Poisson-kernel
-    concentration scale).  The angular direction is one ``sphere_integrals``
-    call in a frame along x_eval, in every d: the pair {rho, -rho} in d = 1,
-    else the polar angle from x_eval, graded toward the Poisson-kernel peak,
-    with the sphere folded by a mirror so that mirror-symmetric integrands
-    are resolved on exactly mirrored nodes.  ``angular_breakpoints(rho,
-    ids)`` maps an array of radii and their integrals to an (n, m) array of
-    polar angles in that folded range where F may kink on each sphere;
-    entries outside (0, pi), NaN included, are ignored.  In d = 3 an
-    ``axisymmetric`` F (symmetric about the line through x_eval) needs the
+    carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  Each
+    integral is computed about its own point x_i: the radial direction uses
+    the singularity-removing substitution with a panel grading keyed to the
+    distance 1-|x_i| (the Poisson-kernel concentration scale).  The angular
+    direction is one ``sphere_integrals`` call, in every d, in each radial
+    node's frame along its x_i: the pair {rho, -rho} in d = 1, else the
+    polar angle from x_i, graded toward the Poisson-kernel peak, with the
+    sphere folded by a mirror so that mirror-symmetric integrands are
+    resolved on exactly mirrored nodes.  ``angular_breakpoints(rho, ids)``
+    maps an array of radii and their integrals to an (n, m) array of polar
+    angles in that folded range where F may kink on each sphere; entries
+    outside (0, pi), NaN included, are ignored.  In d = 3 an
+    ``axisymmetric`` F (symmetric about the line through x_i) needs the
     polar integral only.  Data flag symmetry about e1, that line only on the
     axis (off it: the open axisym-offaxis defect), so d >= 4 runs the full
     recursion rather than spread the defect.
@@ -468,28 +484,36 @@ def integrate_exterior_ball(
     every integral gets the panels it gets alone; the angular integrals of
     all radial nodes in one radial panel sweep run as one batch.  The
     report's value and error_estimate are length-k arrays, function_evals
-    counts the rows passed to F and converged is False if any integral,
-    angular ones included, ends unconverged.
+    counts the rows passed to F for all k integrals, and converged is False
+    if any integral, angular ones included, ends unconverged.
     """
+    k = len(radial_breakpoints)
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
-    d = x.size
+    d = x.shape[-1]
     if d < 1:
         raise QuadratureError("x_eval needs at least one coordinate")
-    delta = 1.0 - float(np.linalg.norm(x))
-    if delta <= 0.0:
+    if x.ndim > 2 or (x.ndim == 2 and len(x) != k):
+        raise QuadratureError(
+            "x_eval must be one point (d,) or one per integral (k, d)")
+    points = x.reshape(-1, d)
+    # The norm of each point alone: over the rows of ``points`` it may round
+    # differently, and one point must give what it gives in a batch.
+    delta = np.array([1.0 - float(np.linalg.norm(p)) for p in points])
+    if not (delta > 0.0).all():
         raise QuadratureError("x_eval must lie in the open unit ball")
     if support_radius is None and decay_exponent is None:
         raise QuadratureError(
             "declare either support_radius or decay_exponent for the far field"
         )
-    frame = _frame(x, d)
+    frames = np.array([_frame(p, d) for p in points])
+    delta = np.broadcast_to(delta, (k,))
     inner = _inner_spec(spec)
 
     def polar_partitions(q, ids):
         # Per radial node, one row: the folded range (0, pi), graded toward
         # the Poisson-kernel peak, plus any caller-supplied angular
         # breakpoints.  Points outside (0, pi) become pi, i.e. empty panels.
-        cuts = np.maximum(np.maximum(delta, q), 1e-14)[:, None] * _POLAR_GRADES
+        cuts = np.maximum(np.maximum(delta[ids], q), 1e-14)[:, None] * _POLAR_GRADES
         if angular_breakpoints is not None:
             cuts = np.concatenate([cuts, angular_breakpoints(1.0 + q, ids)], axis=1)
         cuts = np.where((cuts > 0.0) & (cuts < np.pi), cuts, np.pi)
@@ -503,7 +527,8 @@ def integrate_exterior_ball(
         # cancellation.
         rho, norm2m1 = 1.0 + q, q * (2.0 + q)
         return sphere_integrals(
-            lambda y, j: F(y, norm2m1[j], ids[j]), frame, rho,
+            lambda y, j: F(y, norm2m1[j], ids[j]),
+            frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
             axisymmetric and d == 3,
         ) * rho ** (d - 1)
@@ -511,9 +536,11 @@ def integrate_exterior_ball(
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
     r_near_end = 2.0 if support_radius is None else max(2.0, support_radius)
-    graded = {1.0 + g for g in _graded_scales(delta, r_near_end - 1.0, RADIAL_GRADING)}
-    bps = [sorted(graded | {r for r in b if 1.0 < r < r_near_end})
-           for b in radial_breakpoints]
+    graded = {di: {1.0 + g for g in _graded_scales(di, r_near_end - 1.0,
+                                                    RADIAL_GRADING)}
+              for di in set(delta.tolist())}
+    bps = [sorted(graded[di] | {r for r in b if 1.0 < r < r_near_end})
+           for di, b in zip(delta.tolist(), radial_breakpoints)]
 
     total = integrate_radial_singular(radial_q, s, r_near_end, spec, bps)
     if support_radius is None:

@@ -76,6 +76,8 @@ class TestKernel:
             poisson_kernel_eval(k, [1.0], [2.0])
         with pytest.raises(DomainError):
             poisson_kernel_eval(k, [0.0], [0.5])
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            poisson_kernel_eval(PoissonKernel(2, 0.5), [[0.2, 0.1]], [2.0, 0.0])
         with pytest.raises(DomainError):
             PoissonKernel(0, 0.5)
         with pytest.raises(DomainError):
@@ -152,6 +154,16 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve(problem, [1.0], spec)
 
+    def test_rejects_a_non_finite_point_before_any_work(self, spec, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated before x was checked")
+
+        monkeypatch.setattr(ball_poisson, "integrate_exterior_ball", no_quadrature)
+        problem = BallProblem(PoissonKernel(2, 0.5), constant_datum(1.0, 2))
+        for x in ([np.nan, 0.0], [0.1, np.inf]):
+            with pytest.raises(DomainError, match="finite"):
+                solve(problem, x, spec)
+
     @settings(max_examples=30, deadline=None)
     @given(
         d=st.sampled_from([2, 3, 4]),
@@ -179,6 +191,74 @@ class TestSolve:
         rep = solve(BallProblem(PoissonKernel(d, 0.5), datum), x, spec)
         assert rep.converged
         assert abs(rep.value - 1.0) <= rep.error_estimate + spec.tolerance(1.0)
+
+
+def _many_points(d):
+    """Points at 1 - |x| = 1e-1 ... 1e-4 on both sides of the first axis and
+    off it, and x = 0; in d = 4, whose solves cost about a million kernel
+    evaluations each, 1 - |x| = 1e-1 and 1e-2 and x = 0 only."""
+    if d == 4:
+        return np.array([[0.9, 0.0, 0.0, 0.0], [0.0, 0.0, -0.99, 0.0], np.zeros(4)])
+    x = np.zeros((6, d))
+    x[:4, 0] = [0.9, -0.99, 0.999, -0.9999]
+    x[4] = (1.0 - 1e-3) / math.sqrt(d)
+    return x
+
+
+class TestManyPoints:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("far", ["compact", "decaying"])
+    def test_batch_matches_one_point_at_a_time(self, d, far):
+        # An (n, d) array is one exterior integral in which each point gets
+        # the panels it gets alone: its compactly supported or decaying
+        # datum, its gradings and its frame (on the axis of the
+        # axisymmetric data, or off it).
+        if far == "decaying":
+            datum = radial_indicator_datum(0.5, d)
+        elif d == 1:
+            datum = halfline_modulus_datum(ModulusFunction.power(0.5))
+        else:
+            datum = transverse_modulus_datum(ModulusFunction.power(0.5), d)
+        assert (datum.support_radius is None) == (far == "decaying")
+        spec = (QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9) if d < 4
+                else QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6))
+        problem = BallProblem(PoissonKernel(d, 0.5), datum)
+        x = _many_points(d)
+        rep = solve(problem, x, spec)
+        one = [solve(problem, p, spec) for p in x]
+        value = np.array([r.value for r in one])
+        error = np.array([r.error_estimate for r in one])
+        assert rep.value.shape == rep.error_estimate.shape == (len(x),)
+        assert np.all(np.abs(rep.value - value) <= 1e-13 * np.abs(value))
+        assert np.all(np.abs(rep.value - value) <= error)
+        assert np.all(np.abs(rep.error_estimate - error) <= 1e-13 * np.abs(value))
+        assert rep.function_evals == sum(r.function_evals for r in one)
+        assert rep.converged == all(r.converged for r in one)
+
+    def test_one_point_array_is_a_batch_of_one(self, fast_spec):
+        problem = BallProblem(PoissonKernel(2, 0.5), radial_indicator_datum(0.5, 2))
+        one = solve(problem, [0.3, 0.4], fast_spec)
+        rep = solve(problem, [[0.3, 0.4]], fast_spec)
+        assert (rep.value[0], rep.error_estimate[0], rep.function_evals,
+                rep.converged) == (one.value, one.error_estimate,
+                                   one.function_evals, one.converged)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.zeros((2, 3)), "dimension mismatch"),
+        (np.zeros((2, 2, 2)), "dimension mismatch"),
+        (np.zeros((0, 2)), "at least one point"),
+        ([[0.0, 0.0], [0.0, 1.0]], "open unit ball"),
+        ([[0.0, 0.0], [2.0, 0.0]], "open unit ball"),
+        ([[0.0, 0.0], [0.5, np.nan]], "finite"),
+    ])
+    def test_checks_every_point_before_any_work(self, x, message, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated before every point was checked")
+
+        monkeypatch.setattr(ball_poisson, "integrate_exterior_ball", no_quadrature)
+        problem = BallProblem(PoissonKernel(2, 0.5), constant_datum(1.0, 2))
+        with pytest.raises(DomainError, match=message):
+            solve(problem, x)
 
 
 def _vt_oracle_d2(x, z, t, s):
@@ -300,6 +380,18 @@ class TestModelSolutions:
             solve_vt(k, [1.0], -0.1, [0.0], spec)
         with pytest.raises(DomainError):
             solve_vt(k, [1.0], 1.0, [1.2], spec)
+        # A point of shape (1, d) has d coordinates but is not one point.
+        k2 = PoissonKernel(2, 0.5)
+        for z, x in (([[1.0, 0.0]], [0.5, 0.0]), ([1.0, 0.0], [[0.5, 0.0]])):
+            with pytest.raises(DomainError, match="dimension mismatch"):
+                solve_vt(k2, z, [0.1, 0.5], x, spec)
+
+    @pytest.mark.parametrize("z, x", [
+        ([np.nan, 0.0], [0.5, 0.0]), ([1.0, 0.0], [0.5, np.nan]),
+    ])
+    def test_rejects_a_non_finite_point(self, z, x, spec):
+        with pytest.raises(DomainError, match="finite"):
+            solve_vt(PoissonKernel(2, 0.5), z, 0.3, x, spec)
 
 
 class TestBoundaryCheck:
@@ -335,6 +427,7 @@ class TestBoundaryCheck:
     @pytest.mark.parametrize("z, message", [
         ([1.0, 0.0, 0.0], "dimension mismatch"),
         ([0.9, 0.0], "unit sphere"),
+        ([np.nan, 0.0], "finite"),
     ])
     def test_checks_z_before_any_work(self, z, message, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -345,6 +438,16 @@ class TestBoundaryCheck:
             ModulusFunction.power(0.5), 2))
         with pytest.raises(DomainError, match=message):
             interior_to_boundary_check(problem, [0.5, 0.0], z)
+
+    def test_checks_x_before_any_work(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before x was checked")
+
+        monkeypatch.setattr(ball_poisson, "solve", no_solve)
+        problem = BallProblem(PoissonKernel(2, 0.5), transverse_modulus_datum(
+            ModulusFunction.power(0.5), 2))
+        with pytest.raises(DomainError, match="finite"):
+            interior_to_boundary_check(problem, [np.nan, 0.0], [1.0, 0.0])
 
     def test_requires_t_max_for_unbounded_data(self):
         problem = BallProblem(PoissonKernel(1, 0.5), constant_datum(1.0, 1))
@@ -399,3 +502,32 @@ class TestHarmonicity:
         assert not rep.converged
         assert (rep.value, rep.error_estimate, rep.function_evals) == (
             ref.value, ref.error_estimate, ref.function_evals)
+
+    def test_solves_once_per_call_of_u(self, monkeypatch):
+        # The interior points of one call of u are one many-point solve.
+        from fraclab import stable_operator
+
+        calls = []
+        apply_operator = stable_operator.apply_operator
+        solve_at = ball_poisson.solve
+
+        def counted_apply(op, u, *args, **kwargs):
+            def counted_u(points):
+                calls.append(["u"])
+                return u(points)
+
+            return apply_operator(op, counted_u, *args, **kwargs)
+
+        def counted_solve(problem, x, spec=None):
+            calls[-1].append(np.shape(x))
+            return solve_at(problem, x, spec)
+
+        monkeypatch.setattr(stable_operator, "apply_operator", counted_apply)
+        monkeypatch.setattr(ball_poisson, "solve", counted_solve)
+        problem = BallProblem(PoissonKernel(1, 0.5), radial_indicator_datum(0.5, 1))
+        harmonicity_check(problem, [0.0])
+        solves = [shape for call in calls for shape in call[1:]]
+        assert all(len(call) <= 2 for call in calls)
+        assert len(solves) <= len(calls)
+        assert all(len(shape) == 2 for shape in solves)
+        assert sum(shape[0] for shape in solves) > 100

@@ -149,14 +149,16 @@ def reduction(request, monkeypatch):
     return request.param
 
 
-def _assert_same(got, alone, reduction):
+def _assert_same(got, alone, reduction, scale=None):
     """Bit for bit under the row-wise reduction, to roundoff under the
-    matrix-vector one."""
+    matrix-vector one: of ``scale`` (the values, for their errors), by
+    default of ``alone``."""
     got, alone = np.asarray(got), np.asarray(alone)
     if reduction == "rowwise":
         assert np.array_equal(got, alone)
     else:
-        assert np.all(np.abs(got - alone) <= 1e-14 * np.maximum(1.0, np.abs(alone)))
+        scale = np.abs(alone if scale is None else np.asarray(scale))
+        assert np.all(np.abs(got - alone) <= 1e-14 * np.maximum(1.0, scale))
 
 
 class TestBatchedDriver:
@@ -456,6 +458,32 @@ class TestSphereIntegrals:
         assert not rep.converged
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("axisymmetric", [False, True])
+    def test_one_frame_per_radius_is_one_call_per_frame(self, d, axisymmetric,
+                                                        reduction, rng):
+        # An (n, d, d) array of frames: each radius is integrated in its own
+        # frame, as a call with that frame alone integrates it.
+        frames = np.array([_random_frame(rng, d) for _ in range(3)])
+        radii = np.array([0.5, 2.0, 3.0])
+        a = rng.standard_normal(d)
+        rule = QuadratureSpec(rel_tol=1e-8)
+
+        def g(y, ids):
+            return np.exp(y @ a) * (1.0 + (y @ a) ** 2)
+
+        rep = sphere_integrals(g, frames, radii, None, rule, axisymmetric)
+        one = [sphere_integrals(g, frames[i], radii[i:i + 1], None, rule,
+                                axisymmetric) for i in range(3)]
+        assert rep.value.shape == (3,)
+        _assert_same(rep.value, [r.value[0] for r in one], reduction)
+        _assert_same(rep.error_estimate, [r.error_estimate[0] for r in one],
+                     reduction, rep.value)
+        assert np.array_equal(rep.function_evals,
+                              [r.function_evals[0] for r in one])
+        assert rep.converged == all(r.converged for r in one)
+
+
 class TestExteriorBall:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_kernel_normalization_sample(self, d, spec):
@@ -535,6 +563,55 @@ class TestExteriorBall:
         _assert_same(rep.error_estimate, [r.error_estimate[0] for r in one], reduction)
         assert rep.function_evals == sum(r.function_evals for r in one)
         assert rep.converged == all(r.converged for r in one)
+
+    @pytest.mark.parametrize("d, axisymmetric, support", [
+        (1, False, None), (2, False, 3.0), (3, True, None), (3, False, None),
+    ])
+    def test_one_point_per_integral_is_one_call_per_point(self, d, axisymmetric,
+                                                          support, reduction):
+        # x_eval of shape (k, d): integral i about its own point x_i, with its
+        # own frame and gradings, as a one-point call computes it; at 0, on
+        # and off the first axis, from 1 - |x| = 0.5 to 1e-4.
+        s = 0.5
+        x = np.zeros((4, d))
+        x[1, 0], x[2, 0], x[3] = 0.5, -0.99, (1.0 - 1e-4) / math.sqrt(d)
+        spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+        far = ({"decay_exponent": 2.0 * s} if support is None
+               else {"support_radius": support})
+        P = [_poisson_F(p, s, d) for p in x]
+
+        def F(rows):
+            def batch(points, norm2m1, ids):
+                out = np.empty(len(points))
+                for i in np.unique(ids):
+                    sel = ids == i
+                    out[sel] = P[rows[i]](points[sel], norm2m1[sel], ids[sel])
+                return out * (2.0 + np.tanh(points[:, 0]))
+            return batch
+
+        rep = integrate_exterior_ball(F(np.arange(4)), x, s, spec, [()] * 4,
+                                      axisymmetric=axisymmetric, **far)
+        one = [integrate_exterior_ball(F([i]), x[i], s, spec, [()],
+                                       axisymmetric=axisymmetric, **far)
+               for i in range(4)]
+        assert rep.value.shape == rep.error_estimate.shape == (4,)
+        _assert_same(rep.value, [r.value[0] for r in one], reduction)
+        _assert_same(rep.error_estimate, [r.error_estimate[0] for r in one],
+                     reduction)
+        assert rep.function_evals == sum(r.function_evals for r in one)
+        assert rep.converged == all(r.converged for r in one)
+
+    def test_rejects_points_that_do_not_match_the_integrals(self, spec):
+        def F(points, norm2m1, ids):
+            return np.zeros(points.shape[0])
+
+        for x in (np.zeros((3, 2)), np.zeros((2, 2, 2))):
+            with pytest.raises(QuadratureError, match="one per integral"):
+                integrate_exterior_ball(F, x, 0.5, spec, [(), ()],
+                                        support_radius=2.0)
+        with pytest.raises(QuadratureError, match="open unit ball"):
+            integrate_exterior_ball(F, np.array([[0.0, 0.0], [np.nan, 0.0]]),
+                                    0.5, spec, [(), ()], support_radius=2.0)
 
     def test_requires_far_field_declaration(self, spec):
         def F(points, norm2m1, ids):
