@@ -15,7 +15,7 @@ from .moduli import ModulusFunction
 
 
 class DimensionError(ValueError):
-    """Datum constructor called with an unsupported dimension."""
+    """Datum constructed or evaluated with an unsupported dimension."""
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,13 @@ class CutoffFunction:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        w = np.clip((r - self.plateau_end) / self.width, 0.0, 1.0)
-        step = w**3 * (10.0 - 15.0 * w + 6.0 * w**2)
-        return 1.0 - step
+        out = np.ones(r.shape)
+        # The quintic only beyond the plateau (NaN included), where it is not
+        # identically 1.
+        beyond = ~(r <= self.plateau_end)
+        w = np.minimum((r[beyond] - self.plateau_end) / self.width, 1.0)
+        out[beyond] = 1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w**2)
+        return out[()]
 
     @property
     def support_radius(self):
@@ -39,7 +43,13 @@ class CutoffFunction:
 
 @dataclass(frozen=True)
 class ExteriorDatum:
-    """A function on the exterior of the unit ball with solver metadata."""
+    """A function on the exterior of the unit ball with solver metadata.
+
+    ``axisymmetric`` declares g symmetric about the e1 axis: g(y) depends on
+    y_1 and |y'| only, y = (y_1, y').  The solver takes the polar-only
+    sphere rule where that makes g symmetric about the line through the
+    evaluation point.
+    """
 
     eval: object
     dimension: int
@@ -53,7 +63,12 @@ class ExteriorDatum:
     _oscillation: object = None
 
     def __call__(self, points):
+        """g at an (n, d) array of points, or at one point of shape (d,)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise DimensionError(
+                f"points of shape {np.shape(points)} for a datum in "
+                f"d = {self.dimension}")
         return np.asarray(self.eval(pts), dtype=float)
 
     def oscillation_closed_form(self, z):
@@ -61,6 +76,11 @@ class ExteriorDatum:
         if self._oscillation is None:
             return None
         return self._oscillation(np.atleast_1d(np.asarray(z, dtype=float)))
+
+
+def _norm2(pts):
+    """|y|^2 of each row of an (n, m) array."""
+    return np.einsum("ij,ij->i", pts, pts)
 
 
 def constant_datum(value, d):
@@ -83,7 +103,7 @@ def radial_indicator_datum(a, d):
         raise ValueError("offset a must be positive")
 
     def g(pts):
-        return (np.linalg.norm(pts, axis=1) >= 1.0 + a).astype(float)
+        return (np.sqrt(_norm2(pts)) >= 1.0 + a).astype(float)
 
     return ExteriorDatum(
         eval=g,
@@ -110,8 +130,8 @@ def transverse_modulus_datum(omega, d):
     eta = CutoffFunction()
 
     def g(pts):
-        trans = np.linalg.norm(pts[:, 1:], axis=1)
-        return omega(trans) * eta(np.linalg.norm(pts, axis=1))
+        trans = np.sqrt(_norm2(pts[:, 1:]))
+        return omega(trans) * eta(np.sqrt(_norm2(pts)))
 
     t_plateau = math.sqrt(eta.plateau_end**2 - 1.0)
 
@@ -225,7 +245,7 @@ def sign_changing_datum(s, d):
         out = np.zeros(y2.shape)
         nz = y2 != 0.0
         out[nz] = y2[nz] * np.abs(y2[nz]) ** (s - 1.0)
-        return out * eta(np.linalg.norm(pts, axis=1))
+        return out * eta(np.sqrt(_norm2(pts)))
 
     return ExteriorDatum(
         eval=g,

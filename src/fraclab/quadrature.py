@@ -382,9 +382,10 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     summed.  The top polar level runs over the rows ``partitions[i]`` of
     (0, pi) of a 2-D array (None: (0, pi) for every radius) under ``rule``,
     each nested level over (0, pi) as one batch under ``_inner_spec(rule)``.
-    An ``axisymmetric`` g (symmetric about the line of frame[0]) stops after
-    the top level: each nested sphere contributes its area times g at one
-    point.
+    ``axisymmetric`` is one bool for all radii or one per radius: the
+    integral of a radius flagged True (g symmetric about the line of its
+    frame[0]) stops after the top level, each nested sphere contributing its
+    area times g at one point.
 
     Returns one report per radius (in d = 1 the pair sum, with no rule):
     value, error_estimate and function_evals (the rows handed to g, or the
@@ -394,6 +395,7 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     """
     frame = np.asarray(frame, dtype=float)
     d = frame.shape[-1]
+    flat = np.asarray(axisymmetric, dtype=bool)
 
     def axis(k, ids):
         # frame[k] of the radii ids: one vector, or one row per radius
@@ -419,16 +421,34 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
             return folded(base, scale[:, None] * axis(k, ids), ids)
         m = d - 1 - k  # the sphere is S^m
 
-        def polar(phi, j):
+        def ring(phi, j, axisym):
+            # The nested spheres S^{m-1} at polar angles phi, times sin^{m-1}.
             radius, sin = scale[j], np.sin(phi)
             axial = (radius * np.cos(phi))[:, None] * axis(k, ids[j])
             b = axial if base is None else base[j] + axial
             t = radius * sin
-            if axisymmetric:
+            if axisym:
                 w = _sphere_area(m) * sin ** (m - 1)
                 return g(b + t[:, None] * axis(k + 1, ids[j]), ids[j]) * w
             rep = level(k + 1, b, t, ids[j], level)
             return rep if m == 1 else rep * sin ** (m - 1)
+
+        def polar(phi, j):
+            # Only the top level sees flagged radii: theirs never recurse.
+            if not flat.ndim:
+                return ring(phi, j, flat)
+            axisym = flat[ids[j]]
+            if axisym.all() or not axisym.any():
+                return ring(phi, j, axisym[0])
+            parts = [(sel, _as_report(ring(phi[sel], j[sel], flag)))
+                     for flag, sel in ((True, axisym), (False, ~axisym))]
+            out = [np.empty(phi.shape), np.empty(phi.shape),
+                   np.empty(phi.shape, dtype=int)]
+            for sel, rep in parts:
+                for a, v in zip(out, (rep.value, rep.error_estimate,
+                                      rep.function_evals)):
+                    a[sel] = v
+            return EvaluationReport(*out, all(rep.converged for _, rep in parts))
 
         parts = (partitions if k == 0 and partitions is not None
                  else np.tile([0.0, np.pi], (scale.size, 1)))
@@ -471,11 +491,14 @@ def integrate_exterior_ball(
     resolved on exactly mirrored nodes.  ``angular_breakpoints(rho, ids)``
     maps an array of radii and their integrals to an (n, m) array of polar
     angles in that folded range where F may kink on each sphere; entries
-    outside (0, pi), NaN included, are ignored.  In d = 3 an
-    ``axisymmetric`` F (symmetric about the line through x_i) needs the
-    polar integral only.  Data flag symmetry about e1, that line only on the
-    axis (off it: the open axisym-offaxis defect), so d >= 4 runs the full
-    recursion rather than spread the defect.
+    outside (0, pi), NaN included, are ignored.  An ``axisymmetric`` F is
+    symmetric about the e1 axis, and so about the line through x_i when x_i
+    lies on that axis (x_i[1:] all zero, x_i = 0 included): there, in every
+    d >= 2, the sphere rule stops after the polar level (in d = 2 one point
+    of each mirror pair).  The decision is per integral, so each point of a
+    batch gets the rule it gets alone.  d = 3 takes the polar rule at every
+    x_i, off the axis too, where it is wrong (the open axisym-offaxis
+    defect); d = 2 and d >= 4 run the full recursion off the axis.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -507,6 +530,7 @@ def integrate_exterior_ball(
         )
     frames = np.array([_frame(p, d) for p in points])
     delta = np.broadcast_to(delta, (k,))
+    polar_only = axisymmetric & ((d == 3) | ~points[:, 1:].any(axis=1))
     inner = _inner_spec(spec)
 
     def polar_partitions(q, ids):
@@ -530,7 +554,7 @@ def integrate_exterior_ball(
             lambda y, j: F(y, norm2m1[j], ids[j]),
             frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
-            axisymmetric and d == 3,
+            polar_only[0] if len(points) == 1 else polar_only[ids],
         ) * rho ** (d - 1)
 
     # Radial decomposition: a singular-substituted near part graded toward

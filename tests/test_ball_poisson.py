@@ -21,6 +21,7 @@ from fraclab.ball_poisson import (
     solve_vt,
 )
 from fraclab.exterior_data import (
+    ExteriorDatum,
     constant_datum,
     halfline_modulus_datum,
     radial_indicator_datum,
@@ -115,12 +116,24 @@ class TestSolve:
     @pytest.mark.parametrize("x", [(0.5, 0.0, 0.0, 0.0), (0.2, -0.3, 0.1, 0.25)],
                              ids=["on-axis", "off-axis"])
     def test_kernel_mass_d4(self, x, s):
-        # d = 4 runs the full sphere recursion, axisymmetric datum or not
+        # the constant datum is symmetric about e1: the polar-only rule on
+        # the axis, the full sphere recursion off it
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
         problem = BallProblem(PoissonKernel(4, s), constant_datum(1.0, 4))
         rep = solve(problem, x, spec)
         assert rep.converged
         assert abs(rep.value - 1.0) <= rep.error_estimate
+
+    @pytest.mark.parametrize("s", [0.5, 0.75])
+    @pytest.mark.parametrize("x1", [0.0, 0.5, 0.999])
+    def test_kernel_mass_d5_on_the_axis(self, x1, s):
+        # The full recursion made 236,290,500 evaluations at 0.999 e1 (s = 1/2).
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+        problem = BallProblem(PoissonKernel(5, s), constant_datum(1.0, 5))
+        rep = solve(problem, [x1, 0.0, 0.0, 0.0, 0.0], spec)
+        assert rep.converged
+        assert abs(rep.value - 1.0) <= rep.error_estimate
+        assert rep.function_evals <= 236_290_500 // 100
 
     def test_linearity_in_datum(self, spec):
         k = PoissonKernel(1, 0.5)
@@ -191,6 +204,67 @@ class TestSolve:
         rep = solve(BallProblem(PoissonKernel(d, 0.5), datum), x, spec)
         assert rep.converged
         assert abs(rep.value - 1.0) <= rep.error_estimate + spec.tolerance(1.0)
+
+
+def _axial_datum(d, axisymmetric=True):
+    """g(y) = (4 - |y|^2)_+^2 e^{y_1} |y'|: symmetric about e1, not radial,
+    and supported in |y| <= 2, which keeps the full recursion in d = 5 to
+    about a second."""
+    def g(pts):
+        r2 = np.einsum("ij,ij->i", pts, pts)
+        trans = np.sqrt(np.einsum("ij,ij->i", pts[:, 1:], pts[:, 1:]))
+        return np.maximum(4.0 - r2, 0.0) ** 2 * np.exp(pts[:, 0]) * trans
+
+    return ExteriorDatum(eval=g, dimension=d, support_radius=2.0,
+                         growth_exponent=0.0, boundary_bound=0.0,
+                         axisymmetric=axisymmetric, radial_breakpoints=(2.0,))
+
+
+class TestAxisShortcut:
+    # Data symmetric about e1 take the polar-only rule at points on e1 in
+    # every d >= 2, and in d = 3 at every point.
+    spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+
+    def _pair(self, d, x):
+        kernel = PoissonKernel(d, 0.5)
+        return [solve(BallProblem(kernel, _axial_datum(d, flag)), x, self.spec)
+                for flag in (True, False)]
+
+    # d = 5 at 0.999 e1 is left out: its full recursion takes about 6 s.
+    @pytest.mark.parametrize("d, x1", [(2, 0.0), (2, 0.5), (2, -0.999),
+                                       (4, 0.0), (4, -0.5), (4, 0.999),
+                                       (5, 0.0), (5, 0.5)])
+    def test_on_the_axis_matches_the_full_rule(self, d, x1):
+        x = np.zeros(d)
+        x[0] = x1
+        flagged, full = self._pair(d, x)
+        assert flagged.converged and full.converged
+        assert (abs(flagged.value - full.value)
+                <= flagged.error_estimate + full.error_estimate)
+        assert flagged.function_evals < full.function_evals
+        if d == 2:
+            # one point of each mirror pair, whose twin has the same bits
+            assert 2 * flagged.function_evals == full.function_evals
+            assert (flagged.value, flagged.error_estimate) == (
+                full.value, full.error_estimate)
+
+    @pytest.mark.parametrize("x", [(0.3, 0.4), (0.0, -0.5), (1e-300, 1e-300),
+                                   (0.2, -0.3, 0.1, 0.25), (0.0, 0.0, 0.0, 0.5)])
+    def test_off_the_axis_the_flag_changes_nothing(self, x):
+        flagged, full = self._pair(len(x), np.array(x))
+        assert repr(flagged) == repr(full)
+
+    @pytest.mark.parametrize("x, report", [
+        ((0.5, 0.0, 0.0), (0.8718087058484473, 1.4288902011006023e-08, 10575)),
+        # the open axisym-offaxis defect: the reference is 0.94268852503
+        ((0.0, 0.5, 0.0), (0.7664556728051082, 1.842960799422775e-08, 19815)),
+    ])
+    def test_d3_takes_the_polar_rule_at_every_point(self, x, report):
+        problem = BallProblem(PoissonKernel(3, 0.5),
+                              transverse_modulus_datum(ModulusFunction.power(0.5), 3))
+        rep = solve(problem, x, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+        assert (rep.value, rep.error_estimate, rep.function_evals) == report
+        assert rep.converged
 
 
 def _many_points(d):

@@ -36,6 +36,73 @@ class TestCutoff:
         r = np.linspace(4.0, 4.5, 101)
         assert np.all(np.diff(eta(r)) <= 0.0)
 
+    def test_bitwise_the_clipped_quintic(self):
+        # The quintic runs beyond the plateau only; everywhere it is the
+        # clip-and-polynomial formula bit for bit.
+        eta = CutoffFunction()
+        edges = np.array([4.0, 4.5])
+        r = np.concatenate([
+            np.linspace(-1.0, 6.0, 7001), edges, np.nextafter(edges, 0.0),
+            np.nextafter(edges, 9.0), [1e300, np.inf, -np.inf, 0.0, -0.0],
+        ])
+        w = np.clip((r - eta.plateau_end) / eta.width, 0.0, 1.0)
+        old = 1.0 - w**3 * (10.0 - 15.0 * w + 6.0 * w**2)
+        assert np.array_equal(eta(r), old)
+        assert np.array_equal(eta(r.reshape(-1, 4)), old.reshape(-1, 4))
+
+    def test_nan_gives_nan(self):
+        eta = CutoffFunction()
+        out = eta(np.array([np.nan, 2.0, np.nan, 4.25]))
+        assert np.isnan(out[[0, 2]]).all()
+        assert np.array_equal(out[[1, 3]], [1.0, 0.5])
+        assert np.isnan(eta(np.nan))
+
+    @pytest.mark.parametrize("r", [2.0, 4.2, 4.5, 7.0])
+    def test_scalar_keeps_its_shape(self, r):
+        eta = CutoffFunction()
+        assert np.shape(eta(r)) == ()
+        assert np.shape(eta(np.array(r))) == ()
+        assert float(eta(r)) == float(eta(np.array([r]))[0])
+
+
+def _norm_formulas(pts, s):
+    """The transverse (omega = t^s), sign-changing (exponent s) and radial
+    (offset 1/2) data written with ``np.linalg.norm``."""
+    eta = CutoffFunction()
+    r = np.linalg.norm(pts, axis=1)
+    y2 = pts[:, 1]
+    odd = np.zeros(y2.shape)
+    nz = y2 != 0.0
+    odd[nz] = y2[nz] * np.abs(y2[nz]) ** (s - 1.0)
+    return (np.linalg.norm(pts[:, 1:], axis=1) ** s * eta(r),
+            odd * eta(r),
+            (r >= 1.5).astype(float))
+
+
+class TestNormsFromOneEinsum:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_data_match_their_norm_formulas(self, d, rng):
+        # |y| and |y'| from one einsum each are within 2 ulp of
+        # np.linalg.norm's (equal in d = 2), so each datum is within 2 ulp of
+        # its norm formula, plus, across the cutoff's transition, its slope
+        # 15 / (8 width) times 2 ulp of |y|, times the factor the cutoff
+        # multiplies.
+        s = 0.5
+        pts = rng.uniform(-5.0, 5.0, size=(20000, d))
+        pts = pts[np.linalg.norm(pts, axis=1) > 1.0]
+        r = np.linalg.norm(pts, axis=1)
+        got = (transverse_modulus_datum(ModulusFunction.power(s), d)(pts),
+               sign_changing_datum(s, d)(pts),
+               radial_indicator_datum(0.5, d)(pts))
+        factors = (np.linalg.norm(pts[:, 1:], axis=1) ** s,
+                   np.abs(pts[:, 1]) ** s, np.zeros(len(pts)))
+        slope = 15.0 / (8.0 * CutoffFunction().width)
+        for g, ref, factor in zip(got, _norm_formulas(pts, s), factors):
+            tol = 2.0 * np.spacing(np.abs(ref)) + slope * 2.0 * np.spacing(r) * factor
+            assert np.all(np.abs(g - ref) <= tol)
+            if d == 2:
+                assert np.array_equal(g, ref)
+
 
 class TestTransverseDatum:
     def setup_method(self):
@@ -149,6 +216,33 @@ class TestSignChangingDatum:
     def test_rejects_dimension_one(self):
         with pytest.raises(DimensionError):
             sign_changing_datum(0.5, 1)
+
+
+class TestPointDimension:
+    @pytest.mark.parametrize("g", [
+        constant_datum(1.0, 1), radial_indicator_datum(0.5, 1),
+        halfline_modulus_datum(ModulusFunction.power(0.5)),
+    ])
+    def test_d1_rejects_a_row_of_two_coordinates(self, g):
+        with pytest.raises(DimensionError):
+            g(np.array([1.5, 2.0]))
+        assert g(np.array([[1.5], [2.0]])).shape == (2,)
+
+    @pytest.mark.parametrize("points", [
+        np.array([1.5, 0.0, 3.0]), np.array([[1.5, 0.0, 3.0]]), np.array([1.5]),
+        np.zeros((2, 2, 2)), np.zeros((3, 1)),
+    ])
+    def test_d2_rejects_points_of_another_dimension(self, points):
+        for g in (transverse_modulus_datum(ModulusFunction.power(0.5), 2),
+                  sign_changing_datum(0.5, 2), constant_datum(1.0, 2)):
+            with pytest.raises(DimensionError):
+                g(points)
+
+    def test_one_point_of_shape_d_is_one_point(self):
+        g = transverse_modulus_datum(ModulusFunction.power(0.5), 3)
+        one = g(np.array([1.5, 0.0, 0.3]))
+        assert one.shape == (1,)
+        assert one[0] == g(np.array([[1.5, 0.0, 0.3]]))[0]
 
 
 class TestOtherData:

@@ -457,6 +457,40 @@ class TestSphereIntegrals:
         assert abs(rep.value[0] - 4.0 * np.pi) <= rep.error_estimate[0] + 1e-9
         assert not rep.converged
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_per_radius_flags_are_per_radius_calls(self, d, reduction, rng):
+        # One flag per radius: each radius gets the rule its flag gives it
+        # alone, and g, symmetric about the line of each radius's frame[0],
+        # gets the same integral from both rules.
+        frames = np.array([_random_frame(rng, d) for _ in range(4)])
+        radii = np.array([0.5, 2.0, 3.0, 1.5])
+        flags = np.array([True, False, True, False])
+        rule = QuadratureSpec(rel_tol=1e-8)
+
+        def g_of(rows):
+            def g(y, ids):
+                axial = np.einsum("ij,ij->i", y, frames[rows[ids], 0])
+                return np.exp(axial) * (1.0 + np.einsum("ij,ij->i", y, y)
+                                        - axial**2)
+            return g
+
+        g = g_of(np.arange(4))
+        rep = sphere_integrals(g, frames, radii, None, rule, flags)
+        one = [sphere_integrals(g_of(np.array([i])), frames[i], radii[i:i + 1], None,
+                                rule, flags[i]) for i in range(4)]
+        _assert_same(rep.value, [r.value[0] for r in one], reduction)
+        _assert_same(rep.error_estimate, [r.error_estimate[0] for r in one],
+                     reduction, rep.value)
+        assert np.array_equal(rep.function_evals,
+                              [r.function_evals[0] for r in one])
+        assert rep.converged == all(r.converged for r in one)
+        full = sphere_integrals(g, frames, radii, None, rule, False)
+        assert rep.converged and full.converged
+        assert np.all(np.abs(rep.value - full.value)
+                      <= rep.error_estimate + full.error_estimate)
+        assert np.all(rep.function_evals[flags] < full.function_evals[flags])
+        assert np.array_equal(rep.function_evals[~flags],
+                              full.function_evals[~flags])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("axisymmetric", [False, True])
