@@ -163,6 +163,10 @@ def solve(problem, x, spec=None):
     if g.support_radius is None:
         # rho^{d-1} x kernel ~ rho^{-1-2s+growth} after the angular average
         decay = 2.0 * kernel.s - g.growth_exponent
+    # Data symmetric about e1 are symmetric about the line through x when x
+    # is on e1 (x = 0 included); d = 3 takes the polar-only rule at every x,
+    # off the axis too, where it is wrong (the open axisym-offaxis defect).
+    on_axis = ~np.atleast_2d(x)[:, 1:].any(axis=1)
     rep = integrate_exterior_ball(
         F,
         x,
@@ -171,7 +175,7 @@ def solve(problem, x, spec=None):
         [g.radial_breakpoints] * (len(x) if many else 1),
         support_radius=g.support_radius,
         decay_exponent=decay,
-        axisymmetric=g.axisymmetric,
+        axisymmetric=g.axisymmetric & ((kernel.d == 3) | on_axis),
     )
     return rep if many else _first(rep)
 
@@ -186,6 +190,12 @@ def solve_vt(kernel, z, t, x, spec=None):
     ``t`` may be a 1-D array of radii: all of them are then solved in one
     batched exterior integral (each v_t gets the panels it gets alone), and
     the report's value and error_estimate are arrays over t.
+
+    The cap's edges are handed to the angular rule at every x in every d,
+    and its kink radii t -+ 1 to the radial rule, far field included.  When
+    x lies exactly on the line through 0 and z (every x_i z_j - x_j z_i is
+    0, x = 0 included) the datum is symmetric about the line through x, so
+    the sphere rule takes its polar level only.
     """
     spec = spec or QuadratureSpec()
     z = _boundary_point(kernel, z)
@@ -195,8 +205,7 @@ def solve_vt(kernel, z, t, x, spec=None):
     if t.ndim > 1 or np.any(ts < 0.0):
         raise DomainError("t must be a nonnegative radius or 1-D array of them")
 
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
+    if not x.any():
         # P(0, .) is radial, so v_t(0) is the same for every z: take the one
         # on the first axis of the solver's frame at 0.
         z = np.eye(kernel.d)[0]
@@ -209,19 +218,16 @@ def solve_vt(kernel, z, t, x, spec=None):
     F = _kernel_integrand(kernel, x, weight_fn=indicator)
 
     # The excised cap meets the sphere of radius rho in the polar angles
-    # beta -+ alpha from x, beta the angle of z and alpha the cap's half
-    # width; folded by the solver's mirror they are |beta - alpha| and
-    # min(beta + alpha, 2 pi - beta - alpha), for beta in [0, pi].  Hand
-    # them to the angular rule when the frame is known: for x on the z-axis
-    # (beta = 0 or pi exactly) in every d, and for any x in d = 2.
-    dot = float(x @ z)
-    beta = None
-    if nx == 0.0 or abs(abs(dot) - nx) <= 1e-12:
-        beta = math.pi if dot < 0.0 else 0.0
-    elif kernel.d == 2:
-        beta = math.atan2(abs(x[0] * z[1] - x[1] * z[0]), dot)
+    # beta -+ alpha from x, beta = atan2(|x ^ z|, x . z) the angle of z and
+    # alpha the cap's half width; folded by the solver's mirror they are
+    # |beta - alpha| and min(beta + alpha, 2 pi - beta - alpha).  On the
+    # z-line the wedge is exactly 0, so beta is exactly 0 or pi.
+    wedge = [x[i] * z[j] - x[j] * z[i]
+             for i in range(kernel.d) for j in range(i + 1, kernel.d)]
+    on_line = not any(wedge)
+    beta = math.atan2(math.hypot(*wedge), float(x @ z))
     angular_bps = None
-    if kernel.d > 1 and beta is not None:
+    if kernel.d > 1:
         def angular_bps(rho, ids):
             c = (rho * rho + 1.0 - t2[ids]) / (2.0 * rho)
             cap = (ts[ids] > 0.0) & (np.abs(c) <= 1.0)
@@ -236,7 +242,7 @@ def solve_vt(kernel, z, t, x, spec=None):
     bps = [tuple(p for p in (1.0 + ti, ti - 1.0) if p > 1.0) for ti in ts.tolist()]
     rep = integrate_exterior_ball(
         F, x, kernel.s, spec, bps, decay_exponent=2.0 * kernel.s,
-        angular_breakpoints=angular_bps,
+        angular_breakpoints=angular_bps, axisymmetric=on_line,
     )
     return _first(rep) if t.ndim == 0 else rep
 

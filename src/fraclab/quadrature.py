@@ -285,7 +285,8 @@ def integrate_radial_singular(f, s, R, spec, breakpoints):
     return _integrate(transformed, [w_partition(b) for b in breakpoints], spec)
 
 
-def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
+def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol,
+                               breakpoints=None):
     """Integrate f_i over (R, infinity) given |f_i(rho)| <= M rho^{-1-decay}.
 
     Maps (R, inf) onto (0, 1] via rho = R/v.  The mapped integrand behaves
@@ -295,12 +296,21 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
 
     The integrand is called as f(rho, ids), ids[j] the integral that rho[j]
     belongs to.  Integral i gets the absolute tolerance ``abs_tol[i]``, so
-    there are k = len(abs_tol) integrals.
+    there are k = len(abs_tol) integrals.  ``breakpoints``, if given, holds
+    one sequence of radii per integral where f_i may kink; each radius
+    rho_b > R becomes the breakpoint R/rho_b of v (its z = v^decay when
+    decay < 1), added to the partition 0, 0.5, 1 that every integral starts
+    from, so an integral without breakpoints gets the panels it gets alone.
     """
     if decay_exponent <= 0:
         raise QuadratureError("decay_exponent must be positive")
     if R <= 0:
         raise QuadratureError("R must be positive")
+    abs_tol = np.asarray(abs_tol, dtype=float)
+    if breakpoints is None:
+        breakpoints = [()] * abs_tol.size
+    if len(breakpoints) != abs_tol.size:
+        raise QuadratureError("need one sequence of breakpoints per integral")
 
     def mapped(v, ids):
         return f(R / v, ids) * (R / v**2)
@@ -313,8 +323,14 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol):
         def integrand(z, ids):
             return mapped(z**q, ids) * (q * z ** (q - 1.0))
 
-    abs_tol = np.asarray(abs_tol, dtype=float)
-    return _integrate(integrand, [(0.0, 0.5, 1.0)] * abs_tol.size, spec, abs_tol)
+    def partition(bps):
+        v = [R / rho for rho in bps if rho > R]
+        if decay_exponent < 1.0:
+            v = [w**decay_exponent for w in v]
+        return sorted({0.0, 0.5, 1.0, *v})
+
+    return _integrate(integrand, [partition(b) for b in breakpoints], spec,
+                      abs_tol)
 
 
 def _frame(x_eval, d):
@@ -491,24 +507,24 @@ def integrate_exterior_ball(
     resolved on exactly mirrored nodes.  ``angular_breakpoints(rho, ids)``
     maps an array of radii and their integrals to an (n, m) array of polar
     angles in that folded range where F may kink on each sphere; entries
-    outside (0, pi), NaN included, are ignored.  An ``axisymmetric`` F is
-    symmetric about the e1 axis, and so about the line through x_i when x_i
-    lies on that axis (x_i[1:] all zero, x_i = 0 included): there, in every
-    d >= 2, the sphere rule stops after the polar level (in d = 2 one point
-    of each mirror pair).  The decision is per integral, so each point of a
-    batch gets the rule it gets alone.  d = 3 takes the polar rule at every
-    x_i, off the axis too, where it is wrong (the open axisym-offaxis
-    defect); d = 2 and d >= 4 run the full recursion off the axis.
+    outside (0, pi), NaN included, are ignored.  ``axisymmetric`` is one
+    bool for all integrals or one per integral: True declares F_i symmetric
+    about the line through 0 and x_i (about the e1 axis, the frame's first
+    vector, when x_i = 0), and the sphere rule of that integral stops after
+    the polar level in every d >= 2 (in d = 2 one point of each mirror pair).
+    The caller decides; the rule does not check the symmetry.
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
-    field; each integral's far field gets its own tolerance.  Each radial
-    and angular rule is one adaptive pool over the k integrals, in which
-    every integral gets the panels it gets alone; the angular integrals of
-    all radial nodes in one radial panel sweep run as one batch.  The
-    report's value and error_estimate are length-k arrays, function_evals
-    counts the rows passed to F for all k integrals, and converged is False
-    if any integral, angular ones included, ends unconverged.
+    field; each integral's far field gets its own tolerance, and its radial
+    breakpoints beyond the near part's end (radius 2) break the far rule
+    too.  Each radial and angular rule is one adaptive pool over the k
+    integrals, in which every integral gets the panels it gets alone; the
+    angular integrals of all radial nodes in one radial panel sweep run as
+    one batch.  The report's value and error_estimate are length-k arrays,
+    function_evals counts the rows passed to F for all k integrals, and
+    converged is False if any integral, angular ones included, ends
+    unconverged.
     """
     k = len(radial_breakpoints)
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
@@ -530,7 +546,9 @@ def integrate_exterior_ball(
         )
     frames = np.array([_frame(p, d) for p in points])
     delta = np.broadcast_to(delta, (k,))
-    polar_only = axisymmetric & ((d == 3) | ~points[:, 1:].any(axis=1))
+    flags = np.broadcast_to(np.asarray(axisymmetric, dtype=bool), (k,))
+    # One flag for all integrals spares sphere_integrals a per-row split.
+    polar_only = flags.all() if flags.all() or not flags.any() else flags
     inner = _inner_spec(spec)
 
     def polar_partitions(q, ids):
@@ -554,7 +572,7 @@ def integrate_exterior_ball(
             lambda y, j: F(y, norm2m1[j], ids[j]),
             frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
-            polar_only[0] if len(points) == 1 else polar_only[ids],
+            polar_only if polar_only.ndim == 0 else polar_only[ids],
         ) * rho ** (d - 1)
 
     # Radial decomposition: a singular-substituted near part graded toward
@@ -576,6 +594,7 @@ def integrate_exterior_ball(
         far = integrate_radial_unbounded(
             radial_far, r_near_end, decay_exponent, spec,
             np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value)),
+            radial_breakpoints,
         )
         total = total + far
     return total

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from fraclab import ball_poisson
 
@@ -29,7 +30,7 @@ from fraclab.exterior_data import (
     transverse_modulus_datum,
 )
 from fraclab.moduli import ModulusFunction
-from fraclab.quadrature import QuadratureSpec
+from fraclab.quadrature import QuadratureSpec, integrate_exterior_ball
 
 
 class TestKernel:
@@ -205,6 +206,20 @@ class TestSolve:
         assert rep.converged
         assert abs(rep.value - 1.0) <= rep.error_estimate + spec.tolerance(1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("a", [0.5, 2.0, 4.0])
+    def test_radial_step_at_the_origin(self, d, s, a):
+        # g = 1_{|y| >= 1+a}: u(0) = I_{(1+a)^{-2}}(s, 1-s) in every d (the
+        # kernel mass of |y| > 1+a, with u = rho^{-2}).  For a >= 1 the step
+        # lies in the far field, beyond radius 2.
+        spec = QuadratureSpec(rel_tol=1e-8)
+        problem = BallProblem(PoissonKernel(d, s), radial_indicator_datum(a, d))
+        rep = solve(problem, np.zeros(d), spec)
+        oracle = float(betainc(s, 1.0 - s, (1.0 + a) ** -2))
+        assert rep.converged
+        assert abs(rep.value - oracle) <= rep.error_estimate + spec.tolerance(oracle)
+
 
 def _axial_datum(d, axisymmetric=True):
     """g(y) = (4 - |y|^2)_+^2 e^{y_1} |y'|: symmetric about e1, not radial,
@@ -343,7 +358,7 @@ def _vt_oracle_d2(x, z, t, s):
     phi_z = math.atan2(z[1], z[0])
 
     def outside_cap(rho):
-        a = math.acos(min((rho * rho + 1.0 - t * t) / (2.0 * rho), 1.0))
+        a = math.acos(max(-1.0, min((rho * rho + 1.0 - t * t) / (2.0 * rho), 1.0)))
         return quad(
             lambda p: 1.0 / ((rho * math.cos(p) - x0) ** 2
                              + (rho * math.sin(p) - x1) ** 2),
@@ -359,6 +374,18 @@ def _vt_oracle_d2(x, z, t, s):
                epsabs=1e-13, epsrel=1e-12)[0]
     c = math.sin(math.pi * s) / math.pi**2
     return c * (1.0 - x0 * x0 - x1 * x1) ** s * (near + far)
+
+
+def _full_rule(*args, **kwargs):
+    """integrate_exterior_ball with the full sphere recursion everywhere."""
+    return integrate_exterior_ball(*args, **dict(kwargs, axisymmetric=False))
+
+
+def _axis(d, name):
+    """e1, -e2 or e_d of R^d."""
+    z = np.zeros(d)
+    z[{"e1": 0, "-e2": 1, "ed": d - 1}[name]] = -1.0 if name == "-e2" else 1.0
+    return z
 
 
 class TestModelSolutions:
@@ -414,6 +441,80 @@ class TestModelSolutions:
                                            + fast_spec.tolerance(oracle))
         aligned = solve_vt(k, z, t, float(np.linalg.norm(x)) * z, fast_spec)
         assert rep.function_evals <= 3 * aligned.function_evals
+
+    @pytest.mark.parametrize("t", [1.40625, 2.15625])
+    def test_on_axis_d2_far_cap_matches_scipy(self, t, fast_spec):
+        # For t > 1 the cap's outer kink radius 1 + t lies in the far field,
+        # which breaks there too: blind, the far rule missed v_t at
+        # t = 2.15625 by 3.1e-6 against an estimate of 7.4e-8.
+        k = PoissonKernel(2, 0.5)
+        x, z = np.array([0.8947316871891812, 0.0]), np.array([1.0, 0.0])
+        rep = solve_vt(k, z, t, x, fast_spec)
+        oracle = _vt_oracle_d2(x, z, t, 0.5)
+        assert rep.converged
+        assert abs(rep.value - oracle) <= (rep.error_estimate
+                                           + fast_spec.tolerance(oracle))
+
+    def test_off_axis_d3_gets_the_cap_edges(self):
+        # beta = atan2(|x ^ z|, x . z) places the cap's edges at every x: the
+        # nested rule no longer bisects toward the rim, which took 1,711,320
+        # evaluations here.  Reference: this rule at rel_tol 1e-6.
+        k = PoissonKernel(3, 0.5)
+        spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+        rep = solve_vt(k, [0.0, 1.0, 0.0], 0.5, [0.3, 0.2, 0.0], spec)
+        ref, ref_err = 0.96216166, 3.5e-7
+        assert rep.converged
+        assert abs(rep.value - ref) <= (rep.error_estimate + spec.tolerance(ref)
+                                        + ref_err)
+        assert rep.function_evals < 500_000
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("axis", ["e1", "-e2", "ed"])
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.9])
+    def test_on_the_z_line_takes_the_polar_rule(self, d, axis, c, monkeypatch):
+        # 1_{|y - z| > t} is symmetric about the line through 0 and z, so at
+        # x = c z the polar-only rule agrees with the full recursion within
+        # their summed estimates, at fewer evaluations; in d = 2 it evaluates
+        # one point of each exactly mirrored pair: the same bits at half.
+        k, z = PoissonKernel(d, 0.5), _axis(d, axis)
+        spec = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7)
+        ts = np.array([0.3, 1.5])
+        polar = solve_vt(k, z, ts, c * z, spec)
+        monkeypatch.setattr(ball_poisson, "integrate_exterior_ball", _full_rule)
+        full = solve_vt(k, z, ts, c * z, spec)
+        assert polar.converged and full.converged
+        assert np.all(np.abs(polar.value - full.value)
+                      <= polar.error_estimate + full.error_estimate)
+        assert polar.function_evals < full.function_evals
+        if d == 2:
+            assert 2 * polar.function_evals == full.function_evals
+            assert np.array_equal(polar.value, full.value)
+            assert np.array_equal(polar.error_estimate, full.error_estimate)
+
+    # d = 4 at c = 0 is left out: z is then at 90 degrees from x, where its
+    # full recursion takes 65M evaluations (about 9 s).
+    @pytest.mark.parametrize("d, c", [(2, 0.0), (2, 0.5), (3, 0.0), (3, 0.5),
+                                      (4, 0.5)])
+    def test_one_ulp_off_the_z_line_takes_the_full_rule(self, d, c, monkeypatch):
+        # The line test is exact: one ulp off it, in x1 (from 0 to the
+        # smallest subnormal), the rule is the full recursion.
+        k, z = PoissonKernel(d, 0.5), _axis(d, "ed")
+        spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+        x = c * z
+        x[0] = np.nextafter(0.0, 1.0)
+        flags = []
+
+        def spy(*args, **kwargs):
+            flags.append(bool(kwargs["axisymmetric"]))
+            return integrate_exterior_ball(*args, **kwargs)
+
+        monkeypatch.setattr(ball_poisson, "integrate_exterior_ball", spy)
+        off = solve_vt(k, z, 0.3, x, spec)
+        on = solve_vt(k, z, 0.3, c * z, spec)
+        assert flags == [False, True]
+        assert off.converged and off.function_evals > on.function_evals
+        assert abs(off.value - on.value) <= (off.error_estimate + on.error_estimate
+                                             + spec.tolerance(on.value))
 
     @pytest.mark.parametrize("z", [[0.6, 0.8], [0.0, -1.0], [0.0, 1.0, 0.0],
                                    [0.48, 0.6, -0.64]])

@@ -307,6 +307,53 @@ class TestRadialUnbounded:
             integrate_radial_unbounded(lambda r, ids: r, 1.0, 0.0, spec,
                                        [spec.abs_tol])
 
+    @pytest.mark.parametrize("decay", [1.0, 0.5])
+    @pytest.mark.parametrize("rho0", [2.001, 3.0, 40.0])
+    def test_breakpoint_resolves_a_far_jump(self, decay, rho0, spec):
+        # int_R^inf 1_{rho > rho0} rho^{-2} drho = 1/rho0: the jump maps to a
+        # panel end, v = R/rho0 (z = v^decay), and the rule is exact.  Blind,
+        # the rule misses the jump at 2.001 and returns 0.5 with an estimate
+        # of 3e-17.
+        rep = _first(integrate_radial_unbounded(
+            lambda r, ids: (r > rho0) * r**-2.0, 2.0, decay, spec,
+            [spec.abs_tol], [(rho0,)]))
+        assert rep.converged
+        assert abs(rep.value - 1.0 / rho0) <= 4.0 * math.ulp(1.0 / rho0)
+
+    @pytest.mark.parametrize("decay, value, error, evals", [
+        (1.0, [0.3333333275733019, 0.25], [2.3888210989715438e-08,
+                                           2.7755575615628914e-17], 630),
+        (0.5, [0.33333333720478137, 0.250000015931689],
+         [2.029189989648576e-08, 1.7573301229644292e-08], 1260),
+    ])
+    def test_no_far_breakpoint_keeps_the_partition(self, decay, value, error,
+                                                   evals, spec, monkeypatch):
+        # No breakpoints, or only radii at or inside R, leave every integral
+        # the partition 0, 0.5, 1 and the pinned result of the blind rule,
+        # which bisects toward the jumps at 3 and 4 (v = 0.5 for decay 1).
+        rows = []
+        integrate = quadrature._integrate
+
+        def spy(f, partitions, *args):
+            rows.extend(partitions)
+            return integrate(f, partitions, *args)
+
+        monkeypatch.setattr(quadrature, "_integrate", spy)
+        f = lambda r, ids: (r > 3.0 + ids) * r**-2.0
+        for bps in (None, [(), (2.0, 1.5)]):
+            rep = integrate_radial_unbounded(f, 2.0, decay, spec,
+                                             [spec.abs_tol] * 2, bps)
+            assert rep.value.tolist() == value
+            assert rep.error_estimate.tolist() == error
+            assert (rep.function_evals, rep.converged) == (evals, True)
+        assert len(rows) == 4
+        assert all(list(p) == [0.0, 0.5, 1.0] for p in rows)
+
+    def test_rejects_breakpoints_that_do_not_match_the_integrals(self, spec):
+        with pytest.raises(QuadratureError, match="one sequence"):
+            integrate_radial_unbounded(lambda r, ids: r**-2.0, 1.0, 1.0, spec,
+                                       [spec.abs_tol] * 2, [(3.0,)])
+
 
 def _poisson_F(x, s, d):
     x = np.asarray(x, dtype=float)
@@ -634,6 +681,43 @@ class TestExteriorBall:
                      reduction)
         assert rep.function_evals == sum(r.function_evals for r in one)
         assert rep.converged == all(r.converged for r in one)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_flag_per_integral_picks_each_integral_rule(self, d, reduction):
+        # The kernel P(x_i, .) is symmetric about the line through 0 and x_i,
+        # so a flagged integral may take the polar-only rule at any x_i (off
+        # the axes too): each gets the rule its own flag picks, as alone.
+        s = 0.5
+        x = np.zeros((3, d))
+        x[1, 0], x[2] = 0.5, 0.4 / math.sqrt(d)
+        flags = np.array([True, False, True])
+        P = [_poisson_F(p, s, d) for p in x]
+        spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+
+        def F(rows):
+            def batch(points, norm2m1, ids):
+                out = np.empty(len(points))
+                for i in np.unique(ids):
+                    sel = ids == i
+                    out[sel] = P[rows[i]](points[sel], norm2m1[sel], ids[sel])
+                return out
+            return batch
+
+        def call(rows, axisymmetric):
+            return integrate_exterior_ball(F(rows), x[rows], s, spec,
+                                           [()] * len(rows), decay_exponent=2.0 * s,
+                                           axisymmetric=axisymmetric)
+
+        rep = call(np.arange(3), flags)
+        one = [call([i], flags[i]) for i in range(3)]
+        full = [call([i], False) for i in range(3)]
+        _assert_same(rep.value, [r.value[0] for r in one], reduction)
+        _assert_same(rep.error_estimate, [r.error_estimate[0] for r in one],
+                     reduction)
+        assert rep.function_evals == sum(r.function_evals for r in one)
+        assert rep.converged and np.all(np.abs(rep.value - 1.0) <= 1e-12)
+        for flag, r, f in zip(flags, one, full):
+            assert (r.function_evals < f.function_evals) == flag
 
     def test_rejects_points_that_do_not_match_the_integrals(self, spec):
         def F(points, norm2m1, ids):
