@@ -14,6 +14,15 @@ initial partitions, breakpoints or tolerances), and the report holds
 length-k arrays.  ``_first`` turns the report of one integral into a scalar
 report; ``integrate_1d`` is the public one-integral rule.
 
+Nested rules share one error budget.  An integrand's per-point errors fold
+into a panel's error as its half-width times the Kronrod-weighted sum, so
+if every point of an integral over an interval of length L is within tau / L,
+the folded error stays within tau.  So at every nesting level an inner
+integral gets ``INNER_SHARE`` of its outer integral's rel_tol, and as its
+abs_tol that share of the outer abs_tol divided by the outer interval's
+length and by the factor that multiplies the inner value in the outer
+integrand (weight and Jacobian).
+
 Integrands are numpy-vectorized and called as ``f(x, ids)``: an ndarray of
 abscissae and, per abscissa, the index of the integral it belongs to.  They
 return an ndarray of values, or an ``EvaluationReport`` of per-point arrays
@@ -370,10 +379,18 @@ def _graded_scales(scale, upper, factor):
 _POLAR_GRADES = 4.0 ** np.arange(26)
 
 
-def _inner_spec(spec):
+# Share of an outer integral's tolerance that each inner integral gets.
+INNER_SHARE = 0.25
+
+
+def _inner_rule(spec):
+    """The rule of an integral nested in one under ``spec``: ``INNER_SHARE``
+    of its tolerances (rel_tol not below 1e-13) and an eighth of its panel
+    cap (at least 512).  Its abs_tol is the share for a unit factor on a unit
+    interval; callers divide it by the outer interval's length and factor."""
     return QuadratureSpec(
-        rel_tol=max(spec.rel_tol * 0.05, 1e-13),
-        abs_tol=spec.abs_tol * 0.05,
+        rel_tol=max(spec.rel_tol * INNER_SHARE, 1e-13),
+        abs_tol=spec.abs_tol * INNER_SHARE,
         max_subdivisions=max(512, spec.max_subdivisions // 8),
     )
 
@@ -385,7 +402,8 @@ def _sphere_area(d):
     return 2.0 * np.pi / (d - 2) * _sphere_area(d - 2)
 
 
-def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
+def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
+                     abs_tol=None):
     """Integrals over the unit sphere S^{d-1} of theta -> g(radii[i] theta).
 
     ``frame`` is an orthonormal basis of R^d, the rows of a (d, d) array, for
@@ -397,7 +415,14 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     and returns values or a report of per-point arrays, whose two halves are
     summed.  The top polar level runs over the rows ``partitions[i]`` of
     (0, pi) of a 2-D array (None: (0, pi) for every radius) under ``rule``,
-    each nested level over (0, pi) as one batch under ``_inner_spec(rule)``.
+    with the absolute tolerance ``abs_tol``, one for all radii or one per
+    radius (None: ``rule.abs_tol``).  Each nested level runs over (0, pi) as
+    one batch under ``_inner_rule`` of its parent's rule, and each of its
+    spheres gets its share of its parent's tolerance: a nested S^{m-1} at
+    polar angle phi of its parent S^m gets the absolute tolerance
+    INNER_SHARE tol / (pi sin^{m-1} phi), the parent's tol divided by the
+    length of (0, pi) and by the weight of its value in the parent's
+    integrand, so the parent's folded inner errors stay below its share.
     ``axisymmetric`` is one bool for all radii or one per radius: the
     integral of a radius flagged True (g symmetric about the line of its
     frame[0]) stops after the top level, each nested sphere contributing its
@@ -412,6 +437,9 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
     frame = np.asarray(frame, dtype=float)
     d = frame.shape[-1]
     flat = np.asarray(axisymmetric, dtype=bool)
+    rules = [rule]
+    while len(rules) < d - 1:
+        rules.append(_inner_rule(rules[-1]))
 
     def axis(k, ids):
         # frame[k] of the radii ids: one vector, or one row per radius
@@ -429,10 +457,11 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
             return EvaluationReport(*(a[:n] + a[n:] for a in pairs), res.converged)
         return EvaluationReport(res[:n] + res[n:], np.zeros(n), np.full(n, 2), True)
 
-    def sphere(k, base, scale, ids, level):
-        # Row j: the sphere of radius scale[j] about base[j] in frame[k:].
-        # ``level`` is this function, passed rather than closed over: a closure
-        # over its own name is a cycle that keeps each call's arrays until gc.
+    def sphere(k, base, scale, ids, tol, level):
+        # Row j: the sphere of radius scale[j] about base[j] in frame[k:], to
+        # the absolute tolerance tol[j].  ``level`` is this function, passed
+        # rather than closed over: a closure over its own name is a cycle
+        # that keeps each call's arrays until gc.
         if k == d - 1:
             return folded(base, scale[:, None] * axis(k, ids), ids)
         m = d - 1 - k  # the sphere is S^m
@@ -446,8 +475,11 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
             if axisym:
                 w = _sphere_area(m) * sin ** (m - 1)
                 return g(b + t[:, None] * axis(k + 1, ids[j]), ids[j]) * w
-            rep = level(k + 1, b, t, ids[j], level)
-            return rep if m == 1 else rep * sin ** (m - 1)
+            if m == 1:
+                return level(k + 1, b, t, ids[j], None, level)
+            w = sin ** (m - 1)
+            return level(k + 1, b, t, ids[j],
+                         INNER_SHARE * tol[j] / (np.pi * w), level) * w
 
         def polar(phi, j):
             # Only the top level sees flagged radii: theirs never recurse.
@@ -468,12 +500,12 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False):
 
         parts = (partitions if k == 0 and partitions is not None
                  else np.tile([0.0, np.pi], (scale.size, 1)))
-        spec = rule if k == 0 else _inner_spec(rule)
         return EvaluationReport(*_adaptive(
-            polar, parts, spec.rel_tol, spec.abs_tol, spec.max_subdivisions
+            polar, parts, rules[k].rel_tol, tol, rules[k].max_subdivisions
         ))
 
-    return sphere(0, None, radii, np.arange(radii.size), sphere)
+    tol = np.full(radii.shape, rule.abs_tol if abs_tol is None else abs_tol)
+    return sphere(0, None, radii, np.arange(radii.size), tol, sphere)
 
 
 def integrate_exterior_ball(
@@ -518,13 +550,19 @@ def integrate_exterior_ball(
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
     field; each integral's far field gets its own tolerance, and its radial
     breakpoints beyond the near part's end (radius 2) break the far rule
-    too.  Each radial and angular rule is one adaptive pool over the k
-    integrals, in which every integral gets the panels it gets alone; the
-    angular integrals of all radial nodes in one radial panel sweep run as
-    one batch.  The report's value and error_estimate are length-k arrays,
-    function_evals counts the rows passed to F for all k integrals, and
-    converged is False if any integral, angular ones included, ends
-    unconverged.
+    too.  The sphere rule at each radial node gets the budget rule's share
+    of its radial rule's tolerance (see the module docstring): the near
+    rule runs over w in (0, (R - 1)^{1-s}) and multiplies the sphere
+    integral by the Jacobian q^s / (1 - s) of rho = 1 + w^{1/(1-s)} and by
+    rho^{d-1}; the far rule runs over v = R / rho in (0, 1] and multiplies
+    it by R / v^2 and rho^{d-1}, and by 1 / (decay v^{decay-1}) more when
+    decay < 1 (the substitution z = v^decay).  Each radial and angular rule
+    is one adaptive pool over the k integrals, in which every integral gets
+    the panels it gets alone; the angular integrals of all radial nodes in
+    one radial panel sweep run as one batch.  The report's value and
+    error_estimate are length-k arrays, function_evals counts the rows
+    passed to F for all k integrals, and converged is False if any integral,
+    angular ones included, ends unconverged.
     """
     k = len(radial_breakpoints)
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
@@ -549,7 +587,7 @@ def integrate_exterior_ball(
     flags = np.broadcast_to(np.asarray(axisymmetric, dtype=bool), (k,))
     # One flag for all integrals spares sphere_integrals a per-row split.
     polar_only = flags.all() if flags.all() or not flags.any() else flags
-    inner = _inner_spec(spec)
+    inner = _inner_rule(spec)
 
     def polar_partitions(q, ids):
         # Per radial node, one row: the folded range (0, pi), graded toward
@@ -563,16 +601,16 @@ def integrate_exterior_ball(
         ends = np.ones((q.size, 1))
         return np.concatenate([0.0 * ends, cuts, np.pi * ends], axis=1)
 
-    def radial_q(q, ids):
+    def radial_q(q, ids, abs_tol):
         # q holds the exact boundary offset |y| - 1 of each radial node;
         # kernel integrands use it to form |y|^2 - 1 = q(2+q) without
-        # cancellation.
+        # cancellation.  abs_tol is each node's sphere-rule tolerance.
         rho, norm2m1 = 1.0 + q, q * (2.0 + q)
         return sphere_integrals(
             lambda y, j: F(y, norm2m1[j], ids[j]),
             frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
-            polar_only if polar_only.ndim == 0 else polar_only[ids],
+            polar_only if polar_only.ndim == 0 else polar_only[ids], abs_tol,
         ) * rho ** (d - 1)
 
     # Radial decomposition: a singular-substituted near part graded toward
@@ -584,17 +622,28 @@ def integrate_exterior_ball(
     bps = [sorted(graded[di] | {r for r in b if 1.0 < r < r_near_end})
            for di, b in zip(delta.tolist(), radial_breakpoints)]
 
-    total = integrate_radial_singular(radial_q, s, r_near_end, spec, bps)
-    if support_radius is None:
-        def radial_far(rho, ids):
-            return radial_q(rho - 1.0, ids)
+    # The budget rule: each node's sphere rule gets its share of the radial
+    # rule's abs_tol over the interval's length and the node's factor.
+    w_end = (r_near_end - 1.0) ** (1.0 - s)
 
+    def radial_near(q, ids):
+        factor = q**s / (1.0 - s) * (1.0 + q) ** (d - 1)
+        return radial_q(q, ids, inner.abs_tol / (w_end * factor))
+
+    total = integrate_radial_singular(radial_near, s, r_near_end, spec, bps)
+    if support_radius is None:
         # The far field's error budget is relative to the whole integral, not
         # to its own (possibly tiny) value.
-        far = integrate_radial_unbounded(
-            radial_far, r_near_end, decay_exponent, spec,
-            np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value)),
-            radial_breakpoints,
-        )
+        far_tol = np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value))
+
+        def radial_far(rho, ids):
+            v = r_near_end / rho
+            factor = r_near_end / v**2 * rho ** (d - 1)
+            if decay_exponent < 1.0:
+                factor = factor / (decay_exponent * v ** (decay_exponent - 1.0))
+            return radial_q(rho - 1.0, ids, INNER_SHARE * far_tol[ids] / factor)
+
+        far = integrate_radial_unbounded(radial_far, r_near_end, decay_exponent,
+                                         spec, far_tol, radial_breakpoints)
         total = total + far
     return total

@@ -136,6 +136,48 @@ class TestSolve:
         assert abs(rep.value - 1.0) <= rep.error_estimate
         assert rep.function_evals <= 236_290_500 // 100
 
+    @pytest.mark.parametrize("d", [5, 8])
+    @pytest.mark.parametrize("x1", [0.0, 0.5, 0.999])
+    def test_kernel_mass_in_high_d(self, d, x1, spec):
+        # The polar-only rule, where rho^{d-1} and the far map's R / v^2
+        # multiply each polar integral, whose tolerance must divide them out.
+        x = np.zeros(d)
+        x[0] = x1
+        problem = BallProblem(PoissonKernel(d, 0.25), constant_datum(1.0, d))
+        rep = solve(problem, x, spec)
+        assert rep.converged
+        assert abs(rep.value - 1.0) <= rep.error_estimate
+
+    def test_odd_datum_vanishes_on_the_d3_axis(self):
+        # The full recursion at the CLI spec: u = 0 on e1, so only abs_tol
+        # binds, and each inner integral must get its share of its parent's.
+        problem = BallProblem(PoissonKernel(3, 0.5), sign_changing_datum(0.5, 3))
+        rep = solve(problem, [0.99, 0.0, 0.0],
+                    QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11))
+        assert rep.converged
+        assert abs(rep.value) <= rep.error_estimate
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("x", [(0.3, 0.4, 0.5), (0.0, -0.99, 0.0)])
+    def test_general_rule_kernel_mass_in_d3(self, x, rel_tol):
+        datum = dataclasses.replace(constant_datum(1.0, 3), axisymmetric=False)
+        rep = solve(BallProblem(PoissonKernel(3, 0.5), datum), np.array(x),
+                    QuadratureSpec(rel_tol=rel_tol))
+        assert rep.converged
+        assert abs(rep.value - 1.0) <= rep.error_estimate
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
+    def test_general_rule_transverse_datum_off_the_axis(self, rel_tol):
+        # thm15 in d = 3 at 0.5 e2 on the full recursion, against a reference
+        # known to 2e-8.
+        datum = dataclasses.replace(
+            transverse_modulus_datum(ModulusFunction.power(0.5), 3),
+            axisymmetric=False)
+        rep = solve(BallProblem(PoissonKernel(3, 0.5), datum),
+                    np.array([0.0, 0.5, 0.0]), QuadratureSpec(rel_tol=rel_tol))
+        assert rep.converged
+        assert abs(rep.value - 0.94268852503) <= rep.error_estimate + 2e-8
+
     def test_linearity_in_datum(self, spec):
         k = PoissonKernel(1, 0.5)
         u1 = solve(BallProblem(k, constant_datum(1.0, 1)), [0.3], spec)
@@ -270,9 +312,12 @@ class TestAxisShortcut:
         assert repr(flagged) == repr(full)
 
     @pytest.mark.parametrize("x, report", [
-        ((0.5, 0.0, 0.0), (0.8718087058484473, 1.4288902011006023e-08, 10575)),
-        # the open axisym-offaxis defect: the reference is 0.94268852503
-        ((0.0, 0.5, 0.0), (0.7664556728051082, 1.842960799422775e-08, 19815)),
+        # 3.7e-10 from the rel_tol 1e-10 solve 0.8718087059154749
+        ((0.5, 0.0, 0.0), (0.871808705549683, 7.901382675564942e-08, 8355)),
+        # the open axisym-offaxis defect: the reference is 0.94268852503;
+        # 3.6e-7 (2.2 times the estimate) from the rel_tol 1e-10 solve
+        # 0.7664556544517235 of the same polar-only integral
+        ((0.0, 0.5, 0.0), (0.7664560162058885, 1.6471534663217956e-07, 17115)),
     ])
     def test_d3_takes_the_polar_rule_at_every_point(self, x, report):
         problem = BallProblem(PoissonKernel(3, 0.5),
