@@ -1,7 +1,7 @@
 """Gauss-Kronrod constants and the small numeric kernels.
 
-The panel reduction is two matrix-vector products over a whole panel batch;
-the compensated sum is a plain loop.
+The panel reduction is two einsum contractions that reduce each panel by
+itself; the compensated sum is a plain loop.
 """
 
 import numpy as np
@@ -66,13 +66,21 @@ GK_WEIGHTS_G[1::2] = np.array(
 )
 
 
-def panel_reduce(fvals, half_widths):
-    """Per-panel Kronrod value and |K15 - G7| error from f at the 15 nodes.
+_GK_WEIGHTS = np.stack([GK_WEIGHTS_K, GK_WEIGHTS_G])
 
-    fvals has shape (n_panels, 15); half_widths has shape (n_panels,).
+
+def panel_reduce(fvals, ferrs, half_widths):
+    """Per-panel Kronrod value, |K15 - G7| error and Kronrod-weighted fold
+    of the integrand's per-point errors, from the (n_panels, 15) arrays of f
+    and its errors at the nodes and the (n_panels,) half-widths.
+
+    einsum sums each row of C-ordered arrays in an order that depends on
+    neither its position nor the number of rows (a matrix-vector product's
+    may), so a panel gives the same three numbers, bit for bit, in any batch.
     """
-    k = fvals @ GK_WEIGHTS_K
-    return k * half_widths, np.abs(k - fvals @ GK_WEIGHTS_G) * half_widths
+    k, g = np.einsum("ij,kj->ki", fvals, _GK_WEIGHTS)
+    return (k * half_widths, np.abs(k - g) * half_widths,
+            np.einsum("ij,j->i", ferrs, GK_WEIGHTS_K) * half_widths)
 
 
 def kahan_sum(values):

@@ -148,11 +148,11 @@ def solve(problem, x, spec=None):
     """u(x) = int_{|y|>1} P(x, y) g(y) dy with an estimated error.
 
     x is one point, or an (n, d) array of n points: these are solved in one
-    batched exterior integral, in which each point gets the panels it gets
-    alone, and the report's value and error_estimate are length-n arrays,
-    function_evals is the total over the batch and converged is False if
-    any point's integral ends unconverged.  Every point is checked before
-    any work.
+    batched exterior integral, in which each point returns exactly what it
+    returns alone, and the report's value and error_estimate are length-n
+    arrays, function_evals is the total over the batch and converged is
+    False if any point's integral ends unconverged.  Every point is checked
+    before any work.
     """
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
@@ -188,8 +188,8 @@ def solve_vt(kernel, z, t, x, spec=None):
     at t = 0 toward 0 as t covers the exterior near the ball.
 
     ``t`` may be a 1-D array of radii: all of them are then solved in one
-    batched exterior integral (each v_t gets the panels it gets alone), and
-    the report's value and error_estimate are arrays over t.
+    batched exterior integral (each v_t returns exactly what it returns
+    alone), and the report's value and error_estimate are arrays over t.
 
     The cap's edges are handed to the angular rule at every x in every d,
     and its kink radii t -+ 1 to the radial rule, far field included.  When

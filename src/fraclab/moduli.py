@@ -479,21 +479,6 @@ def stieltjes_integral(f, xi, t_max, tol=1e-6, mono_slack=None):
     )
 
 
-def stieltjes_brackets(f, xi, t_max, levels):
-    """(upper, lower) Darboux sums per refinement level; used to check the
-    nesting property."""
-    pts = sorted(set(np.linspace(0.0, t_max, 16 + 1)))
-    out = []
-    for _ in range(levels):
-        fs = np.array([float(f(t)) for t in pts])
-        xs = np.array([float(xi(t)) for t in pts])
-        dxi = np.diff(xs)
-        out.append((float(np.sum(fs[:-1] * dxi)), float(np.sum(fs[1:] * dxi))))
-        mids = [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
-        pts = sorted(set(pts) | set(mids))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sampled generalized Hoelder seminorms
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ integral's evaluation point.
 Every rule computes a batch of k integrals in one adaptive pool, and one
 integral is the batch of one: k is read from the per-integral inputs (the
 initial partitions, breakpoints or tolerances), and the report holds
-length-k arrays.  ``_first`` turns the report of one integral into a scalar
-report; ``integrate_1d`` is the public one-integral rule.
+length-k arrays.  Each integral of a batch returns exactly what it returns
+alone, since ``panel_reduce`` reduces each panel by itself.  ``_first``
+turns the report of one integral into a scalar report; ``integrate_1d`` is
+the public one-integral rule.
 
 Nested rules share one error budget.  An integrand's per-point errors fold
 into a panel's error as its half-width times the Kronrod-weighted sum, so
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import GK_NODES, GK_WEIGHTS_K, panel_reduce
+from ._accel import GK_NODES, panel_reduce
 
 
 class QuadratureError(ValueError):
@@ -150,8 +152,7 @@ def _evaluate_panels(f, lo, hi, ids):
         raise QuadratureError("integrand returned a non-finite value")
     pool = np.empty((5, len(lo)))
     pool[0], pool[1] = lo, hi
-    pool[2], pool[3] = panel_reduce(fv, halves)
-    pool[4] = halves * (fe @ GK_WEIGHTS_K)
+    pool[2], pool[3], pool[4] = panel_reduce(fv, fe, halves)
     return pool, fn.sum(axis=1), converged
 
 
@@ -172,7 +173,7 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     Returns (values, errors, function_evals, converged): per-id arrays, the
     evaluations counted as the integrand reports them, and one bool that is
     True when every id met its tolerance and the integrand reported no
-    unconverged point.
+    unconverged point.  Each id gets exactly what it gets in a pool alone.
     """
     n = len(partitions)
     lo, hi = partitions[:, :-1].ravel(), partitions[:, 1:].ravel()
@@ -309,7 +310,8 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol,
     one sequence of radii per integral where f_i may kink; each radius
     rho_b > R becomes the breakpoint R/rho_b of v (its z = v^decay when
     decay < 1), added to the partition 0, 0.5, 1 that every integral starts
-    from, so an integral without breakpoints gets the panels it gets alone.
+    from, so an integral without breakpoints gets the partition it gets
+    alone.
     """
     if decay_exponent <= 0:
         raise QuadratureError("decay_exponent must be positive")
@@ -557,9 +559,9 @@ def integrate_exterior_ball(
     rho^{d-1}; the far rule runs over v = R / rho in (0, 1] and multiplies
     it by R / v^2 and rho^{d-1}, and by 1 / (decay v^{decay-1}) more when
     decay < 1 (the substitution z = v^decay).  Each radial and angular rule
-    is one adaptive pool over the k integrals, in which every integral gets
-    the panels it gets alone; the angular integrals of all radial nodes in
-    one radial panel sweep run as one batch.  The report's value and
+    is one adaptive pool over the k integrals, and each integral returns
+    exactly what it returns alone; the angular integrals of all radial nodes
+    in one radial panel sweep run as one batch.  The report's value and
     error_estimate are length-k arrays, function_evals counts the rows
     passed to F for all k integrals, and converged is False if any integral,
     angular ones included, ends unconverged.

@@ -16,7 +16,6 @@ from fraclab.moduli import (
     seminorm_ext,
     seminorm_interior,
     sigma,
-    stieltjes_brackets,
     stieltjes_integral,
 )
 from fraclab.exterior_data import constant_datum, halfline_modulus_datum
@@ -354,14 +353,20 @@ class TestStieltjes:
         assert not rep.converged
 
     def test_brackets_are_nested(self):
+        # The refinement does not depend on tol, so a smaller tol runs on
+        # from the same points and its bracket [value - error, value + error]
+        # lies inside the one before.
         f = lambda t: 1.0 / (1.0 + t)
-        xi = lambda t: math.sqrt(t)
-        brackets = stieltjes_brackets(f, xi, 1.0, levels=6)
-        for (u1, l1), (u2, l2) in zip(brackets[:-1], brackets[1:]):
-            assert u2 <= u1 + 1e-14
-            assert l2 >= l1 - 1e-14
-        for u, l in brackets:
-            assert u >= l
+        xi = np.sqrt
+        reps = [stieltjes_integral(f, xi, 1.0, tol=tol)
+                for tol in (1e-2, 1e-3, 1e-4, 1e-5)]
+        for a, b in zip(reps[:-1], reps[1:]):
+            assert b.value + b.error_estimate <= a.value + a.error_estimate + 1e-14
+            assert b.value - b.error_estimate >= a.value - a.error_estimate - 1e-14
+            assert b.function_evals > a.function_evals
+        for r in reps:
+            assert r.converged
+            assert abs(r.value - math.pi / 4.0) <= r.error_estimate
 
     def test_rejects_nonmonotone_integrand(self):
         with pytest.raises(InvalidModulusError):
