@@ -117,8 +117,8 @@ def cmd_blowup(args):
         ok = all(b > a for a, b in zip(qs, qs[1:]))
         print(f"blow-up quotient strictly increasing: {ok}")
     else:
-        ok = max(qs) / min(qs) <= 3.0
-        print(f"bounded quotient (Dini case): spread {max(qs)/min(qs):.3g}")
+        ok = max(qs) <= 3.0 * min(qs)
+        print(f"bounded quotient (Dini case): in [{min(qs):.3g}, {max(qs):.3g}]")
     return 0 if ok else 1
 
 

@@ -213,9 +213,10 @@ def run_lower_bound_sweep(config):
     flagged instead of ratioed.
     """
     datum = build_datum(config)
-    if datum.modulus is None:
-        raise ConfigError("the lower-bound sweep needs a modulus-based datum")
     omega = datum.modulus
+    if omega is None or omega(1.0) == 0.0:  # omega = 0 on [0, 1]: predictor 0
+        raise ConfigError("the lower-bound sweep needs a modulus-based datum "
+                          "with omega(1) > 0")
     gz, sol = _solve_on_grid(config, datum)
     s = config.s
     rows = []

@@ -157,13 +157,8 @@ def transverse_modulus_datum(omega, d):
 
         return xi
 
-    kinks = ()
-    if omega.kind == "table":
-        kinks = tuple(
-            math.sqrt(1.0 + k**2)
-            for k in omega.params["t"]
-            if 0.0 < k < eta.support_radius
-        )
+    kinks = tuple(math.sqrt(1.0 + k**2) for k in omega.knots
+                  if 0.0 < k < eta.support_radius)
     return ExteriorDatum(
         eval=g,
         dimension=d,
@@ -196,9 +191,7 @@ def halfline_modulus_datum(omega):
             return None
         return lambda t: omega(np.minimum(np.asarray(t, dtype=float), 2.0))
 
-    kinks = ()
-    if omega.kind == "table":
-        kinks = tuple(1.0 + k for k in omega.params["t"] if 0.0 < k < 2.0)
+    kinks = tuple(1.0 + k for k in omega.knots if 0.0 < k < 2.0)
     return ExteriorDatum(
         eval=g,
         dimension=1,
@@ -216,16 +209,9 @@ def halfline_modulus_datum(omega):
 def non_dini_datum(iota, s, d):
     """Datum with modulus omega(t) = t^s iota(t); the C^s-blow-up datum when
     iota fails the Dini condition (which the caller should establish via
-    ``dini_integral`` and record)."""
-    if iota.kind == "log_inverse":
-        omega = ModulusFunction.power_log(s, iota.params["p"])
-    elif iota.kind == "zero":
-        omega = ModulusFunction.zero()
-    else:
-        omega = ModulusFunction.custom(
-            lambda t: np.asarray(t, dtype=float) ** s * iota(t),
-            label=f"t^{s:g}*{iota.label}",
-        )
+    ``dini_integral`` and record).  For iota = t^a log^{-p}(e/t), omega is
+    the family member t^{a+s} log^{-p}(e/t) and has its closed forms."""
+    omega = iota.times_power(s)
     if d == 1:
         return halfline_modulus_datum(omega)
     return transverse_modulus_datum(omega, d)

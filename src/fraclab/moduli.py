@@ -5,7 +5,7 @@ boundary estimates are stated with come from one weighted integral,
 
     int omega(r) / r^{1+s} dr,   0 <= s < 1,
 
-computed in one routine: in closed form where the modulus kind has one,
+computed in one routine: in closed form where the modulus has one,
 otherwise by log-substituted quadrature.  s = 0 is the Dini integral, whose
 convergence ``dini_integral`` decides from its per-decade increments.
 ``weighted_integral`` returns it on [t, 1]; for s > 0 that gives the
@@ -18,9 +18,10 @@ oscillation profiles of exterior data, Darboux-bracketed Riemann-Stieltjes
 integration against nondecreasing integrators, and sampled estimates of the
 interior and exterior generalized Hoelder seminorms.
 
-The log-type moduli t^a log^{-p}(e/t) are frozen to their t=1 log factor for
-t > 1 so they stay nondecreasing on the whole half-line; every transform here
-only probes (0, 1] where the formulas are the usual ones.
+The smooth moduli form one family, t^a log^{-p}(e/t) with a, p >= 0 not both
+0: ``power(a)`` is its p = 0 edge and ``log_inverse(p)`` its a = 0 edge.  For
+p > 0 the log factor is frozen at its t = 1 value beyond t = 1, so the modulus
+stays nondecreasing on the half-line; every transform here probes (0, 1] only.
 """
 
 import math
@@ -42,10 +43,10 @@ class BudgetExceededError(RuntimeError):
 class ModulusFunction:
     """A modulus of continuity with optional closed-form weighted integrals.
 
-    Construct via the classmethods: ``zero``, ``power``, ``power_log``,
-    ``log_inverse``, ``table``, ``custom``.  ``weighted_primitive(t, s)`` is
-    int_t^1 omega(r)/r^{1+s} dr in closed form for 0 <= s < 1 where the kind
-    has one; s = 0 is the Dini integrand.
+    Kinds: ``zero``, ``table``, ``custom`` and the family ``power_log``
+    (see the module docstring).  ``weighted_primitive(t, s)`` is
+    int_t^1 omega(r)/r^{1+s} dr in closed form for 0 <= s < 1 where the
+    modulus has one.  Other modules read ``knots`` and ``times_power``.
     """
 
     def __init__(self, kind, params, label):
@@ -64,26 +65,22 @@ class ModulusFunction:
 
     @classmethod
     def power(cls, alpha):
-        if alpha <= 0:
-            raise InvalidModulusError("power exponent must be positive")
-        return cls("power", {"alpha": alpha}, f"t^{alpha:g}")
+        return cls.power_log(alpha, 0.0)
 
     @classmethod
     def power_log(cls, a, p):
         """t^a * log^{-p}(e/t), the product of a power and a log factor."""
-        if a <= 0:
-            raise InvalidModulusError("power part must be positive")
-        if p < 0:
-            raise InvalidModulusError("log exponent must be nonnegative")
-        return cls("power_log", {"a": a, "p": p}, f"t^{a:g} log^-{p:g}(e/t)")
+        if not (a >= 0 and p >= 0) or a == p == 0:  # NaN fails too
+            raise InvalidModulusError("need exponents a, p >= 0, not both 0")
+        label = " ".join(([f"t^{a:g}"] if a else [])
+                         + ([f"log^-{p:g}(e/t)"] if p else []))
+        return cls("power_log", {"a": a, "p": p}, label)
 
     @classmethod
     def log_inverse(cls, p):
         """log^{-p}(e/t): positive for t > 0, tends to 0 at 0 only in the
         limit."""
-        if p <= 0:
-            raise InvalidModulusError("log exponent must be positive")
-        return cls("log_inverse", {"p": p}, f"log^-{p:g}(e/t)")
+        return cls.power_log(0.0, p)
 
     @classmethod
     def table(cls, points):
@@ -105,6 +102,23 @@ class ModulusFunction:
     def custom(cls, fn, label="custom"):
         return cls("custom", {"fn": fn}, label)
 
+    @property
+    def knots(self):
+        """Where the modulus kinks: a table's abscissae, else none."""
+        return self.params["t"] if self.kind == "table" else ()
+
+    def times_power(self, s):
+        """The modulus t^s omega(t), s > 0; a family member when omega is."""
+        k, p = self.kind, self.params
+        if k == "zero":
+            return self
+        if k == "power_log":
+            return ModulusFunction.power_log(p["a"] + s, p["p"])
+        return ModulusFunction.custom(
+            lambda t: np.asarray(t, dtype=float) ** s * self(t),
+            label=f"t^{s:g}*{self.label}",
+        )
+
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, t):
@@ -120,14 +134,13 @@ class ModulusFunction:
         k, p = self.kind, self.params
         if k == "zero":
             return np.zeros_like(t)
-        if k == "power":
-            return t ** p["alpha"]
-        if k in ("power_log", "log_inverse"):  # log_inverse: a = 0
-            tc = np.minimum(t, 1.0)
+        if k == "power_log" and p["p"] == 0:
+            return t ** p["a"]
+        if k == "power_log":
             out = np.zeros_like(t)
             pos = t > 0
-            a = p.get("a", 0.0)
-            out[pos] = t[pos] ** a * np.log(np.e / tc[pos]) ** (-p["p"])
+            out[pos] = (t[pos] ** p["a"]
+                        * np.log(np.e / np.minimum(t[pos], 1.0)) ** (-p["p"]))
             return out
         if k == "table":
             return np.interp(t, p["t"], p["v"])
@@ -145,12 +158,12 @@ class ModulusFunction:
         k, p = self.kind, self.params
         if k == "zero":
             return 0.0
-        if k == "power":
-            a = p["alpha"]
+        if k == "power_log" and p["p"] == 0:
+            a = p["a"]
             if a == s:
                 return math.log(1.0 / t)
             return (1.0 - t ** (a - s)) / (a - s)
-        if k in ("power_log", "log_inverse") and p.get("a", 0.0) == s:
+        if k == "power_log" and p["a"] == s:
             # omega(r)/r^{1+s} = log^{-q}(e/r)/r; substitute L = log(e/r).
             q = p["p"]
             L = math.log(math.e / t)
@@ -199,12 +212,8 @@ def power_transform(omega, exponent):
     k, p = omega.kind, omega.params
     if k == "zero":
         return ModulusFunction.zero()
-    if k == "power":
-        return ModulusFunction.power(p["alpha"] * exponent)
     if k == "power_log":
         return ModulusFunction.power_log(p["a"] * exponent, p["p"] * exponent)
-    if k == "log_inverse":
-        return ModulusFunction.log_inverse(p["p"] * exponent)
     return ModulusFunction.custom(
         lambda t: omega(t) ** exponent,
         label=f"({omega.label})^{exponent:g}",

@@ -171,12 +171,12 @@ def sphere_crossing_radii(measure, x, support_radius=None):
 
 
 def nondegeneracy_constant(measure, s, xi_samples=720):
-    """Lower-bound estimate of inf_xi int |theta.xi|^{2s} mu(dtheta).
+    """inf_xi int |theta.xi|^{2s} mu(dtheta), the nondegeneracy constant.
 
-    Atomic measures (d <= 3) are summed exactly per direction of a grid on
-    the sphere.  The uniform measure of mass m gives the same value for
-    every xi, m times the mean of |theta_1|^{2s} over S^{d-1}:
-    m Gamma(d/2) Gamma(s + 1/2) / (sqrt(pi) Gamma(d/2 + s)).
+    Atoms that do not span R^d give 0 (some xi is orthogonal to all), else
+    the minimum of the exact atom sum over a direction grid (d <= 3), an
+    upper bound for the infimum.  The uniform measure of mass m gives, at
+    every xi, m Gamma(d/2) Gamma(s + 1/2) / (sqrt(pi) Gamma(d/2 + s)).
     """
     if not 0.0 < s < 1.0:
         raise MeasureError("order s must lie in (0, 1)")
@@ -184,8 +184,10 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
     if measure.variant == "uniform":
         return (measure.total_mass * math.gamma(0.5 * d) * math.gamma(s + 0.5)
                 / (math.sqrt(math.pi) * math.gamma(0.5 * d + s)))
-    xis = _sphere_grid(d, xi_samples)
     thetas = np.array([np.asarray(t, dtype=float) for t, _ in measure.atoms])
+    if np.linalg.matrix_rank(thetas) < d:
+        return 0.0
+    xis = _sphere_grid(d, xi_samples)
     weights = np.array([w for _, w in measure.atoms])
     vals = np.abs(xis @ thetas.T) ** (2.0 * s) @ weights
     return float(vals.min())

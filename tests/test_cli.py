@@ -52,6 +52,16 @@ class TestSweeps:
         assert code == 0
         assert "strictly increasing: True" in out
 
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_blowup_zero_modulus_is_bounded(self, capsys, tmp_path, d):
+        # iota = 0 is Dini and every quotient is 0
+        code, out = run(
+            capsys, "blowup", "--d", d, "--datum", "cex14",
+            "--modulus", "zero", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "bounded quotient (Dini case): in [0, 0]" in out
+
 
 class TestChecks:
     def test_check_dini(self, capsys):
@@ -126,6 +136,8 @@ def test_unknown_command_exits_with_usage_error():
         (("blowup", "--d", "1", "--datum", "cex14", "--config",
           "[experiment]\ngrid_k_max = 1\ngrid_k_step = 3\n"),
          "at least two points"),
+        (("sweep-lower", "--d", "2", "--datum", "thm15", "--modulus", "zero"),
+         "omega(1) > 0"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from fraclab.exterior_data import (
     CutoffFunction,
@@ -15,7 +16,7 @@ from fraclab.exterior_data import (
     sign_changing_datum,
     transverse_modulus_datum,
 )
-from fraclab.moduli import ModulusFunction, seminorm_ext
+from fraclab.moduli import ModulusFunction, seminorm_ext, weighted_integral
 
 
 class TestCutoff:
@@ -175,6 +176,16 @@ class TestHalflineDatum:
         assert math.isfinite(est.seminorm)
 
 
+def test_table_knots_become_kink_radii():
+    om = ModulusFunction.table([[0.0, 0.0], [0.3, 0.2], [1.5, 0.9], [5.0, 1.0]])
+    assert halfline_modulus_datum(om).radial_breakpoints == (
+        3.0, 1.0 + 0.3, 1.0 + 1.5)
+    assert transverse_modulus_datum(om, 2).radial_breakpoints == (
+        4.0, 4.5, math.sqrt(1.0 + 0.3**2), math.sqrt(1.0 + 1.5**2))
+    power = ModulusFunction.power(0.5)
+    assert halfline_modulus_datum(power).radial_breakpoints == (3.0,)
+
+
 class TestNonDiniDatum:
     def test_log_arithmetic(self):
         # omega(0.01) = 0.1 / log(100 e) for iota = log^{-1}(e/t), s = 0.5
@@ -187,6 +198,17 @@ class TestNonDiniDatum:
         g = non_dini_datum(ModulusFunction.zero(), 0.5, 1)
         pts = np.array([[1.5], [2.5], [-3.0]])
         assert np.all(g(pts) == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_power_iota_has_a_closed_form(self, d):
+        # iota = t^0.3 at s = 0.5 gives omega = t^0.8, no quadrature
+        om = non_dini_datum(ModulusFunction.power(0.3), 0.5, d).modulus
+        assert weighted_integral(om, 0.5, 1e-4).function_evals == 0
+        for t in (1e-4, 0.05, 0.5):
+            closed = om.weighted_primitive(t, 0.5)
+            ref, err = scipy.integrate.quad(
+                lambda r: om(r) / r**1.5, t, 1.0, epsabs=1e-14, epsrel=1e-13)
+            assert abs(closed - ref) <= 1e-12 * max(1.0, abs(ref)) + err
 
     def test_membership_with_its_own_modulus(self):
         g = non_dini_datum(ModulusFunction.log_inverse(1.0), 0.5, 2)

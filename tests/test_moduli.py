@@ -37,6 +37,8 @@ def _closed_form_cases():
     for s in (0.0, 0.25, 0.5, 0.75):
         cases += [pytest.param(M.zero(), s, id=f"zero-s{s}"),
                   pytest.param(M.power(0.7), s, id=f"power0.7-s{s}"),
+                  pytest.param(M.power_log(0.7, 0.0), s,
+                               id=f"power_log0.7,0-s{s}"),
                   pytest.param(table, s, id=f"table-s{s}")]
         if s > 0.0:
             cases.append(pytest.param(M.power(s), s, id=f"power=s-s{s}"))
@@ -48,6 +50,10 @@ def _closed_form_cases():
 
 
 CLOSED_FORM_CASES = _closed_form_cases()
+
+#: Abscissae for the family's bitwise checks: 0, subnormal-adjacent, inside
+#: (0, 1), the frozen point 1 and beyond it.
+FAMILY_GRID = np.array([0.0, 1e-300, 1e-12, 0.05, 0.5, 1.0, 3.0])
 
 
 class TestModulusFunction:
@@ -89,18 +95,35 @@ class TestModulusFunction:
         with pytest.raises(InvalidModulusError):
             bad.check_monotone()
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1, 2.0])
+    def test_power_is_the_plain_power(self, alpha):
+        om = ModulusFunction.power(alpha)
+        assert np.array_equal(om(FAMILY_GRID), FAMILY_GRID ** alpha)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_log_inverse_is_the_family_at_a0(self, p):
+        assert np.array_equal(ModulusFunction.log_inverse(p)(FAMILY_GRID),
+                              ModulusFunction.power_log(0, p)(FAMILY_GRID))
+
+    @pytest.mark.parametrize("a, p", [(0.0, 0.0), (-0.1, 1.0), (0.5, -1.0),
+                                      (math.nan, 1.0), (0.5, math.nan)])
+    def test_family_rejects_bad_exponents(self, a, p):
+        with pytest.raises(InvalidModulusError):
+            ModulusFunction.power_log(a, p)
+
     def test_power_transform_on_closed_forms(self):
         om = power_transform(ModulusFunction.log_inverse(1.0), 1.5)
-        assert om.kind == "log_inverse"
-        assert om.params["p"] == 1.5
+        assert (om.params["a"], om.params["p"]) == (0.0, 1.5)
+        assert om.weighted_primitive(0.05, 0.0) is not None
         om2 = power_transform(ModulusFunction.power(0.5), 2.0)
-        assert om2.params["alpha"] == 1.0
+        assert (om2.params["a"], om2.params["p"]) == (1.0, 0.0)
+        assert om2.weighted_primitive(0.05, 0.5) is not None
 
     @pytest.mark.parametrize("om, s", CLOSED_FORM_CASES)
     def test_weighted_primitive_matches_quadrature(self, om, s):
         t = 0.05
         closed = om.weighted_primitive(t, s)
-        knots = [k for k in om.params.get("t", ()) if t < k < 1.0]
+        knots = [k for k in om.knots if t < k < 1.0]
         ref, err = scipy.integrate.quad(
             lambda r: om(r) / r ** (1.0 + s), t, 1.0, points=knots or None,
             epsabs=1e-14, epsrel=1e-13)

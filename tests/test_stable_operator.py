@@ -108,12 +108,27 @@ class TestNondegeneracy:
 
     def test_degenerate_atomic_pair_in_d2(self):
         m = SpectralMeasure.atomic(2, [((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)])
-        # near xi = e2 the integrand 2|cos phi|^{2s} collapses
-        assert nondegeneracy_constant(m, 0.5, xi_samples=720) < 0.01
+        # xi = e2 is orthogonal to both atoms
+        assert nondegeneracy_constant(m, 0.5, xi_samples=720) == 0.0
+
+    @pytest.mark.parametrize("d, directions, s", [
+        (2, [(math.cos(0.1234), math.sin(0.1234))], 0.5),
+        (2, [(math.cos(0.1234), math.sin(0.1234))], 0.25),
+        (3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], 0.5),
+        (4, [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.6, 0.8)], 0.5),
+    ])
+    def test_atoms_that_do_not_span_give_zero(self, d, directions, s):
+        # some xi is orthogonal to every atom +-theta, so the infimum is 0;
+        # in d = 4 this needs no direction grid
+        atoms = [(sign * np.array(t), 1.0) for t in directions
+                 for sign in (1.0, -1.0)]
+        m = SpectralMeasure.atomic(d, atoms)
+        assert nondegeneracy_constant(m, s) == 0.0
 
     def test_positive_for_axes_measure(self):
         m = SpectralMeasure.coordinate_axes(3)
         assert nondegeneracy_constant(m, 0.5) > 0.5
+        assert nondegeneracy_constant(SpectralMeasure.coordinate_axes(2), 0.5) == 2.0
 
 
 class TestApplyOperator:
