@@ -16,23 +16,22 @@ alone, since ``panel_reduce`` reduces each panel by itself.  ``_first``
 turns the report of one integral into a scalar report; ``integrate_1d`` is
 the public one-integral rule.
 
-Nested rules share one error budget.  An integrand's per-point errors fold
-into a panel's error as its half-width times the Kronrod-weighted sum, so
-if every point of an integral over an interval of length L is within tau / L,
-the folded error stays within tau.  So at every nesting level an inner
-integral gets ``INNER_SHARE`` of its outer integral's rel_tol, and as its
-abs_tol that share of the outer abs_tol divided by the outer interval's
-length and by the factor that multiplies the inner value in the outer
-integrand (weight and Jacobian).
-
-Integrands are numpy-vectorized and called as ``f(x, ids)``: an ndarray of
-abscissae and, per abscissa, the index of the integral it belongs to.  They
-return an ndarray of values, or an ``EvaluationReport`` of per-point arrays
-when each value is itself computed (an inner rule, a solve), whose errors,
-evaluation counts and flag the rule folds into its own report.  So
+Integrands are numpy-vectorized and called as ``f(x, ids, tol)``: abscissae,
+per abscissa the index of its integral and the error its value may carry.
+They return an ndarray of values, or an ``EvaluationReport`` of per-point
+arrays when each value is itself computed (an inner rule, a solve), whose
+errors, evaluation counts and flag the rule folds into its own report.  So
 function_evals counts leaf evaluations at every level (one per point of a
-plain integrand), and the sphere integrals at all radial nodes of one
-radial panel sweep cost one driver call per level.
+plain integrand), and the sphere integrals at all radial nodes of one radial
+panel sweep cost one ``_adaptive`` call per level.
+
+Nested rules share one error budget, carried by the call.  A rule folds
+per-point errors as half-width times the Kronrod-weighted sum, so each
+point's ``tol`` is ``INNER_SHARE`` of its integral's abs_tol over its
+interval's length.  Each wrapper that multiplies a value by a factor (a Jacobian, a
+weight) divides the ``tol`` it hands down by that factor; an inner rule
+takes it as its abs_tol, under ``_inner_rule`` of its outer rule.  Leaf
+integrands (``integrate_1d``'s f, ``sphere_integrals``' g) take no tol.
 """
 
 from dataclasses import dataclass
@@ -118,16 +117,20 @@ def _as_report(res):
 # arrays (and so the memory) of nested batches.
 PANELS_PER_CALL = 64
 
+# Share of an integral's abs_tol that the errors of its points may carry.
+INNER_SHARE = 0.25
+
 # Ratio of consecutive offsets rho - 1 of the radial breakpoints graded away
 # from the sphere, starting at the Poisson-kernel concentration scale 1 - |x|.
 RADIAL_GRADING = 16.0
 
 
-def _evaluate_panels(f, lo, hi, ids):
+def _evaluate_panels(f, lo, hi, ids, budget):
     """Evaluate f on the 15 Kronrod nodes of each panel.
 
-    ``f(x, ids)`` is called on at most ``PANELS_PER_CALL`` panels at a time,
-    with ``ids[j]`` the integral that abscissa ``x[j]`` belongs to.  Returns
+    ``f(x, ids, tol)`` is called on at most ``PANELS_PER_CALL`` panels at a
+    time, with ``ids[j]`` the integral that abscissa ``x[j]`` belongs to and
+    ``tol[j] = budget[ids[j]]`` the error its value may carry.  Returns
     (pool, panel_evals, converged): pool is a (5, n) array whose rows are
     lo, hi, the panel values, their Kronrod errors and the integrand's
     per-point errors folded over each panel; panel_evals folds its
@@ -139,7 +142,8 @@ def _evaluate_panels(f, lo, hi, ids):
     converged = True
     for k in range(0, len(lo), PANELS_PER_CALL):
         rows = slice(k, k + PANELS_PER_CALL)
-        res = f(x[rows].ravel(), np.repeat(ids[rows], 15))
+        at = np.repeat(ids[rows], 15)
+        res = f(x[rows].ravel(), at, budget[at])
         if isinstance(res, EvaluationReport):
             fe[rows] = res.error_estimate.reshape(-1, 15)
             fn[rows] = res.function_evals.reshape(-1, 15)
@@ -164,7 +168,8 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     value or one per integral.  All panels share one pool, each tagged with
     the id (row of ``partitions``) of its integral, and every refinement
     sweep evaluates the new panels of all ids together through
-    ``f(x, ids)``.  Each id follows the scalar rules on its own panels: it
+    ``f(x, ids, tol)`` (tol as in the module docstring; an id of length 0
+    has no points).  Each id follows the scalar rules on its own panels: it
     stops when its error meets ``max(abs_tol, rel_tol |value|)``, when it
     holds ``max_subdivisions`` panels, or when integrand-supplied error
     dominates; otherwise it splits every panel above ``tol / (2 n_panels)``
@@ -181,8 +186,11 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
     keep = hi > lo
     ids = ids[keep]
     values, errors = np.zeros(n), np.zeros(n)
+    length = partitions[:, -1] - partitions[:, 0]
+    budget = np.divide(INNER_SHARE * abs_tol, length, out=np.zeros(n),
+                       where=length > 0)
     # The panels, as the columns of ``pool`` (see _evaluate_panels), and ids.
-    pool, pn, converged = _evaluate_panels(f, lo[keep], hi[keep], ids)
+    pool, pn, converged = _evaluate_panels(f, lo[keep], hi[keep], ids, budget)
     n_evals = np.bincount(ids, pn, n)
     while ids.size:
         count = np.bincount(ids, minlength=n)
@@ -219,8 +227,9 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
         s_ids = ids[split]
         mid = 0.5 * (s_lo + s_hi)
         new_ids = np.concatenate([s_ids, s_ids])
-        new, nn, new_ok = _evaluate_panels(f, np.concatenate([s_lo, mid]),
-                                           np.concatenate([mid, s_hi]), new_ids)
+        new, nn, new_ok = _evaluate_panels(
+            f, np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi]),
+            new_ids, budget)
         n_evals += np.bincount(new_ids, nn, n)
         converged = converged and new_ok
         old = ~split
@@ -230,10 +239,10 @@ def _adaptive(f, partitions, rel_tol, abs_tol, max_subdivisions):
 
 
 def _integrate(f, partitions, spec, abs_tol=None):
-    """The integrals of f(x, ids) over the initial partitions ``partitions[i]``
-    in one pool, with one absolute tolerance per integral if ``abs_tol`` is
-    given.  Partitions of unequal length are padded by repeating their last
-    point."""
+    """The integrals of f(x, ids, tol) over the initial partitions
+    ``partitions[i]`` in one pool, with one absolute tolerance per integral
+    if ``abs_tol`` is given.  Partitions of unequal length are padded by
+    repeating their last point."""
     if not len(partitions):
         raise QuadratureError("need at least one integral")
     width = max(len(p) for p in partitions)
@@ -257,7 +266,7 @@ def integrate_1d(f, a, b, spec, breakpoints=None):
     """Adaptive Gauss-Kronrod integration of ``f(x)`` over (a, b)."""
     if not a < b:
         raise QuadratureError(f"need a < b, got [{a}, {b}]")
-    return _first(_integrate(lambda x, ids: f(x),
+    return _first(_integrate(lambda x, ids, tol: f(x),
                              [_partition(a, b, breakpoints)], spec))
 
 
@@ -268,12 +277,13 @@ def integrate_radial_singular(f, s, R, spec, breakpoints):
     w^{s/(1-s)}/(1-s) cancels the endpoint singularity identically, so the
     transformed integrand is bounded and the plain adaptive rule applies.
 
-    The integrand is called as f(q, ids) on the exact boundary offset
+    The integrand is called as f(q, ids, tol) on the exact boundary offset
     q = rho - 1 (= w^{1/(1-s)}, computed without cancellation), so
     kernel-type integrands evaluate the singular weight accurately
     arbitrarily close to the sphere; ids[j] is the integral that q[j]
-    belongs to.  ``breakpoints`` holds one sequence of radii per integral,
-    so there are k = len(breakpoints) integrals.
+    belongs to, and tol[j] its budget over the Jacobian.  ``breakpoints``
+    holds one sequence of radii per integral, so there are
+    k = len(breakpoints) integrals.
     """
     if R <= 1.0:
         raise QuadratureError("R must exceed 1")
@@ -281,8 +291,9 @@ def integrate_radial_singular(f, s, R, spec, breakpoints):
         raise QuadratureError("singular exponent must lie in (0, 1)")
     p = 1.0 / (1.0 - s)
 
-    def transformed(w, ids):
-        return f(w**p, ids) * (p * w ** (p - 1.0))
+    def transformed(w, ids, tol):
+        jac = p * w ** (p - 1.0)
+        return f(w**p, ids, tol / jac) * jac
 
     # Start marginally above zero so q never underflows to an exact 0 (the
     # omitted mass is O(w_lo) times a bounded transformed integrand).
@@ -304,10 +315,11 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol,
     v = z^{1/decay} flattens the endpoint.  No truncation is performed, hence
     no analytic remainder term enters the estimate.
 
-    The integrand is called as f(rho, ids), ids[j] the integral that rho[j]
-    belongs to.  Integral i gets the absolute tolerance ``abs_tol[i]``, so
-    there are k = len(abs_tol) integrals.  ``breakpoints``, if given, holds
-    one sequence of radii per integral where f_i may kink; each radius
+    The integrand is called as f(rho, ids, tol), ids[j] the integral that
+    rho[j] belongs to and tol[j] its budget over the Jacobians of the maps.
+    Integral i gets the absolute tolerance ``abs_tol[i]``, so there are
+    k = len(abs_tol) integrals.  ``breakpoints``, if given, holds one
+    sequence of radii per integral where f_i may kink; each radius
     rho_b > R becomes the breakpoint R/rho_b of v (its z = v^decay when
     decay < 1), added to the partition 0, 0.5, 1 that every integral starts
     from, so an integral without breakpoints gets the partition it gets
@@ -323,16 +335,18 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol,
     if len(breakpoints) != abs_tol.size:
         raise QuadratureError("need one sequence of breakpoints per integral")
 
-    def mapped(v, ids):
-        return f(R / v, ids) * (R / v**2)
+    def mapped(v, ids, tol):
+        jac = R / v**2
+        return f(R / v, ids, tol / jac) * jac
 
     if decay_exponent >= 1.0:
         integrand = mapped
     else:
         q = 1.0 / decay_exponent
 
-        def integrand(z, ids):
-            return mapped(z**q, ids) * (q * z ** (q - 1.0))
+        def integrand(z, ids, tol):
+            jac = q * z ** (q - 1.0)
+            return mapped(z**q, ids, tol / jac) * jac
 
     def partition(bps):
         v = [R / rho for rho in bps if rho > R]
@@ -381,18 +395,12 @@ def _graded_scales(scale, upper, factor):
 _POLAR_GRADES = 4.0 ** np.arange(26)
 
 
-# Share of an outer integral's tolerance that each inner integral gets.
-INNER_SHARE = 0.25
-
-
 def _inner_rule(spec):
     """The rule of an integral nested in one under ``spec``: ``INNER_SHARE``
-    of its tolerances (rel_tol not below 1e-13) and an eighth of its panel
-    cap (at least 512).  Its abs_tol is the share for a unit factor on a unit
-    interval; callers divide it by the outer interval's length and factor."""
+    of its rel_tol (not below 1e-13) and an eighth of its panel cap (at
+    least 512).  Its abs_tol is the ``tol`` its outer rule hands it."""
     return QuadratureSpec(
         rel_tol=max(spec.rel_tol * INNER_SHARE, 1e-13),
-        abs_tol=spec.abs_tol * INNER_SHARE,
         max_subdivisions=max(512, spec.max_subdivisions // 8),
     )
 
@@ -419,12 +427,9 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
     (0, pi) of a 2-D array (None: (0, pi) for every radius) under ``rule``,
     with the absolute tolerance ``abs_tol``, one for all radii or one per
     radius (None: ``rule.abs_tol``).  Each nested level runs over (0, pi) as
-    one batch under ``_inner_rule`` of its parent's rule, and each of its
-    spheres gets its share of its parent's tolerance: a nested S^{m-1} at
-    polar angle phi of its parent S^m gets the absolute tolerance
-    INNER_SHARE tol / (pi sin^{m-1} phi), the parent's tol divided by the
-    length of (0, pi) and by the weight of its value in the parent's
-    integrand, so the parent's folded inner errors stay below its share.
+    one batch under ``_inner_rule`` of its parent's rule, a nested S^{m-1}
+    at polar angle phi of its parent S^m taking as its abs_tol the ``tol``
+    its parent's rule hands that point over the weight sin^{m-1} phi.
     ``axisymmetric`` is one bool for all radii or one per radius: the
     integral of a radius flagged True (g symmetric about the line of its
     frame[0]) stops after the top level, each nested sphere contributing its
@@ -459,16 +464,16 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
             return EvaluationReport(*(a[:n] + a[n:] for a in pairs), res.converged)
         return EvaluationReport(res[:n] + res[n:], np.zeros(n), np.full(n, 2), True)
 
-    def sphere(k, base, scale, ids, tol, level):
-        # Row j: the sphere of radius scale[j] about base[j] in frame[k:], to
-        # the absolute tolerance tol[j].  ``level`` is this function, passed
-        # rather than closed over: a closure over its own name is a cycle
-        # that keeps each call's arrays until gc.
+    def sphere(k, base, scale, ids, abs_tol, level):
+        # Row j: the sphere of radius scale[j] about base[j] in frame[k:],
+        # to the absolute tolerance abs_tol[j].  ``level`` is this function,
+        # passed rather than closed over: a closure over its own name is a
+        # cycle that keeps each call's arrays until gc.
         if k == d - 1:
             return folded(base, scale[:, None] * axis(k, ids), ids)
         m = d - 1 - k  # the sphere is S^m
 
-        def ring(phi, j, axisym):
+        def ring(phi, j, tol, axisym):
             # The nested spheres S^{m-1} at polar angles phi, times sin^{m-1}.
             radius, sin = scale[j], np.sin(phi)
             axial = (radius * np.cos(phi))[:, None] * axis(k, ids[j])
@@ -480,17 +485,16 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
             if m == 1:
                 return level(k + 1, b, t, ids[j], None, level)
             w = sin ** (m - 1)
-            return level(k + 1, b, t, ids[j],
-                         INNER_SHARE * tol[j] / (np.pi * w), level) * w
+            return level(k + 1, b, t, ids[j], tol / w, level) * w
 
-        def polar(phi, j):
+        def polar(phi, j, tol):
             # Only the top level sees flagged radii: theirs never recurse.
             if not flat.ndim:
-                return ring(phi, j, flat)
+                return ring(phi, j, tol, flat)
             axisym = flat[ids[j]]
             if axisym.all() or not axisym.any():
-                return ring(phi, j, axisym[0])
-            parts = [(sel, _as_report(ring(phi[sel], j[sel], flag)))
+                return ring(phi, j, tol, axisym[0])
+            parts = [(sel, _as_report(ring(phi[sel], j[sel], tol[sel], flag)))
                      for flag, sel in ((True, axisym), (False, ~axisym))]
             out = [np.empty(phi.shape), np.empty(phi.shape),
                    np.empty(phi.shape, dtype=int)]
@@ -503,7 +507,7 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
         parts = (partitions if k == 0 and partitions is not None
                  else np.tile([0.0, np.pi], (scale.size, 1)))
         return EvaluationReport(*_adaptive(
-            polar, parts, rules[k].rel_tol, tol, rules[k].max_subdivisions
+            polar, parts, rules[k].rel_tol, abs_tol, rules[k].max_subdivisions
         ))
 
     tol = np.full(radii.shape, rule.abs_tol if abs_tol is None else abs_tol)
@@ -552,19 +556,15 @@ def integrate_exterior_ball(
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
     field; each integral's far field gets its own tolerance, and its radial
     breakpoints beyond the near part's end (radius 2) break the far rule
-    too.  The sphere rule at each radial node gets the budget rule's share
-    of its radial rule's tolerance (see the module docstring): the near
-    rule runs over w in (0, (R - 1)^{1-s}) and multiplies the sphere
-    integral by the Jacobian q^s / (1 - s) of rho = 1 + w^{1/(1-s)} and by
-    rho^{d-1}; the far rule runs over v = R / rho in (0, 1] and multiplies
-    it by R / v^2 and rho^{d-1}, and by 1 / (decay v^{decay-1}) more when
-    decay < 1 (the substitution z = v^decay).  Each radial and angular rule
-    is one adaptive pool over the k integrals, and each integral returns
-    exactly what it returns alone; the angular integrals of all radial nodes
-    in one radial panel sweep run as one batch.  The report's value and
-    error_estimate are length-k arrays, function_evals counts the rows
-    passed to F for all k integrals, and converged is False if any integral,
-    angular ones included, ends unconverged.
+    too.  The sphere rule at each radial node takes as its abs_tol the
+    ``tol`` the radial rule hands that node over rho^{d-1}, the area element
+    that multiplies its value (see the module docstring).  Each radial and
+    angular rule is one adaptive pool over the k integrals, and each
+    integral returns exactly what it returns alone; the angular integrals of
+    all radial nodes in one radial panel sweep run as one batch.  The
+    report's value and error_estimate are length-k arrays, function_evals
+    counts the rows passed to F for all k integrals, and converged is False
+    if any integral, angular ones included, ends unconverged.
     """
     k = len(radial_breakpoints)
     x = np.atleast_1d(np.asarray(x_eval, dtype=float))
@@ -603,17 +603,19 @@ def integrate_exterior_ball(
         ends = np.ones((q.size, 1))
         return np.concatenate([0.0 * ends, cuts, np.pi * ends], axis=1)
 
-    def radial_q(q, ids, abs_tol):
+    def radial_q(q, ids, tol):
         # q holds the exact boundary offset |y| - 1 of each radial node;
         # kernel integrands use it to form |y|^2 - 1 = q(2+q) without
-        # cancellation.  abs_tol is each node's sphere-rule tolerance.
+        # cancellation.
         rho, norm2m1 = 1.0 + q, q * (2.0 + q)
+        area = rho ** (d - 1)
         return sphere_integrals(
             lambda y, j: F(y, norm2m1[j], ids[j]),
             frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
-            polar_only if polar_only.ndim == 0 else polar_only[ids], abs_tol,
-        ) * rho ** (d - 1)
+            polar_only if polar_only.ndim == 0 else polar_only[ids],
+            tol / area,
+        ) * area
 
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
@@ -624,28 +626,14 @@ def integrate_exterior_ball(
     bps = [sorted(graded[di] | {r for r in b if 1.0 < r < r_near_end})
            for di, b in zip(delta.tolist(), radial_breakpoints)]
 
-    # The budget rule: each node's sphere rule gets its share of the radial
-    # rule's abs_tol over the interval's length and the node's factor.
-    w_end = (r_near_end - 1.0) ** (1.0 - s)
-
-    def radial_near(q, ids):
-        factor = q**s / (1.0 - s) * (1.0 + q) ** (d - 1)
-        return radial_q(q, ids, inner.abs_tol / (w_end * factor))
-
-    total = integrate_radial_singular(radial_near, s, r_near_end, spec, bps)
+    total = integrate_radial_singular(radial_q, s, r_near_end, spec, bps)
     if support_radius is None:
         # The far field's error budget is relative to the whole integral, not
         # to its own (possibly tiny) value.
         far_tol = np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value))
 
-        def radial_far(rho, ids):
-            v = r_near_end / rho
-            factor = r_near_end / v**2 * rho ** (d - 1)
-            if decay_exponent < 1.0:
-                factor = factor / (decay_exponent * v ** (decay_exponent - 1.0))
-            return radial_q(rho - 1.0, ids, INNER_SHARE * far_tol[ids] / factor)
-
-        far = integrate_radial_unbounded(radial_far, r_near_end, decay_exponent,
-                                         spec, far_tol, radial_breakpoints)
+        far = integrate_radial_unbounded(
+            lambda rho, ids, tol: radial_q(rho - 1.0, ids, tol), r_near_end,
+            decay_exponent, spec, far_tol, radial_breakpoints)
         total = total + far
     return total

@@ -14,6 +14,10 @@ are summed over their atoms; the uniform measure is integrated with
 ``quadrature.sphere_integrals``, in a frame along x and folded by a mirror
 (in d = 1 that is the pair x +- r, with no adaptive rule).
 
+The sphere rule nested in each radial rule runs under ``_inner_rule`` of
+the caller's spec, to the ``tol`` it is handed over the factors that
+multiply its average (see ``quadrature``).
+
 Functions u are numpy-vectorized over an (n, d) array of points.  They
 return values, or an ``EvaluationReport`` of per-point arrays when their
 own evaluation is a computation (e.g. a quadrature-based solution): its
@@ -39,6 +43,7 @@ from .quadrature import (
     _as_report,
     _first,
     _frame,
+    _inner_rule,
     _integrate,
     _sphere_area,
 )
@@ -128,9 +133,12 @@ class OperatorSpec:
 
 
 def _sphere_grid(d, n):
-    """Quasi-uniform direction grid on S^{d-1}, d <= 3."""
+    """Direction grid on S^{d-1}: quasi-uniform for d <= 3, else n seeded
+    random directions and the coordinate axes +-e_i."""
     if d > 3:
-        raise MeasureError(f"no direction grid on S^{d - 1}, d > 3")
+        dirs = np.random.default_rng(0).standard_normal((n, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return np.concatenate([dirs, np.eye(d), -np.eye(d)])
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
@@ -174,8 +182,8 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
     """inf_xi int |theta.xi|^{2s} mu(dtheta), the nondegeneracy constant.
 
     Atoms that do not span R^d give 0 (some xi is orthogonal to all), else
-    the minimum of the exact atom sum over a direction grid (d <= 3), an
-    upper bound for the infimum.  The uniform measure of mass m gives, at
+    the minimum of the exact atom sum over a direction grid, an upper bound
+    for the infimum.  The uniform measure of mass m gives, at
     every xi, m Gamma(d/2) Gamma(s + 1/2) / (sqrt(pi) Gamma(d/2 + s)).
     """
     if not 0.0 < s < 1.0:
@@ -193,16 +201,13 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
     return float(vals.min())
 
 
-# Adaptive rule of the angular integrals inside the radial integrands.
-_SPHERE_RULE = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=2048)
-
-
-def _average(measure, phi, frame, r):
+def _average(measure, phi, frame, r, spec, tol):
     """The report of int phi(r theta) mu(dtheta) over a batch of radii r.
 
     ``phi`` takes an (n, d) array of offsets y = r theta and returns values
     or a report.  Atoms are summed with one call of phi; the uniform measure
-    is integrated with ``sphere_integrals`` in ``frame``.
+    is integrated with ``sphere_integrals`` in ``frame``, under
+    ``_inner_rule(spec)`` and to the absolute tolerance ``tol`` per radius.
     """
     d = measure.dimension
     if measure.variant == "atomic":
@@ -215,23 +220,24 @@ def _average(measure, phi, frame, r):
             rep.function_evals.reshape(r.size, -1).sum(axis=1),
             rep.converged,
         )
-    rep = sphere_integrals(lambda y, ids: phi(y), frame, r, None, _SPHERE_RULE)
-    return rep * (measure.total_mass / _sphere_area(d))
+    density = measure.total_mass / _sphere_area(d)
+    return sphere_integrals(lambda y, ids: phi(y), frame, r, None,
+                            _inner_rule(spec), tol / density) * density
 
 
-def _abs_average(measure, u, y, frame, r):
+def _abs_average(measure, u, y, frame, r, spec, tol):
     """The report of int |u(y + r theta)| mu(dtheta) over a radius batch."""
     def absolute(z):
         rep = _as_report(u(y + z))
         return EvaluationReport(np.abs(rep.value), rep.error_estimate,
                                 rep.function_evals, rep.converged)
 
-    return _average(measure, absolute, frame, r)
+    return _average(measure, absolute, frame, r, spec, tol)
 
 
 def _radial(integrand, points, spec, decay=None):
-    """The integral of ``integrand(r, ids)`` over the partition ``points``,
-    plus the one over (points[-1], inf) when ``decay`` is given
+    """The integral of ``integrand(r, ids, tol)`` over the partition
+    ``points``, plus the one over (points[-1], inf) when ``decay`` is given
     (|integrand(r)| <= M r^{-1-decay} there)."""
     rep = _integrate(integrand, [points], spec)
     if decay is not None:
@@ -276,16 +282,18 @@ def apply_operator(
         return EvaluationReport(u0_value - rep.value, u0_error + rep.error_estimate,
                                 rep.function_evals, rep.converged)
 
-    def core(r, ids):
-        return (_average(op.measure, first_difference, frame, r)
-                * r ** (-1.0 - 2.0 * s))
+    def core(r, ids, tol):
+        weight = r ** (-1.0 - 2.0 * s)
+        return _average(op.measure, first_difference, frame, r, spec,
+                        tol / weight) * weight
 
     # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
     # integrand into a bounded one.
     b = 1.0 / (2.0 - 2.0 * s)
 
-    def near(w, ids):
-        return core(w**b, ids) * (b * w ** (b - 1.0))
+    def near(w, ids, tol):
+        jac = b * w ** (b - 1.0)
+        return core(w**b, ids, tol / jac) * jac
 
     radial_breakpoints = {*radial_breakpoints,
                           *sphere_crossing_radii(op.measure, x, support_radius)}
@@ -323,9 +331,10 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
     frame = _frame(y, y.size)
 
-    def integrand(t, ids):
-        return (_abs_average(op.measure, u, y, frame, t)
-                * t ** (-1.0 - 2.0 * s))
+    def integrand(t, ids, tol):
+        weight = t ** (-1.0 - 2.0 * s)
+        return _abs_average(op.measure, u, y, frame, t, spec,
+                            tol / weight) * weight
 
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
@@ -350,9 +359,10 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     origin = np.zeros(d)
     frame = _frame(origin, d)
 
-    def integrand(rho, ids):
-        return (_abs_average(area, u, origin, frame, rho)
-                * (rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s)))
+    def integrand(rho, ids, tol):
+        weight = rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s)
+        return _abs_average(area, u, origin, frame, rho, spec,
+                            tol / weight) * weight
 
     return _radial(integrand, [1e-290, 1.0, 2.0], spec,
                    2.0 * s - growth_exponent) * (1.0 - s)

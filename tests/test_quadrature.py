@@ -130,7 +130,7 @@ def _padded(partitions):
 def _batched(cases, sizes=None):
     """The batch integrand of ``cases``: integral i is ``cases[i][0]``;
     ``sizes``, if given, collects the number of abscissae of each call."""
-    def batched(x, ids):
+    def batched(x, ids, tol):
         if sizes is not None:
             sizes.append(x.size)
         vals, errs = np.empty_like(x), np.zeros_like(x)
@@ -155,7 +155,8 @@ class TestBatchedDriver:
         )
         oks = []
         for i, (g, p) in enumerate(BATCH_CASES):
-            v1, e1, n1, ok1 = _adaptive(lambda x, ids: g(x), np.array([p]), *args)
+            v1, e1, n1, ok1 = _adaptive(lambda x, ids, tol: g(x),
+                                        np.array([p]), *args)
             assert vals[i] == v1[0] and errs[i] == e1[0], i
             assert evals[i] == n1[0], i
             oks.append(ok1)
@@ -179,11 +180,19 @@ class TestBatchedDriver:
         for u, v in zip(part[:3], full[:3]):
             assert np.array_equal(u, v[order])
 
+    def test_empty_integral_raises_no_floating_point_error(self):
+        # The zero-length partition [1, 1] gets no budget and no points.
+        with np.errstate(all="raise"):
+            out = _adaptive(_batched(BATCH_CASES),
+                            _padded([p for _, p in BATCH_CASES]),
+                            1e-10, 1e-13, 64)
+        assert out[2][-1] == 0 and out[0][-1] == 0.0
+
     def test_repeated_points_are_dropped(self):
         # A 2-D array whose rows repeat points (the padding of unequal
         # partitions) gives the array of its deduplicated rows, bit for bit.
         rows = np.array([[0.0, 0.5, 0.5, 1.0, 1.0], [0.0, 0.0, 0.2, 1.0, 1.0]])
-        f = lambda x, ids: np.exp((1.0 + ids) * x)
+        f = lambda x, ids, tol: np.exp((1.0 + ids) * x)
         args = (1e-10, 1e-13, 2000)
         a = _adaptive(f, rows, *args)
         b = _adaptive(f, np.array([np.unique(r) for r in rows]), *args)
@@ -193,17 +202,18 @@ class TestBatchedDriver:
 
     def test_padded_rows_are_their_integrals_one_at_a_time(self):
         rows = np.array([[0.0, 0.5, 0.5, 1.0, 1.0], [0.0, 0.0, 0.2, 1.0, 1.0]])
-        f = lambda x, ids: np.exp((1.0 + ids) * x)
+        f = lambda x, ids, tol: np.exp((1.0 + ids) * x)
         args = (1e-10, 1e-13, 2000)
         a = _adaptive(f, rows, *args)
-        ones = [_adaptive(lambda x, ids, i=i: f(x, ids + i), np.unique(r)[None], *args)
+        ones = [_adaptive(lambda x, ids, tol, i=i: f(x, ids + i, tol),
+                          np.unique(r)[None], *args)
                 for i, r in enumerate(rows)]
         for j in range(3):
             assert np.array_equal(a[j], np.concatenate([o[j] for o in ones]))
         assert a[3] == all(o[3] for o in ones)
 
     def test_zero_integrals_are_rejected(self, spec):
-        f = lambda x, ids: np.ones_like(x)
+        f = lambda x, ids, tol: np.ones_like(x)
         with pytest.raises(QuadratureError):
             integrate_radial_singular(f, 0.5, 2.0, spec, [])
         with pytest.raises(QuadratureError):
@@ -219,8 +229,8 @@ class TestRadialSingular:
         # int_1^R (rho-1)^{-s} drho = (R-1)^{1-s}/(1-s); the integrand
         # receives q = rho - 1 exactly
         R = 2.0
-        rep = _first(integrate_radial_singular(lambda q, ids: q ** (-s), s, R,
-                                               spec, [()]))
+        rep = _first(integrate_radial_singular(
+            lambda q, ids, tol: q ** (-s), s, R, spec, [()]))
         exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= max(rep.error_estimate, 1e-12 * exact)
 
@@ -228,7 +238,7 @@ class TestRadialSingular:
         # int_1^2 (rho-1)^{-1/4} * rho drho, reference by dense graded mesh
         s = 0.25
         rep = _first(integrate_radial_singular(
-            lambda q, ids: q ** (-s) * (1.0 + q), s, 2.0, spec, [()]
+            lambda q, ids, tol: q ** (-s) * (1.0 + q), s, 2.0, spec, [()]
         ))
         w = np.linspace(0.0, 1.0, 2_000_001) ** (1.0 / (1.0 - s))
         rho = 1.0 + w[1:]
@@ -240,53 +250,53 @@ class TestRadialSingular:
         # stays finite and the closed form is reproduced
         s = 0.75
         R = 1.0 + 1e-8
-        rep = _first(integrate_radial_singular(lambda q, ids: q ** (-s), s, R,
-                                               spec, [()]))
+        rep = _first(integrate_radial_singular(
+            lambda q, ids, tol: q ** (-s), s, R, spec, [()]))
         # compare against the closed form at the representable radius R
         exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= 1e-12 * exact + 1e-15
 
     def test_zero_function(self, spec):
         rep = _first(integrate_radial_singular(
-            lambda q, ids: np.zeros_like(q), 0.5, 3.0, spec, [()]
+            lambda q, ids, tol: np.zeros_like(q), 0.5, 3.0, spec, [()]
         ))
         assert rep.value == 0.0
 
     def test_rejects_bad_parameters(self, spec):
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda q, ids: q, 0.5, 1.0, spec, [()])
+            integrate_radial_singular(lambda q, ids, tol: q, 0.5, 1.0, spec, [()])
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda q, ids: q, 1.5, 2.0, spec, [()])
+            integrate_radial_singular(lambda q, ids, tol: q, 1.5, 2.0, spec, [()])
 
 
 class TestRadialUnbounded:
     def test_inverse_square(self, spec):
-        rep = _first(integrate_radial_unbounded(lambda r, ids: r**-2.0, 1.0, 1.0, spec,
-                                                [spec.abs_tol]))
+        rep = _first(integrate_radial_unbounded(
+            lambda r, ids, tol: r**-2.0, 1.0, 1.0, spec, [spec.abs_tol]))
         assert abs(rep.value - 1.0) <= max(rep.error_estimate, 1e-12)
 
     def test_tail_of_constant_matches_antiderivative(self, spec):
         # int_{1/2}^inf r^{-2} dr = 2 (the s = 1/2 tail weight)
-        rep = _first(integrate_radial_unbounded(lambda r, ids: r**-2.0, 0.5, 1.0, spec,
-                                                [spec.abs_tol]))
+        rep = _first(integrate_radial_unbounded(
+            lambda r, ids, tol: r**-2.0, 0.5, 1.0, spec, [spec.abs_tol]))
         assert abs(rep.value - 2.0) <= max(rep.error_estimate, 1e-11)
 
     def test_slow_decay_uses_endpoint_flattening(self, spec):
         # decay 0.5: int_1^inf r^{-1.5} dr = 2
-        rep = _first(integrate_radial_unbounded(lambda r, ids: r**-1.5, 1.0, 0.5, spec,
-                                                [spec.abs_tol]))
+        rep = _first(integrate_radial_unbounded(
+            lambda r, ids, tol: r**-1.5, 1.0, 0.5, spec, [spec.abs_tol]))
         assert abs(rep.value - 2.0) <= max(rep.error_estimate, 1e-10)
         assert rep.converged
 
     def test_zero(self, spec):
         rep = _first(integrate_radial_unbounded(
-            lambda r, ids: np.zeros_like(r), 1.0, 1.0, spec, [spec.abs_tol]
+            lambda r, ids, tol: np.zeros_like(r), 1.0, 1.0, spec, [spec.abs_tol]
         ))
         assert rep.value == 0.0
 
     def test_rejects_nonpositive_decay(self, spec):
         with pytest.raises(QuadratureError):
-            integrate_radial_unbounded(lambda r, ids: r, 1.0, 0.0, spec,
+            integrate_radial_unbounded(lambda r, ids, tol: r, 1.0, 0.0, spec,
                                        [spec.abs_tol])
 
     @pytest.mark.parametrize("decay", [1.0, 0.5])
@@ -297,7 +307,7 @@ class TestRadialUnbounded:
         # the rule misses the jump at 2.001 and returns 0.5 with an estimate
         # of 3e-17.
         rep = _first(integrate_radial_unbounded(
-            lambda r, ids: (r > rho0) * r**-2.0, 2.0, decay, spec,
+            lambda r, ids, tol: (r > rho0) * r**-2.0, 2.0, decay, spec,
             [spec.abs_tol], [(rho0,)]))
         assert rep.converged
         assert abs(rep.value - 1.0 / rho0) <= 4.0 * math.ulp(1.0 / rho0)
@@ -320,7 +330,7 @@ class TestRadialUnbounded:
             return integrate(f, partitions, *args)
 
         monkeypatch.setattr(quadrature, "_integrate", spy)
-        f = lambda r, ids: (r > 3.0 + ids) * r**-2.0
+        f = lambda r, ids, tol: (r > 3.0 + ids) * r**-2.0
         for bps in (None, [(), (2.0, 1.5)]):
             rep = integrate_radial_unbounded(f, 2.0, decay, spec,
                                              [spec.abs_tol] * 2, bps)
@@ -332,8 +342,94 @@ class TestRadialUnbounded:
 
     def test_rejects_breakpoints_that_do_not_match_the_integrals(self, spec):
         with pytest.raises(QuadratureError, match="one sequence"):
-            integrate_radial_unbounded(lambda r, ids: r**-2.0, 1.0, 1.0, spec,
+            integrate_radial_unbounded(lambda r, ids, tol: r**-2.0, 1.0, 1.0, spec,
                                        [spec.abs_tol] * 2, [(3.0,)])
+
+
+def _assert_share(tol_times_factor_times_length, abs_tol):
+    want = quadrature.INNER_SHARE * np.asarray(abs_tol)
+    got = np.asarray(tol_times_factor_times_length)
+    assert got.size and np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+class TestErrorBudget:
+    """Each point's tol times the factor that multiplies its value and the
+    length of its integral's interval is INNER_SHARE of the integral's
+    abs_tol."""
+
+    @staticmethod
+    def _recording(calls, f):
+        def g(x, ids, tol):
+            calls.append((x, ids, tol))
+            return f(x)
+        return g
+
+    def test_adaptive(self):
+        calls = []
+        parts = np.array([[0.0, 0.5, 2.0], [-1.0, 0.0, 0.3]])
+        abs_tol = np.array([1e-9, 3e-7])
+        _adaptive(self._recording(calls, np.exp), parts, 1e-12, abs_tol, 2000)
+        x, ids, tol = map(np.concatenate, zip(*calls))
+        _assert_share(tol * (parts[:, -1] - parts[:, 0])[ids], abs_tol[ids])
+
+    def test_radial_singular(self, spec):
+        # rho = 1 + w^{1/(1-s)} on w in (0, (R - 1)^{1-s}): the Jacobian is
+        # q^s / (1 - s)
+        calls, s, R = [], 0.5, 3.0
+        integrate_radial_singular(self._recording(calls, np.cos), s, R, spec,
+                                  [(), (1.5,)])
+        q, ids, tol = map(np.concatenate, zip(*calls))
+        _assert_share(tol * q**s / (1.0 - s) * (R - 1.0) ** (1.0 - s),
+                      np.full(q.size, spec.abs_tol))
+
+    @pytest.mark.parametrize("decay", [2.0, 0.5])
+    def test_radial_unbounded(self, decay, spec):
+        # rho = R / v on v in (0, 1]: the Jacobian is R / v^2, times
+        # (1 / decay) z^{1/decay - 1} for v = z^{1/decay} when decay < 1
+        calls, R = [], 2.0
+        abs_tol = np.array([1e-9, 3e-7])
+        integrate_radial_unbounded(self._recording(calls, lambda r: r**-3.0),
+                                   R, decay, spec, abs_tol)
+        rho, ids, tol = map(np.concatenate, zip(*calls))
+        v = R / rho
+        factor = R / v**2
+        if decay < 1.0:
+            factor *= v ** (1.0 - decay) / decay
+        _assert_share(tol * factor, abs_tol[ids])
+
+    def test_nested_sphere(self, rng, monkeypatch):
+        # d = 3: the polar rule over (0, pi) hands each polar angle phi its
+        # tol, and the circle there, weighted by sin phi, takes tol / sin phi
+        # as its abs_tol.
+        adaptive, depth, polar, circles = quadrature._adaptive, [0], [], []
+
+        def spy(f, partitions, rel_tol, abs_tol, max_subdivisions):
+            level = depth[0]
+            if level == 1:
+                circles.append(np.array(abs_tol))
+
+            def f_spy(x, ids, tol):
+                if level == 0:
+                    polar.append((x, ids, tol))
+                depth[0] += 1
+                try:
+                    return f(x, ids, tol)
+                finally:
+                    depth[0] -= 1
+
+            return adaptive(f_spy, partitions, rel_tol, abs_tol,
+                            max_subdivisions)
+
+        monkeypatch.setattr(quadrature, "_adaptive", spy)
+        frame, a = _random_frame(rng, 3), rng.standard_normal(3)
+        abs_tol = np.array([1e-9, 3e-7])
+        sphere_integrals(lambda y, ids: np.exp(y @ a), frame,
+                         np.array([0.5, 2.0]), None,
+                         QuadratureSpec(rel_tol=1e-10), abs_tol=abs_tol)
+        assert len(polar) == len(circles) > 0
+        phi, ids, _ = map(np.concatenate, zip(*polar))
+        _assert_share(np.concatenate(circles) * np.sin(phi) * np.pi,
+                      abs_tol[ids])
 
 
 def _poisson_F(x, s, d):

@@ -101,10 +101,11 @@ class TestNondegeneracy:
                     lambda p: 1.0)
             assert abs(got - expect) <= 1e-11 * expect, (d, s)
 
-    def test_atomic_needs_a_direction_grid(self):
-        # the xi grid covers S^{d-1} for d <= 3 only
-        with pytest.raises(MeasureError):
-            nondegeneracy_constant(SpectralMeasure.coordinate_axes(4), 0.5)
+    def test_axes_in_d4_take_the_minimum_on_the_axes(self):
+        # sum_i 2 |xi_i| >= 2 |xi| with equality on the axes, which the d >= 4
+        # direction grid holds
+        m = SpectralMeasure.coordinate_axes(4)
+        assert nondegeneracy_constant(m, 0.5) == 2.0
 
     def test_degenerate_atomic_pair_in_d2(self):
         m = SpectralMeasure.atomic(2, [((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)])
@@ -240,6 +241,28 @@ class TestApplyOperator:
         miss = abs(rep.value - exact)
         assert miss <= rep.error_estimate + fast_spec.abs_tol
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_converged_bump_values_are_within_their_estimates(self, d,
+                                                              fast_spec):
+        # The sphere rule of every radius runs to the tolerance the radial
+        # rule hands it.  A converged value must be within its estimate; an
+        # unconverged one may miss (at s = 3/4 and 0.9 from the centre the
+        # first difference is roundoff at tiny r, and r^{-1-2s} blows it up).
+        m = 2.0
+        mu = SpectralMeasure.uniform(d, m)
+        points = [0.5 * np.eye(d)[0], 0.5 * np.ones(d) / math.sqrt(d),
+                  -0.9 * np.eye(d)[1]]
+        flags = []
+        for s in (0.25, 0.5, 0.75):
+            exact = (1.0 - s) * m * math.pi / (2.0 * math.sin(math.pi * s))
+            for x in points:
+                rep = apply_operator(OperatorSpec(mu, s=s), bump(s), x,
+                                     fast_spec, support_radius=1.0)
+                if rep.converged:
+                    assert abs(rep.value - exact) <= rep.error_estimate, (s, x)
+                flags.append(rep.converged)
+        assert sum(flags) >= len(flags) // 2
+
     @pytest.mark.parametrize(
         "x", [(0.22054855, -0.21983425), (0.3, -0.2, 0.15)], ids=["d2", "d3"]
     )
@@ -362,13 +385,22 @@ class TestTail:
 
 
 @pytest.mark.parametrize("norm", ["tail", "tail_space_norm"])
-def test_unconverged_sphere_is_reported(norm, spec, monkeypatch):
-    # A tiny oscillation in the angle alone: every radius has nearly the
-    # same sphere average, so the radial rule converges, while a 64-panel
-    # sphere rule at rel_tol 1e-12 cannot resolve it
-    monkeypatch.setattr(stable_operator, "_SPHERE_RULE", QuadratureSpec(
-        rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=64))
-    u = lambda pts: 1.0 + 3e-10 * np.cos(
+def test_unconverged_sphere_is_reported(norm, monkeypatch):
+    # An oscillation in the angle alone, 1e-6 in size: its sphere rule, at
+    # the inner rule of rel_tol 1e-10 and a 64-panel cap (2.5e-11 and 512
+    # panels), cannot resolve it and reports so, and the flag reaches the
+    # result.
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=64)
+    flags = []
+    sphere_integrals = stable_operator.sphere_integrals
+
+    def spy(*args):
+        rep = sphere_integrals(*args)
+        flags.append(rep.converged)
+        return rep
+
+    monkeypatch.setattr(stable_operator, "sphere_integrals", spy)
+    u = lambda pts: 1.0 + 1e-6 * np.cos(
         100000.5 * np.arctan2(pts[:, 1], pts[:, 0]))
     if norm == "tail":
         op = OperatorSpec(SpectralMeasure.uniform(2, 1.0), s=0.5)
@@ -376,6 +408,7 @@ def test_unconverged_sphere_is_reported(norm, spec, monkeypatch):
     else:
         rep = tail_space_norm(u, 0.5, 2, spec)
     assert np.isfinite(rep.value)
+    assert not all(flags)
     assert not rep.converged
 
 
