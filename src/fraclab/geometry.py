@@ -29,14 +29,12 @@ class DomainOracle:
     ``membership(points)`` maps an (n, d) array to a boolean array (True =
     inside the open domain).  ``boundary_points`` is a list of (z, R_z)
     pairs where the rotation R_z maps the inward normal at z to +e_d.
-    ``distance`` maps a point to its distance to the boundary.
     """
 
     name: str
     dimension: int
     membership: object
     boundary_points: tuple
-    distance: object
 
 
 def _rotation_to_ed(normal, d):
@@ -59,6 +57,8 @@ def _rotation_to_ed(normal, d):
 
 def ball_domain(d, boundary_count=32, seed=0):
     """The open unit ball with evenly spread boundary frames."""
+    if d < 1 or boundary_count < 1:
+        raise GeometryError("the ball needs d >= 1 and boundary_count >= 1")
     rng = np.random.default_rng(seed)
     zs = rng.normal(size=(boundary_count, d))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
@@ -68,12 +68,13 @@ def ball_domain(d, boundary_count=32, seed=0):
         dimension=d,
         membership=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1) < 1.0,
         boundary_points=frames,
-        distance=lambda p: abs(1.0 - float(np.linalg.norm(p))),
     )
 
 
 def halfspace_domain(d):
     """The open half-space {x_d > 0} with its single natural frame at 0."""
+    if d < 1:
+        raise GeometryError("the half-space needs d >= 1")
     e = np.zeros(d)
     e[-1] = 1.0
     return DomainOracle(
@@ -81,7 +82,6 @@ def halfspace_domain(d):
         dimension=d,
         membership=lambda pts: np.atleast_2d(pts)[:, -1] > 0.0,
         boundary_points=((np.zeros(d), np.eye(d)),),
-        distance=lambda p: abs(float(np.asarray(p)[-1])),
     )
 
 
@@ -106,7 +106,6 @@ def cusp_domain(d, beta=0.5):
         dimension=d,
         membership=member,
         boundary_points=((np.zeros(d), np.eye(d)),),
-        distance=None,
     )
 
 
@@ -118,8 +117,8 @@ class Paraboloid:
     depth: float = 0.5
 
     def __post_init__(self):
-        if self.depth <= 0:
-            raise GeometryError("depth must be positive")
+        if not 0.0 < self.depth < np.inf:
+            raise GeometryError("depth must be positive and finite")
 
     def sample(self, d, count, seed):
         """Stratified samples (x', x_d) of the open region, deepest first.
@@ -165,6 +164,8 @@ def check_exterior_dini(domain, z, paraboloid, samples=10000, seed=0):
     coordinates; every mapped point must lie outside the open domain.  A
     passing report covers only the sampled set.
     """
+    if samples < 1:
+        raise GeometryError("samples must be >= 1")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     frame = None
     for zb, R in domain.boundary_points:

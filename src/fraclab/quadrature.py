@@ -1,12 +1,13 @@
 """Adaptive quadrature with estimated errors.
 
 One-dimensional adaptive Gauss-Kronrod (7/15 embedded pair) with panel-wise
-error estimates, endpoint substitutions that remove the (rho^2-1)^{-s}
-boundary weight analytically, an unbounded-domain map, one routine for
-integrals over spheres in every d (``sphere_integrals``, a polar recursion
-down to the mirror pair S^0), and the sphere-times-radius rule over the
-exterior of the unit ball in every d, which calls it in a frame along each
-integral's evaluation point.
+error estimates, one endpoint substitution that removes an integrable power
+q^{-s} of the offset q from the singular end analytically (the boundary
+weight (rho^2-1)^{-s} of the Poisson kernel, the r^{1-2s} of the stable
+operator), an unbounded-domain map, one routine for integrals over spheres
+in every d (``sphere_integrals``, a polar recursion down to the mirror pair
+S^0), and the sphere-times-radius rule over the exterior of the unit ball in
+every d, which calls it in a frame along each integral's evaluation point.
 
 Every rule computes a batch of k integrals in one adaptive pool, and one
 integral is the batch of one: k is read from the per-integral inputs (the
@@ -54,8 +55,8 @@ class QuadratureSpec:
     max_subdivisions: int = 20000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise QuadratureError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < np.inf and 0.0 < self.abs_tol < np.inf):
+            raise QuadratureError("tolerances must be positive and finite")
         if self.max_subdivisions < 64:
             raise QuadratureError("max_subdivisions must be >= 64")
 
@@ -270,25 +271,27 @@ def integrate_1d(f, a, b, spec, breakpoints=None):
                              [_partition(a, b, breakpoints)], spec))
 
 
-def integrate_radial_singular(f, s, R, spec, breakpoints):
-    """Integrate (rho-1)^{-s} h_i(rho) over (1, R), each h_i bounded near 1.
+def integrate_radial_singular(f, s, L, spec, breakpoints):
+    """Integrate q^{-s} h_i(q) over the offset q in (0, L), each h_i bounded
+    near 0, for -1 < s < 1.
 
-    Uses the substitution rho = 1 + w^{1/(1-s)}; its Jacobian
-    w^{s/(1-s)}/(1-s) cancels the endpoint singularity identically, so the
-    transformed integrand is bounded and the plain adaptive rule applies.
+    Uses the substitution q = w^{1/(1-s)}; its Jacobian w^{s/(1-s)}/(1-s)
+    cancels the endpoint power identically, so the transformed integrand is
+    bounded and the plain adaptive rule applies.  The offset q is the
+    distance from the singular end (rho - 1 for a radius rho > 1, r itself
+    for a radius r > 0), computed without cancellation.
 
-    The integrand is called as f(q, ids, tol) on the exact boundary offset
-    q = rho - 1 (= w^{1/(1-s)}, computed without cancellation), so
+    The integrand is called as f(q, ids, tol) on the exact offset q, so
     kernel-type integrands evaluate the singular weight accurately
-    arbitrarily close to the sphere; ids[j] is the integral that q[j]
+    arbitrarily close to the singular end; ids[j] is the integral that q[j]
     belongs to, and tol[j] its budget over the Jacobian.  ``breakpoints``
-    holds one sequence of radii per integral, so there are
-    k = len(breakpoints) integrals.
+    holds one sequence of offsets per integral (those outside (0, L) are
+    ignored), so there are k = len(breakpoints) integrals.
     """
-    if R <= 1.0:
-        raise QuadratureError("R must exceed 1")
-    if not 0.0 < s < 1.0:
-        raise QuadratureError("singular exponent must lie in (0, 1)")
+    if not L > 0.0:
+        raise QuadratureError("L must be positive")
+    if not -1.0 < s < 1.0:
+        raise QuadratureError("singular exponent must lie in (-1, 1)")
     p = 1.0 / (1.0 - s)
 
     def transformed(w, ids, tol):
@@ -300,8 +303,8 @@ def integrate_radial_singular(f, s, R, spec, breakpoints):
     w_lo = 1e-290 ** (1.0 - s)
 
     def w_partition(bps):
-        return sorted({w_lo, (R - 1.0) ** (1.0 - s)}
-                      | {(r - 1.0) ** (1.0 - s) for r in bps if 1.0 < r < R})
+        return sorted({w_lo, L ** (1.0 - s)}
+                      | {q ** (1.0 - s) for q in bps if 0.0 < q < L})
 
     return _integrate(transformed, [w_partition(b) for b in breakpoints], spec)
 
@@ -535,9 +538,10 @@ def integrate_exterior_ball(
     array of |y|^2 - 1, computed without cancellation, and the per-point
     index in 0..k-1 of the integral, and returns n values; it is assumed to
     carry the boundary weight (|y|^2-1)^{-s} near the unit sphere.  Each
-    integral is computed about its own point x_i: the radial direction uses
-    the singularity-removing substitution with a panel grading keyed to the
-    distance 1-|x_i| (the Poisson-kernel concentration scale).  The angular
+    integral is computed about its own point x_i: the radial direction is
+    ``integrate_radial_singular`` over the offset rho - 1, broken at the
+    kink radii r as r - 1 and at the graded offsets (1-|x_i|) 16^k, keyed
+    to the Poisson-kernel concentration scale, as they are.  The angular
     direction is one ``sphere_integrals`` call, in every d, in each radial
     node's frame along its x_i: the pair {rho, -rho} in d = 1, else the
     polar angle from x_i, graded toward the Poisson-kernel peak, with the
@@ -620,13 +624,12 @@ def integrate_exterior_ball(
     # Radial decomposition: a singular-substituted near part graded toward
     # the boundary, then (if needed) an unbounded far part.
     r_near_end = 2.0 if support_radius is None else max(2.0, support_radius)
-    graded = {di: {1.0 + g for g in _graded_scales(di, r_near_end - 1.0,
-                                                    RADIAL_GRADING)}
+    graded = {di: _graded_scales(di, r_near_end - 1.0, RADIAL_GRADING)
               for di in set(delta.tolist())}
-    bps = [sorted(graded[di] | {r for r in b if 1.0 < r < r_near_end})
+    bps = [[*graded[di], *(r - 1.0 for r in b)]
            for di, b in zip(delta.tolist(), radial_breakpoints)]
 
-    total = integrate_radial_singular(radial_q, s, r_near_end, spec, bps)
+    total = integrate_radial_singular(radial_q, s, r_near_end - 1.0, spec, bps)
     if support_radius is None:
         # The far field's error budget is relative to the whole integral, not
         # to its own (possibly tiny) value.

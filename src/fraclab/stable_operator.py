@@ -14,6 +14,10 @@ are summed over their atoms; the uniform measure is integrated with
 ``quadrature.sphere_integrals``, in a frame along x and folded by a mirror
 (in d = 1 that is the pair x +- r, with no adaptive rule).
 
+The radial integrand r^{-1-2s} D(r) is O(r^{1-2s}) at r = 0, so
+``apply_operator`` integrates it with the quadrature module's endpoint rule
+``integrate_radial_singular``, r the offset and 2s - 1 the exponent.
+
 The sphere rule nested in each radial rule runs under ``_inner_rule`` of
 the caller's spec, to the ``tol`` it is handed over the factors that
 multiply its average (see ``quadrature``).
@@ -35,6 +39,7 @@ from .quadrature import (
     EvaluationReport,
     QuadratureError,
     QuadratureSpec,
+    integrate_radial_singular,
     integrate_radial_unbounded,
     sphere_integrals,
     # Not called here: perfbench/tracer.py patches this module's bindings.
@@ -225,27 +230,6 @@ def _average(measure, phi, frame, r, spec, tol):
                             _inner_rule(spec), tol / density) * density
 
 
-def _abs_average(measure, u, y, frame, r, spec, tol):
-    """The report of int |u(y + r theta)| mu(dtheta) over a radius batch."""
-    def absolute(z):
-        rep = _as_report(u(y + z))
-        return EvaluationReport(np.abs(rep.value), rep.error_estimate,
-                                rep.function_evals, rep.converged)
-
-    return _average(measure, absolute, frame, r, spec, tol)
-
-
-def _radial(integrand, points, spec, decay=None):
-    """The integral of ``integrand(r, ids, tol)`` over the partition
-    ``points``, plus the one over (points[-1], inf) when ``decay`` is given
-    (|integrand(r)| <= M r^{-1-decay} there)."""
-    rep = _integrate(integrand, [points], spec)
-    if decay is not None:
-        rep = rep + integrate_radial_unbounded(integrand, points[-1], decay,
-                                               spec, [spec.abs_tol])
-    return _first(rep)
-
-
 def apply_operator(
     op,
     u,
@@ -260,15 +244,18 @@ def apply_operator(
     ``growth_exponent`` declares |u(y)| = O(|y|^growth) at infinity and must
     be < 2s for the tail integral to converge.  If ``support_radius`` is
     given (u vanishes for |y| > support_radius) the far tail reduces to a
-    closed form of u(x).  The radial rule breaks at ``radial_breakpoints``
-    and where x + r theta crosses the unit or the support sphere.
-    function_evals counts the rows of u, u(x) included.
+    closed form of u(x), else to ``integrate_radial_unbounded`` beyond
+    r = 2.  One endpoint rule integrates up to there, breaking at r = 1, at
+    ``radial_breakpoints`` and where x + r theta crosses the unit or the
+    support sphere.  function_evals counts the rows of u, u(x) included.
     """
     spec = spec or QuadratureSpec()
     s = op.s
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != op.measure.dimension:
         raise QuadratureError("point dimension mismatch")
+    if not np.isfinite(x).all():
+        raise QuadratureError("x must be finite")
     if growth_exponent >= 2.0 * s:
         raise QuadratureError(
             "growth_exponent must be < 2s for the operator to be defined"
@@ -287,28 +274,15 @@ def apply_operator(
         return _average(op.measure, first_difference, frame, r, spec,
                         tol / weight) * weight
 
-    # Near r = 0 the substitution r = w^{1/(2-2s)} turns the O(r^{1-2s})
-    # integrand into a bounded one.
-    b = 1.0 / (2.0 - 2.0 * s)
-
-    def near(w, ids, tol):
-        jac = b * w ** (b - 1.0)
-        return core(w**b, ids, tol / jac) * jac
-
-    radial_breakpoints = {*radial_breakpoints,
-                          *sphere_crossing_radii(op.measure, x, support_radius)}
-    w_lo = 1e-200 ** (1.0 / b)
-    rep = _radial(near, sorted(
-        {w_lo, 1.0}
-        | {p ** (1.0 / b) for p in radial_breakpoints if w_lo < p < 1.0}
-    ), spec)
+    r_end = (2.0 if support_radius is None
+             else float(np.linalg.norm(x)) + support_radius + 0.5)
+    bps = {1.0, *radial_breakpoints,
+           *sphere_crossing_radii(op.measure, x, support_radius)}
+    rep = _first(integrate_radial_singular(core, 2.0 * s - 1.0, r_end, spec,
+                                           [sorted(bps)]))
     if support_radius is None:
-        r_end, decay = 2.0, 2.0 * s - growth_exponent
-    else:
-        r_end, decay = float(np.linalg.norm(x)) + support_radius + 0.5, None
-    rep = rep + _radial(core, sorted(
-        {1.0, r_end} | {p for p in radial_breakpoints if 1.0 < p < r_end}
-    ), spec, decay)
+        rep = rep + _first(integrate_radial_unbounded(
+            core, r_end, 2.0 * s - growth_exponent, spec, [spec.abs_tol]))
     # u(x) adds its evaluation and flag, and with a support radius the tail:
     # beyond r_end every u(x + r theta) vanishes, so the integrand is exactly
     # total_mass * u(x) * r^{-1-2s}.
@@ -319,6 +293,28 @@ def apply_operator(
     return rep * (1.0 - s)
 
 
+def _abs_integral(measure, u, y, weight, points, spec, decay=None):
+    """int weight(t) int |u(y + t theta)| mu(dtheta) dt over the partition
+    ``points``, plus over (points[-1], inf) when ``decay`` is given
+    (|integrand(t)| <= M t^{-1-decay} there)."""
+    frame = _frame(y, y.size)
+
+    def absolute(z):
+        rep = _as_report(u(y + z))
+        return EvaluationReport(np.abs(rep.value), rep.error_estimate,
+                                rep.function_evals, rep.converged)
+
+    def integrand(t, ids, tol):
+        w = weight(t)
+        return _average(measure, absolute, frame, t, spec, tol / w) * w
+
+    rep = _integrate(integrand, [points], spec)
+    if decay is not None:
+        rep = rep + integrate_radial_unbounded(integrand, points[-1], decay,
+                                               spec, [spec.abs_tol])
+    return _first(rep)
+
+
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
     """(1-s) int_{1/2}^inf int |u(y + t theta)| / t^{1+2s} mu(dtheta) dt,
     breaking where y + t theta crosses the unit or the support sphere."""
@@ -327,22 +323,18 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != op.measure.dimension:
         raise QuadratureError("point dimension mismatch")
+    if not np.isfinite(y).all():
+        raise QuadratureError("y must be finite")
     if growth_exponent >= 2.0 * s:
         raise QuadratureError("growth_exponent must be < 2s for a finite tail")
-    frame = _frame(y, y.size)
-
-    def integrand(t, ids, tol):
-        weight = t ** (-1.0 - 2.0 * s)
-        return _abs_average(op.measure, u, y, frame, t, spec,
-                            tol / weight) * weight
-
     if support_radius is None:
         r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
         r_end, decay = float(np.linalg.norm(y)) + support_radius + 0.5, None
     kinks = sphere_crossing_radii(op.measure, y, support_radius)
     points = sorted({0.5, r_end} | {t for t in kinks if 0.5 < t < r_end})
-    return _radial(integrand, points, spec, decay) * (1.0 - s)
+    return _abs_integral(op.measure, u, y, lambda t: t ** (-1.0 - 2.0 * s),
+                         points, spec, decay) * (1.0 - s)
 
 
 def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
@@ -356,13 +348,7 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     # to the sphere's area turns the spherical average into the surface
     # integral.
     area = SpectralMeasure.uniform(d, _sphere_area(d))
-    origin = np.zeros(d)
-    frame = _frame(origin, d)
-
-    def integrand(rho, ids, tol):
-        weight = rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s)
-        return _abs_average(area, u, origin, frame, rho, spec,
-                            tol / weight) * weight
-
-    return _radial(integrand, [1e-290, 1.0, 2.0], spec,
-                   2.0 * s - growth_exponent) * (1.0 - s)
+    return _abs_integral(
+        area, u, np.zeros(d),
+        lambda rho: rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s),
+        [1e-290, 1.0, 2.0], spec, 2.0 * s - growth_exponent) * (1.0 - s)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from fraclab import ball_poisson
+from fraclab import ball_poisson, quadrature
 
 from fraclab.ball_poisson import (
     BallProblem,
@@ -261,6 +261,29 @@ class TestSolve:
         oracle = float(betainc(s, 1.0 - s, (1.0 + a) ** -2))
         assert rep.converged
         assert abs(rep.value - oracle) <= rep.error_estimate + spec.tolerance(oracle)
+
+    def test_radial_breakpoints_are_exact_offsets(self, spec, monkeypatch):
+        # The graded scales delta 16^k reach the radial rule as the offsets
+        # themselves, not as (1 + g) - 1, which rounds them.
+        calls, rule = [], quadrature.integrate_radial_singular
+
+        def spy(f, s, L, spec, breakpoints):
+            calls.append((L, breakpoints))
+            return rule(f, s, L, spec, breakpoints)
+
+        monkeypatch.setattr(quadrature, "integrate_radial_singular", spy)
+        # 1 - |x| is a multiple of 2^-53, and an odd one at one of these two
+        # neighbours, where 1 + delta rounds.
+        xs = np.array([[1.0 - 1e-4], [np.nextafter(1.0 - 1e-4, 0.0)]])
+        solve(BallProblem(PoissonKernel(1, 0.5), constant_datum(1.0, 1)), xs, spec)
+        [(L, bps)] = calls
+        rounded = []
+        for x, b in zip(xs, bps):
+            delta = 1.0 - float(np.linalg.norm(x))
+            graded = quadrature._graded_scales(delta, L, quadrature.RADIAL_GRADING)
+            assert set(graded) <= set(b)
+            rounded += [(1.0 + g) - 1.0 != g for g in graded]
+        assert any(rounded)
 
 
 def _axial_datum(d, axisymmetric=True):

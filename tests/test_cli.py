@@ -138,6 +138,18 @@ def test_unknown_command_exits_with_usage_error():
          "at least two points"),
         (("sweep-lower", "--d", "2", "--datum", "thm15", "--modulus", "zero"),
          "omega(1) > 0"),
+        (("solve", "--d", "1", "--datum", "prop42", "--x", "0.5", "--tol", "nan"),
+         "tolerances must be positive and finite"),
+        (("solve", "--d", "1", "--datum", "prop42", "--x", "0.5", "--tol", "inf"),
+         "tolerances must be positive and finite"),
+        (("check-geometry", "--samples", "-5"), "samples must be >= 1"),
+        (("check-geometry", "--samples", "0"), "samples must be >= 1"),
+        (("check-geometry", "--boundary-points", "-1"), "boundary_count >= 1"),
+        (("check-geometry", "--boundary-points", "0"), "boundary_count >= 1"),
+        (("check-geometry", "--domain", "ball", "--d", "0"), "d >= 1"),
+        (("check-geometry", "--domain", "halfspace", "--d", "0"), "d >= 1"),
+        (("check-geometry", "--depth", "nan"), "depth must be positive and finite"),
+        (("check-geometry", "--depth", "inf"), "depth must be positive and finite"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):

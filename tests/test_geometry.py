@@ -17,11 +17,10 @@ from fraclab.moduli import ModulusFunction
 
 
 class TestDomains:
-    def test_ball_membership_and_distance(self):
+    def test_ball_membership(self):
         dom = ball_domain(2)
         assert dom.membership(np.array([[0.5, 0.0]]))[0]
         assert not dom.membership(np.array([[1.5, 0.0]]))[0]
-        assert abs(dom.distance(np.array([0.5, 0.0])) - 0.5) < 1e-15
 
     def test_ball_frames_map_inward_normal_to_ed(self):
         dom = ball_domain(3, boundary_count=16, seed=1)
@@ -35,6 +34,15 @@ class TestDomains:
         assert dom.membership(np.array([[3.0, 0.1]]))[0]
         assert not dom.membership(np.array([[3.0, -0.1]]))[0]
 
+    @pytest.mark.parametrize("d, count", [(0, 32), (2, 0), (2, -1)])
+    def test_ball_validation(self, d, count):
+        with pytest.raises(GeometryError):
+            ball_domain(d, boundary_count=count)
+
+    def test_halfspace_validation(self):
+        with pytest.raises(GeometryError):
+            halfspace_domain(0)
+
     def test_cusp_validation(self):
         with pytest.raises(GeometryError):
             cusp_domain(2, beta=1.5)
@@ -46,6 +54,11 @@ class TestParaboloid:
     def test_requires_positive_depth(self):
         with pytest.raises(GeometryError):
             Paraboloid(ModulusFunction.power(1.0), depth=0.0)
+
+    @pytest.mark.parametrize("depth", [np.nan, np.inf])
+    def test_requires_finite_depth(self, depth):
+        with pytest.raises(GeometryError):
+            Paraboloid(ModulusFunction.power(1.0), depth=depth)
 
     def test_samples_lie_in_region(self):
         p = Paraboloid(ModulusFunction.power(1.0), depth=0.5)
@@ -87,6 +100,13 @@ class TestExteriorDini:
         p = Paraboloid(ModulusFunction.power(1.0))
         with pytest.raises(GeometryError):
             check_exterior_dini(dom, np.array([1.0, 0.0]), p)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, samples):
+        dom = halfspace_domain(2)
+        p = Paraboloid(ModulusFunction.power(1.0))
+        with pytest.raises(GeometryError, match="samples"):
+            check_exterior_dini(dom, np.zeros(2), p, samples=samples)
 
 
 class TestDiniClass:

@@ -30,6 +30,12 @@ class TestSpecValidation:
         with pytest.raises(QuadratureError):
             QuadratureSpec(abs_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerances(self, field, value):
+        with pytest.raises(QuadratureError, match="positive and finite"):
+            QuadratureSpec(**{field: value})
+
     def test_rejects_tiny_budget(self):
         with pytest.raises(QuadratureError):
             QuadratureSpec(max_subdivisions=10)
@@ -215,7 +221,7 @@ class TestBatchedDriver:
     def test_zero_integrals_are_rejected(self, spec):
         f = lambda x, ids, tol: np.ones_like(x)
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(f, 0.5, 2.0, spec, [])
+            integrate_radial_singular(f, 0.5, 1.0, spec, [])
         with pytest.raises(QuadratureError):
             integrate_radial_unbounded(f, 1.0, 1.0, spec, [])
         with pytest.raises(QuadratureError):
@@ -224,21 +230,21 @@ class TestBatchedDriver:
 
 
 class TestRadialSingular:
-    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 0.9])
     def test_offset_protocol_closed_form(self, s, spec):
-        # int_1^R (rho-1)^{-s} drho = (R-1)^{1-s}/(1-s); the integrand
-        # receives q = rho - 1 exactly
-        R = 2.0
+        # int_0^L q^{-s} dq = L^{1-s}/(1-s); the integrand receives the
+        # offset q exactly
+        L = 1.0
         rep = _first(integrate_radial_singular(
-            lambda q, ids, tol: q ** (-s), s, R, spec, [()]))
-        exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
+            lambda q, ids, tol: q ** (-s), s, L, spec, [()]))
+        exact = L ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= max(rep.error_estimate, 1e-12 * exact)
 
     def test_s_half_weighted_by_rho(self, spec):
         # int_1^2 (rho-1)^{-1/4} * rho drho, reference by dense graded mesh
         s = 0.25
         rep = _first(integrate_radial_singular(
-            lambda q, ids, tol: q ** (-s) * (1.0 + q), s, 2.0, spec, [()]
+            lambda q, ids, tol: q ** (-s) * (1.0 + q), s, 1.0, spec, [()]
         ))
         w = np.linspace(0.0, 1.0, 2_000_001) ** (1.0 / (1.0 - s))
         rho = 1.0 + w[1:]
@@ -246,27 +252,28 @@ class TestRadialSingular:
         assert abs(rep.value - ref) < 5e-6
 
     def test_offset_argument_is_exact_near_boundary(self, spec):
-        # the integrand sees q = rho - 1 exactly, so the (q)^{-s} weight
+        # the integrand sees the offset q exactly, so the q^{-s} weight
         # stays finite and the closed form is reproduced
         s = 0.75
-        R = 1.0 + 1e-8
+        L = 1e-8
         rep = _first(integrate_radial_singular(
-            lambda q, ids, tol: q ** (-s), s, R, spec, [()]))
-        # compare against the closed form at the representable radius R
-        exact = (R - 1.0) ** (1.0 - s) / (1.0 - s)
+            lambda q, ids, tol: q ** (-s), s, L, spec, [()]))
+        exact = L ** (1.0 - s) / (1.0 - s)
         assert abs(rep.value - exact) <= 1e-12 * exact + 1e-15
 
     def test_zero_function(self, spec):
         rep = _first(integrate_radial_singular(
-            lambda q, ids, tol: np.zeros_like(q), 0.5, 3.0, spec, [()]
+            lambda q, ids, tol: np.zeros_like(q), 0.5, 2.0, spec, [()]
         ))
         assert rep.value == 0.0
 
     def test_rejects_bad_parameters(self, spec):
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda q, ids, tol: q, 0.5, 1.0, spec, [()])
+            integrate_radial_singular(lambda q, ids, tol: q, 0.5, 0.0, spec, [()])
         with pytest.raises(QuadratureError):
-            integrate_radial_singular(lambda q, ids, tol: q, 1.5, 2.0, spec, [()])
+            integrate_radial_singular(lambda q, ids, tol: q, 1.0, 1.0, spec, [()])
+        with pytest.raises(QuadratureError):
+            integrate_radial_singular(lambda q, ids, tol: q, -1.0, 1.0, spec, [()])
 
 
 class TestRadialUnbounded:
@@ -373,13 +380,13 @@ class TestErrorBudget:
         _assert_share(tol * (parts[:, -1] - parts[:, 0])[ids], abs_tol[ids])
 
     def test_radial_singular(self, spec):
-        # rho = 1 + w^{1/(1-s)} on w in (0, (R - 1)^{1-s}): the Jacobian is
+        # q = w^{1/(1-s)} on w in (0, L^{1-s}): the Jacobian is
         # q^s / (1 - s)
-        calls, s, R = [], 0.5, 3.0
-        integrate_radial_singular(self._recording(calls, np.cos), s, R, spec,
-                                  [(), (1.5,)])
+        calls, s, L = [], 0.5, 2.0
+        integrate_radial_singular(self._recording(calls, np.cos), s, L, spec,
+                                  [(), (0.5,)])
         q, ids, tol = map(np.concatenate, zip(*calls))
-        _assert_share(tol * q**s / (1.0 - s) * (R - 1.0) ** (1.0 - s),
+        _assert_share(tol * q**s / (1.0 - s) * L ** (1.0 - s),
                       np.full(q.size, spec.abs_tol))
 
     @pytest.mark.parametrize("decay", [2.0, 0.5])

@@ -163,6 +163,14 @@ class TestApplyOperator:
         with pytest.raises(QuadratureError):
             apply_operator(op, u, [0.0], spec, growth_exponent=2.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [apply_operator, tail])
+    def test_rejects_a_non_finite_point(self, fn, x, spec):
+        # unchecked, tail's partition at y = nan is [0.5, nan]: no panel, 0
+        op = OperatorSpec(pm_atoms_1d(), s=0.5)
+        with pytest.raises(QuadratureError, match="must be finite"):
+            fn(op, bump(0.5), [x], spec, support_radius=1.0)
+
     def test_linearity(self, fast_spec):
         op = OperatorSpec(pm_atoms_1d(), s=0.5)
         u = lambda pts: np.cos(pts[:, 0])
@@ -241,7 +249,7 @@ class TestApplyOperator:
         miss = abs(rep.value - exact)
         assert miss <= rep.error_estimate + fast_spec.abs_tol
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_converged_bump_values_are_within_their_estimates(self, d,
                                                               fast_spec):
         # The sphere rule of every radius runs to the tolerance the radial
@@ -250,8 +258,9 @@ class TestApplyOperator:
         # first difference is roundoff at tiny r, and r^{-1-2s} blows it up).
         m = 2.0
         mu = SpectralMeasure.uniform(d, m)
-        points = [0.5 * np.eye(d)[0], 0.5 * np.ones(d) / math.sqrt(d),
-                  -0.9 * np.eye(d)[1]]
+        points = ([[0.5], [-0.5], [-0.9]] if d == 1 else
+                  [0.5 * np.eye(d)[0], 0.5 * np.ones(d) / math.sqrt(d),
+                   -0.9 * np.eye(d)[1]])
         flags = []
         for s in (0.25, 0.5, 0.75):
             exact = (1.0 - s) * m * math.pi / (2.0 * math.sin(math.pi * s))
