@@ -150,53 +150,54 @@ class ModulusFunction:
 
     def weighted_primitive(self, t, s):
         """int_t^1 omega(r)/r^{1+s} dr in closed form, or None; s = 0 is the
-        Dini integral."""
+        Dini integral.  Every kind but ``custom`` has one."""
+        closed = self._weighted_primitive(t, s)
+        return None if closed is None else closed[0]
+
+    def _weighted_primitive(self, t, s):
+        """``weighted_primitive`` with a bound on its error, as a pair."""
         if not 0.0 < t <= 1.0:
             raise ValueError("t must lie in (0, 1]")
         if not 0.0 <= s < 1.0:
             raise ValueError("s must lie in [0, 1)")
         k, p = self.kind, self.params
-        if k == "zero":
-            return 0.0
-        if k == "power_log" and p["p"] == 0:
-            a = p["a"]
-            if a == s:
-                return math.log(1.0 / t)
-            return (1.0 - t ** (a - s)) / (a - s)
-        if k == "power_log" and p["a"] == s:
-            # omega(r)/r^{1+s} = log^{-q}(e/r)/r; substitute L = log(e/r).
-            q = p["p"]
-            L = math.log(math.e / t)
-            if q == 1.0:
-                return math.log(L)
-            return (L ** (1.0 - q) - 1.0) / (1.0 - q)
+        if k == "custom":
+            return None
+        if k == "zero" or t == 1.0:
+            return 0.0, 0.0
         if k == "table":
             return self._table_weighted(t, s)
-        return None
+        return _family_primitive(p["a"] - s, p["p"], -math.log(t))
 
     def _table_weighted(self, t, s):
-        """Exact int_t^1 omega(r)/r^{1+s} dr for the piecewise-linear table."""
-        knots, vals = self.params["t"], self.params["v"]
-        total = 0.0
-        edges = sorted(set([t, 1.0]) | {k for k in knots if t < k < 1.0})
+        """Exact int_t^1 omega(r)/r^{1+s} dr for the piecewise-linear table,
+        with a bound on its rounding error."""
+        knots, vals = self.params["t"].tolist(), self.params["v"].tolist()
+        total = size = 0.0
+        edges = [t] + [k for k in knots if t < k < 1.0] + [1.0]
+        j = 0  # the first knot at or beyond the piece's midpoint
         for a, b in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (a + b)
-            idx = np.searchsorted(knots, mid) - 1
-            idx = min(max(idx, 0), len(knots) - 2)
+            while j < len(knots) and knots[j] < mid:
+                j += 1
+            idx = min(max(j - 1, 0), len(knots) - 2)
             t0, t1 = knots[idx], knots[idx + 1]
             if mid > knots[-1]:
                 slope, icpt = 0.0, vals[-1]
             else:
                 slope = (vals[idx + 1] - vals[idx]) / (t1 - t0)
                 icpt = vals[idx] - slope * t0
-            # int (icpt + slope*r) / r^{1+s} dr on [a, b]
+            # int (icpt + slope*r) / r^{1+s} dr on [a, b], from l = log(b/a)
+            l = math.log1p((b - a) / a) if b <= 2.0 * a else math.log(b / a)
             if s == 0.0:
-                total += icpt * math.log(b / a)
-                total += slope * (b - a)
+                lo, hi = l, b - a
             else:
-                total += icpt * (a ** (-s) - b ** (-s)) / s
-                total += slope * (b ** (1.0 - s) - a ** (1.0 - s)) / (1.0 - s)
-        return total
+                lo = a ** -s * -math.expm1(-s * l) / s
+                hi = b * b ** -s * -math.expm1((s - 1.0) * l) / (1.0 - s)
+            total += icpt * lo
+            total += slope * hi
+            size += (abs(icpt) + 2.0 * abs(slope * t0)) * lo + abs(slope) * hi
+        return total, (17 + 2 * len(edges)) * _U * size
 
     def check_monotone(self, t_max=8.0, samples=512):
         t = np.concatenate([[0.0], np.geomspace(1e-12, t_max, samples)])
@@ -221,19 +222,162 @@ def power_transform(omega, exponent):
 
 
 # ---------------------------------------------------------------------------
+# The family's weighted primitive in closed form
+# ---------------------------------------------------------------------------
+
+#: Unit roundoff of double precision.  The closed forms bound their error by
+#: counting roundings in this unit, one ulp (two units) per libm call.
+_U = 2.0 ** -53
+
+
+def _family_primitive(b, p, X):
+    """int_t^1 r^{b-1} log^{-p}(e/r) dr = int_0^X e^{-bx} (1+x)^{-p} dx for
+    X = log(1/t) > 0 and p >= 0, with a bound on its error; b = a - s.
+
+    The edges b = 0 and p = 0 have elementary primitives, formed from X with
+    expm1 and log1p so that no digit is lost as t -> 1.  Otherwise, with
+    U = 1 + X, the integral is the Taylor series of ``_taylor_at_zero`` for
+    b > 1 and (b + p)X <= 1, the series of ``_exp_series`` for b < 0 or
+    bU <= 3, and else the series up to U1 = max(1, 2/b) plus the difference
+    of the tails ``_exp_tail`` at U1 and U, of which the second is at most
+    e^{-2/3} times the first.  The bound also charges the rounding of
+    b = a - s, which moves the value by at most min(bX, 1) (b > 0) or |b|X
+    (b < 0) units of its size.
+    """
+    if b == 0.0:
+        if p == 0.0:
+            return X, 2.0 * _U * X
+        y = math.log1p(X)
+        if p == 1.0:
+            return y, 4.0 * _U * y
+        z = (1.0 - p) * y
+        value = math.expm1(z) / (1.0 - p)
+        return value, _U * (10.0 + 6.0 * max(z, 0.0)) * value
+    if p == 0.0:
+        z = -b * X
+        value = -math.expm1(z) / b
+        err = _U * (6.0 + 3.0 * max(z, 0.0)) * value
+    elif b > 1.0 and (b + p) * X <= 1.0:
+        value, err = _taylor_at_zero(b, p, X)
+    elif b < 0.0 or b * (1.0 + X) <= 3.0:
+        value, err = _exp_series(b, p, X)
+    else:
+        x1 = 2.0 / b - 1.0 if b < 2.0 else 0.0
+        value, err = _exp_series(b, p, x1) if x1 else (0.0, 0.0)
+        (h1, e1), (h, e) = _exp_tail(b, p, x1), _exp_tail(b, p, X)
+        value += h1 - h
+        err += e1 + e + 2.0 * _U * value
+    return value, err + _U * value * (min(b * X, 1.0) if b > 0.0 else -b * X)
+
+
+def _exp_series(b, p, X):
+    """int_1^U e^{-b(L-1)} L^{-p} dL for U = 1 + X, X > 0, as the series
+    e^b sum_n (-b)^n/n! int_1^U L^{n-p} dL, with a bound on its error.
+
+    Term n is q_n g(n + 1 - p) with q_n = e^b U^{1-p} (|b|U)^n/n!, signed
+    (-1)^n for b > 0, and g(m) = (1 - U^-m)/m (log U at m = 0), so no factor
+    overflows where the sum is finite; for b < 0 every term is positive.
+    Since int_1^U L^{n+1-p} dL <= U int_1^U L^{n-p} dL, term n+1 is at most
+    |b|U/(n+1) times term n, which bounds the tail left off.
+    """
+    y, bU = math.log1p(X), abs(b) * (1.0 + X)
+    log_q = b + (1.0 - p) * y
+    q = math.exp(log_q)
+    # units of error of q_0 and of each step; y has 4 units
+    q_err = 6.0 * abs((1.0 - p) * y) + abs(log_q) + 2.0
+    terms, size, weighted, n = [], 0.0, 0.0, 0
+    while True:
+        z = (n + 1.0 - p) * y
+        g = -math.expm1(-z) / (n + 1.0 - p) if z else y
+        term = q * g
+        terms.append(-term if b > 0.0 and n % 2 else term)
+        size += term
+        weighted += term * (q_err + 6.0 * n + 13.0 + 6.0 * max(-z, 0.0))
+        n += 1
+        rho = bU / n
+        tail = term * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        if tail <= _U * size:
+            break
+        q *= bU / n
+    value = math.fsum(terms)
+    return value, _U * (weighted + abs(value)) + tail
+
+
+def _taylor_at_zero(b, p, X):
+    """int_0^X e^{-bx} (1+x)^{-p} dx from the integrand's Taylor series
+    sum c_n x^n at 0, for (b + p)X <= 1; with a bound on its error.
+
+    The coefficients obey (n+1) c_{n+1} = -(n+b+p) c_n - b c_{n-1}, with a
+    running bound on their rounding, and |c_n| <= (b+p)_n/n!, the
+    coefficients of (1-x)^{-(b+p)}, which bounds the tail left off.
+    """
+    c_prev, c, e_prev, e = 0.0, 1.0, 0.0, 0.0
+    majorant, xn = 1.0, X  # (b+p)_n/n!, X^{n+1}
+    terms, size, err, n = [], 0.0, 0.0, 0
+    while True:
+        term = c * xn / (n + 1)
+        terms.append(term)
+        size += abs(term)
+        err += e * xn / (n + 1) + _U * (3 * n + 4) * abs(term)
+        q = n + b + p
+        c_next = -(q * c + b * c_prev) / (n + 1)
+        e_next = ((q * e + b * e_prev
+                   + _U * (4.0 * q * abs(c) + 2.0 * b * abs(c_prev))) / (n + 1)
+                  + _U * abs(c_next))
+        c_prev, c, e_prev, e = c, c_next, e, e_next
+        majorant *= q / (n + 1)
+        xn *= X
+        n += 1
+        rho = X * (n + b + p) / (n + 1)
+        tail = majorant * xn / (n + 1) / (1.0 - rho) if rho < 1.0 else math.inf
+        if tail <= _U * size:
+            break
+    value = math.fsum(terms)
+    return value, err + tail + _U * abs(value)
+
+
+def _exp_tail(b, p, X):
+    """int_U^inf e^{-b(L-1)} L^{-p} dL = U^{1-p} e^{-bX} e^{bU} E_p(bU) for
+    U = 1 + X and bU >= 2, with a bound on its error: E_p by the modified
+    Lentz continued fraction (DLMF 8.19.17), whose rounding stays within
+    2k + 8 units after k steps."""
+    x = b + b * X
+    bk, c, d = x + p, math.inf, 1.0 / (x + p)
+    cf, k = d, 0
+    while True:
+        k += 1
+        ak = -k * (p - 1.0 + k)
+        bk += 2.0
+        d = 1.0 / (ak * d + bk)
+        c = bk + ak / c
+        cf *= c * d
+        if abs(c * d - 1.0) <= _U:
+            break
+    log_power = (1.0 - p) * math.log1p(X)
+    w = log_power - b * X
+    value = math.exp(w) * cf
+    return value, _U * (6.0 * abs(log_power) + 3.0 * abs(b * X) + abs(w)
+                        + 2 * k + 15) * value
+
+
+# ---------------------------------------------------------------------------
 # The weighted integral int omega(r) / r^{1+s} dr, sigma and kappa
 # ---------------------------------------------------------------------------
 
 def _modulus_integral(omega, s, lo, hi, abs_tol):
     """int_lo^hi omega(r)/r^{1+s} dr for 0 < lo < hi <= 1 and 0 <= s < 1:
-    the kind's closed form (error 1e-15 relative), else the G7/K15 rule in
+    the closed form every kind but ``custom`` has, with its error bound (the
+    bounds of both primitives for hi < 1), else the G7/K15 rule in
     x = log(1/r) with breakpoints at the decades r = 10^-k, to ``abs_tol``
     (at least 1e-14); ``BudgetExceededError`` if that does not converge."""
-    closed = omega.weighted_primitive(lo, s)
+    closed = omega._weighted_primitive(lo, s)
     if closed is not None:
+        value, err = closed
         if hi < 1.0:  # the primitive vanishes at 1
-            closed -= omega.weighted_primitive(hi, s)
-        return EvaluationReport(closed, abs(closed) * 1e-15, 0, True)
+            value_hi, err_hi = omega._weighted_primitive(hi, s)
+            value -= value_hi
+            err += err_hi + _U * abs(value)
+        return EvaluationReport(value, err, 0, True)
     # r = e^{-x}: the integral of omega(e^{-x}) e^{sx} over x
     bps = [k * math.log(10.0) for k in range(1, 13) if lo < 10.0 ** -k < hi]
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=max(abs_tol, 1e-14),
