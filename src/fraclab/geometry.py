@@ -55,11 +55,18 @@ def _rotation_to_ed(normal, d):
     return -H
 
 
+def _seed(seed):
+    """A sampling seed, which numpy takes only when it is >= 0."""
+    if seed < 0:
+        raise GeometryError("seed must be >= 0")
+    return seed
+
+
 def ball_domain(d, boundary_count=32, seed=0):
     """The open unit ball with evenly spread boundary frames."""
     if d < 1 or boundary_count < 1:
         raise GeometryError("the ball needs d >= 1 and boundary_count >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     zs = rng.normal(size=(boundary_count, d))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
     frames = tuple((z.copy(), _rotation_to_ed(-z, d)) for z in zs)
@@ -126,7 +133,7 @@ class Paraboloid:
         Transverse radii are stratified across decades down to 1e-6 so the
         apex neighborhood, where violations concentrate, is well covered.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         decades = 10.0 ** rng.uniform(-6.0, 0.0, size=count)
         radii = np.minimum(decades, 1.0)
         lips = -radii * self.omega(radii)

@@ -5,9 +5,9 @@ boundary estimates are stated with come from one weighted integral,
 
     int omega(r) / r^{1+s} dr,   0 <= s < 1,
 
-computed in one routine: in closed form where the modulus has one,
-otherwise by log-substituted quadrature.  s = 0 is the Dini integral, whose
-convergence ``dini_integral`` decides from its per-decade increments.
+computed in one routine: in closed form for every kind but ``custom``, whose
+moduli alone take log-substituted quadrature.  s = 0 is the Dini integral,
+whose convergence ``dini_integral`` decides from its per-decade increments.
 ``weighted_integral`` returns it on [t, 1]; for s > 0 that gives the
 solution modulus
 
@@ -22,6 +22,11 @@ The smooth moduli form one family, t^a log^{-p}(e/t) with a, p >= 0 not both
 0: ``power(a)`` is its p = 0 edge and ``log_inverse(p)`` its a = 0 edge.  For
 p > 0 the log factor is frozen at its t = 1 value beyond t = 1, so the modulus
 stays nondecreasing on the half-line; every transform here probes (0, 1] only.
+With x = log(1/r), the weighted integral of a member on [t, 1] is
+int_0^X e^{-(a-s)x} (1+x)^{-p} dx, X = log(1/t): elementary on the edges a = s
+and p = 0, and else a generalized exponential integral (DLMF 8.19), summed
+from series and a continued fraction with an error bound counted from the
+roundings they make.
 """
 
 import math
@@ -30,6 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import EvaluationReport, QuadratureSpec, _as_report, integrate_1d
+
+#: Unit roundoff of double precision.  The closed forms bound their error by
+#: counting roundings in this unit, one ulp (two units) per libm call.
+_U = 2.0 ** -53
 
 
 class InvalidModulusError(ValueError):
@@ -45,8 +54,9 @@ class ModulusFunction:
 
     Kinds: ``zero``, ``table``, ``custom`` and the family ``power_log``
     (see the module docstring).  ``weighted_primitive(t, s)`` is
-    int_t^1 omega(r)/r^{1+s} dr in closed form for 0 <= s < 1 where the
-    modulus has one.  Other modules read ``knots`` and ``times_power``.
+    int_t^1 omega(r)/r^{1+s} dr in closed form for 0 <= s < 1; every kind
+    but ``custom`` has one.  Other modules read ``knots`` and
+    ``times_power``.
     """
 
     def __init__(self, kind, params, label):
@@ -187,16 +197,17 @@ class ModulusFunction:
             else:
                 slope = (vals[idx + 1] - vals[idx]) / (t1 - t0)
                 icpt = vals[idx] - slope * t0
-            # int (icpt + slope*r) / r^{1+s} dr on [a, b], from l = log(b/a)
+            # icpt w0 + slope w1, w_k = int_a^b r^{k-1-s} dr, from l = log(b/a)
             l = math.log1p((b - a) / a) if b <= 2.0 * a else math.log(b / a)
             if s == 0.0:
-                lo, hi = l, b - a
+                w0, w1 = l, b - a
             else:
-                lo = a ** -s * -math.expm1(-s * l) / s
-                hi = b * b ** -s * -math.expm1((s - 1.0) * l) / (1.0 - s)
-            total += icpt * lo
-            total += slope * hi
-            size += (abs(icpt) + 2.0 * abs(slope * t0)) * lo + abs(slope) * hi
+                w0 = a ** -s * -math.expm1(-s * l) / s
+                w1 = b * b ** -s * -math.expm1((s - 1.0) * l) / (1.0 - s)
+            total += icpt * w0
+            total += slope * w1
+            size += (abs(icpt) + 2.0 * abs(slope * t0)) * w0 + abs(slope) * w1
+        # 17 units per piece, for the slope, intercept and w_k, and the sums
         return total, (17 + 2 * len(edges)) * _U * size
 
     def check_monotone(self, t_max=8.0, samples=512):
@@ -224,11 +235,6 @@ def power_transform(omega, exponent):
 # ---------------------------------------------------------------------------
 # The family's weighted primitive in closed form
 # ---------------------------------------------------------------------------
-
-#: Unit roundoff of double precision.  The closed forms bound their error by
-#: counting roundings in this unit, one ulp (two units) per libm call.
-_U = 2.0 ** -53
-
 
 def _family_primitive(b, p, X):
     """int_t^1 r^{b-1} log^{-p}(e/r) dr = int_0^X e^{-bx} (1+x)^{-p} dx for
@@ -287,8 +293,9 @@ def _exp_series(b, p, X):
     q_err = 6.0 * abs((1.0 - p) * y) + abs(log_q) + 2.0
     terms, size, weighted, n = [], 0.0, 0.0, 0
     while True:
-        z = (n + 1.0 - p) * y
-        g = -math.expm1(-z) / (n + 1.0 - p) if z else y
+        m = n + 1.0 - p
+        z = m * y
+        g = -math.expm1(-z) / m if z else y
         term = q * g
         terms.append(-term if b > 0.0 and n % 2 else term)
         size += term

@@ -150,6 +150,9 @@ def test_unknown_command_exits_with_usage_error():
         (("check-geometry", "--domain", "halfspace", "--d", "0"), "d >= 1"),
         (("check-geometry", "--depth", "nan"), "depth must be positive and finite"),
         (("check-geometry", "--depth", "inf"), "depth must be positive and finite"),
+        (("check-geometry", "--seed", "-1"), "seed must be >= 0"),
+        (("check-geometry", "--domain", "cusp", "--d", "2", "--seed", "-1"),
+         "seed must be >= 0"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv, message):

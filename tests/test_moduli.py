@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
+from fraclab import moduli
 from fraclab.moduli import (
     InvalidModulusError,
     ModulusFunction,
@@ -17,6 +19,7 @@ from fraclab.moduli import (
     seminorm_interior,
     sigma,
     stieltjes_integral,
+    weighted_integral,
 )
 from fraclab.exterior_data import constant_datum, halfline_modulus_datum
 from fraclab.quadrature import EvaluationReport
@@ -46,6 +49,8 @@ def _closed_form_cases():
                       for p in (0.0, 1.0, 2.0)]
     cases += [pytest.param(M.log_inverse(p), 0.0, id=f"log_inverse{p}-s0.0")
               for p in (0.5, 1.0, 2.0)]
+    cases += [pytest.param(M.power_log(a, p), s, id=f"power_log{a},{p}-s{s}")
+              for a, p, s in ((0.7, 1.0, 0.25), (0.0, 2.0, 0.5), (4.0, 0.5, 0.0))]
     return cases
 
 
@@ -128,6 +133,112 @@ class TestModulusFunction:
             lambda r: om(r) / r ** (1.0 + s), t, 1.0, points=knots or None,
             epsabs=1e-14, epsrel=1e-13)
         assert abs(closed - ref) <= 1e-12 * max(1.0, abs(ref)) + err
+
+
+#: The oracle grid's t: from deep inside to one ulp-scale step below 1.
+ORACLE_T = (1e-300, 1e-12, 1e-4, 0.05, 0.5, 0.999, 1 - 1e-8, 1 - 1e-12)
+NEAR_ONE_T = (0.999, 1 - 1e-8, 1 - 1e-12)
+
+
+def _family_reference(a, p, s, ts):
+    """mpmath.quad at 30 digits of int_t^1 r^{a-s-1} log^{-p}(e/r) dr =
+    int_0^X e^{-bx} (1+x)^{-p} dx, X = log(1/t) and b = a - s, for each t.
+
+    The integral is summed over the pieces between consecutive X.  Each piece
+    is written so that e^{-|b|y} decays from one of its ends, and is split at
+    y = (2^k - 1) min(1, 1/|b|) up to 80/|b|, beyond which the piece holds
+    less than e^{-80} of its size.
+    """
+    with mpmath.workdps(30):
+        b = mpmath.mpf(a) - mpmath.mpf(s)
+        c = abs(b)
+        step = min(1, 1 / c) if c else 1
+        xs = {t: -mpmath.log(mpmath.mpf(t)) for t in ts}
+        out, total, x0 = {}, mpmath.mpf(0), mpmath.mpf(0)
+        for t in sorted(ts, reverse=True):
+            x1 = xs[t]
+            o, d = (x0, 1) if b >= 0 else (x1, -1)
+            end = min(x1 - x0, 80 / c) if c else x1 - x0
+            pts = [mpmath.mpf(0)]
+            while pts[-1] < end:
+                pts.append(min(end, 2 * pts[-1] + step))
+            total += mpmath.exp(-b * o) * mpmath.quad(
+                lambda y: mpmath.exp(-c * y) * (1 + o + d * y) ** -p, pts,
+                method="gauss-legendre")
+            out[t], x0 = total, x1
+        return out
+
+
+def _table_reference(om, s, t):
+    """mpmath.quad at 30 digits of int_t^1 omega(r)/r^{1+s} dr for a table,
+    one piece between consecutive knots."""
+    with mpmath.workdps(30):
+        knots = [mpmath.mpf(k) for k in om.params["t"]]
+        vals = [mpmath.mpf(v) for v in om.params["v"]]
+
+        def omega(r):
+            if r >= knots[-1]:
+                return vals[-1]
+            j = max(i for i in range(len(knots)) if knots[i] <= r)
+            slope = (vals[j + 1] - vals[j]) / (knots[j + 1] - knots[j])
+            return vals[j] + slope * (r - knots[j])
+
+        edges = [mpmath.mpf(t)] + [k for k in knots if t < k < 1] + [1]
+        return mpmath.quad(lambda r: omega(r) * r ** (-1 - s), edges)
+
+
+def _assert_within_bound(rep, exact, case):
+    """The closed form's miss is within its error bound, which is at most
+    1e-11 of its value, and it took no evaluation."""
+    miss = abs(mpmath.mpf(rep.value) - exact)
+    assert miss <= rep.error_estimate, (case, rep, float(miss))
+    assert rep.error_estimate <= 1e-11 * abs(rep.value) + 1e-300, (case, rep)
+    assert rep.function_evals == 0, case
+
+
+class TestClosedFormErrors:
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.7, 1.5, 4.0])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_family_against_mpmath(self, a, p):
+        om = ModulusFunction.power_log(a, p)
+        for s in (0.0, 0.25, 0.5, 0.75):
+            exact = _family_reference(a, p, s, ORACLE_T)
+            for t in ORACLE_T:
+                _assert_within_bound(weighted_integral(om, s, t), exact[t],
+                                     (a, p, s, t))
+                if s:
+                    assert sigma(om, s, t).function_evals == 0
+
+    @pytest.mark.parametrize("om, s", CLOSED_FORM_CASES)
+    def test_near_one_against_mpmath(self, om, s):
+        # 1 - t^(a-s), log(1/t) and a^-s - b^-s formed directly lose digits
+        if om.kind == "table":
+            exact = {t: _table_reference(om, s, t) for t in NEAR_ONE_T}
+        elif om.kind == "zero":
+            exact = dict.fromkeys(NEAR_ONE_T, 0)
+        else:
+            exact = _family_reference(om.params["a"], om.params["p"], s,
+                                      NEAR_ONE_T)
+        for t in NEAR_ONE_T:
+            _assert_within_bound(weighted_integral(om, s, t), exact[t],
+                                 (om, s, t))
+
+    def test_only_custom_moduli_reach_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the adaptive driver was called")
+
+        monkeypatch.setattr(moduli, "integrate_1d", refuse)
+        M = ModulusFunction
+        closed = [M.power_log(a, p) for a in (0.0, 0.3, 0.7, 1.5, 4.0)
+                  for p in (0.0, 0.5, 1.0, 2.0, 3.0) if a or p]
+        closed += [M.zero(), M.table([[0.0, 0.0], [0.3, 0.2], [1.5, 0.9]])]
+        for om in closed:
+            for s in (0.25, 0.5, 0.75):
+                for t in (1e-12, 0.05, 0.5, 0.999, 3.0):
+                    assert sigma(om, s, t).function_evals == 0
+            dini_integral(om)
+        with pytest.raises(AssertionError, match="adaptive driver"):
+            sigma(M.custom(lambda t: np.asarray(t) ** 0.5), 0.5, 0.05)
 
 
 class TestDiniIntegral:
