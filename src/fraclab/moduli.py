@@ -280,32 +280,37 @@ def _exp_series(b, p, X):
     """int_1^U e^{-b(L-1)} L^{-p} dL for U = 1 + X, X > 0, as the series
     e^b sum_n (-b)^n/n! int_1^U L^{n-p} dL, with a bound on its error.
 
-    Term n is q_n g(n + 1 - p) with q_n = e^b U^{1-p} (|b|U)^n/n!, signed
-    (-1)^n for b > 0, and g(m) = (1 - U^-m)/m (log U at m = 0), so no factor
-    overflows where the sum is finite; for b < 0 every term is positive.
+    Term n, signed (-1)^n for b > 0, is c_n (U^m - 1)/m with c_n =
+    e^b |b|^n/n! and m = n + 1 - p, or log U at m = 0.  From the first
+    m >= 0 on it is q_n (1 - U^-m)/m with q_n = c_n U^m, so a term overflows
+    only where the sum nearly does; for b < 0 every term is positive.
     Since int_1^U L^{n+1-p} dL <= U int_1^U L^{n-p} dL, term n+1 is at most
     |b|U/(n+1) times term n, which bounds the tail left off.
     """
     y, bU = math.log1p(X), abs(b) * (1.0 + X)
-    log_q = b + (1.0 - p) * y
-    q = math.exp(log_q)
-    # units of error of q_0 and of each step; y has 4 units
-    q_err = 6.0 * abs((1.0 - p) * y) + abs(log_q) + 2.0
+    c, q = math.exp(b), None
     terms, size, weighted, n = [], 0.0, 0.0, 0
     while True:
         m = n + 1.0 - p
         z = m * y
-        g = -math.expm1(-z) / m if z else y
-        term = q * g
+        if m < 0.0:
+            term = c * math.expm1(z) / m
+        else:
+            if q is None:
+                q = c * math.exp(z)
+            term = q * (-math.expm1(-z) / m if z else y)
         terms.append(-term if b > 0.0 and n % 2 else term)
         size += term
-        weighted += term * (q_err + 6.0 * n + 13.0 + 6.0 * max(-z, 0.0))
+        # c_n and q_n gain at most 6 units a step; y has 4
+        weighted += term * (6.0 * (n + y) + 16.0)
         n += 1
         rho = bU / n
         tail = term * rho / (1.0 - rho) if rho < 1.0 else math.inf
         if tail <= _U * size:
             break
-        q *= bU / n
+        c *= abs(b) / n
+        if q is not None:
+            q *= bU / n
     value = math.fsum(terms)
     return value, _U * (weighted + abs(value)) + tail
 
@@ -346,8 +351,8 @@ def _taylor_at_zero(b, p, X):
 def _exp_tail(b, p, X):
     """int_U^inf e^{-b(L-1)} L^{-p} dL = U^{1-p} e^{-bX} e^{bU} E_p(bU) for
     U = 1 + X and bU >= 2, with a bound on its error: E_p by the modified
-    Lentz continued fraction (DLMF 8.19.17), whose rounding stays within
-    2k + 8 units after k steps."""
+    Lentz continued fraction (DLMF 8.19.17), charged 2k + 8 units after k
+    steps (against mpmath it erred by at most 22 units in up to 53 steps)."""
     x = b + b * X
     bk, c, d = x + p, math.inf, 1.0 / (x + p)
     cf, k = d, 0

@@ -223,6 +223,24 @@ class TestClosedFormErrors:
             _assert_within_bound(weighted_integral(om, s, t), exact[t],
                                  (om, s, t))
 
+    @pytest.mark.parametrize("a, p, s", [(0.0, 150.0, 0.5), (1.0, 150.0, 0.5),
+                                         (0.0, 30.0, 0.99)])
+    def test_steep_log_factor_against_mpmath(self, a, p, s):
+        # U^{1-p} alone underflows at t = 1e-300, and e^{(s-a)x} (1+x)^{-p}
+        # dips by hundreds of decades inside (0, X): split at 2^k from both
+        # ends
+        t = 1e-300
+        with mpmath.workdps(30):
+            x_end = -mpmath.log(mpmath.mpf(t))
+            pts = {mpmath.mpf(0), x_end}
+            for k in range(-4, 10):
+                pts |= {mpmath.mpf(2) ** k, x_end - mpmath.mpf(2) ** k}
+            exact = mpmath.quad(
+                lambda x: mpmath.exp((mpmath.mpf(s) - a) * x) * (1 + x) ** -p,
+                sorted(pts))
+        _assert_within_bound(weighted_integral(ModulusFunction.power_log(a, p),
+                                               s, t), exact, (a, p, s, t))
+
     def test_only_custom_moduli_reach_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the adaptive driver was called")
