@@ -240,32 +240,26 @@ def _family_primitive(b, p, X):
     """int_t^1 r^{b-1} log^{-p}(e/r) dr = int_0^X e^{-bx} (1+x)^{-p} dx for
     X = log(1/t) > 0 and p >= 0, with a bound on its error; b = a - s.
 
-    The edges b = 0 and p = 0 have elementary primitives, formed from X with
-    expm1 and log1p so that no digit is lost as t -> 1.  Otherwise, with
+    Every form is built from X with expm1 and log1p, so that no digit is
+    lost as t -> 1.  The edge p = 0 is elementary.  Otherwise, with
     U = 1 + X, the integral is the Taylor series of ``_taylor_at_zero`` for
-    b > 1 and (b + p)X <= 1, the series of ``_exp_series`` for b < 0 or
-    bU <= 3, and else the series up to U1 = max(1, 2/b) plus the difference
-    of the tails ``_exp_tail`` at U1 and U, of which the second is at most
-    e^{-2/3} times the first.  The bound also charges the rounding of
-    b = a - s, which moves the value by at most min(bX, 1) (b > 0) or |b|X
-    (b < 0) units of its size.
+    b > 1 and (b + p)X <= 1; the series of ``_exp_series`` for bU <= 3,
+    which covers b <= 0 and is the one term (U^{1-p} - 1)/(1 - p) at b = 0;
+    and else that series up to U1 = max(1, 2/b) plus the difference of the
+    tails ``_exp_tail`` at U1 and U, of which the second is at most e^{-2/3}
+    times the first.  The bound also charges the rounding of b = a - s,
+    which moves the value by at most min(bX, 1) (b > 0) or |b|X (b < 0)
+    units of its size.
     """
-    if b == 0.0:
-        if p == 0.0:
-            return X, 2.0 * _U * X
-        y = math.log1p(X)
-        if p == 1.0:
-            return y, 4.0 * _U * y
-        z = (1.0 - p) * y
-        value = math.expm1(z) / (1.0 - p)
-        return value, _U * (10.0 + 6.0 * max(z, 0.0)) * value
     if p == 0.0:
+        if b == 0.0:
+            return X, 2.0 * _U * X
         z = -b * X
         value = -math.expm1(z) / b
         err = _U * (6.0 + 3.0 * max(z, 0.0)) * value
     elif b > 1.0 and (b + p) * X <= 1.0:
         value, err = _taylor_at_zero(b, p, X)
-    elif b < 0.0 or b * (1.0 + X) <= 3.0:
+    elif b * (1.0 + X) <= 3.0:
         value, err = _exp_series(b, p, X)
     else:
         x1 = 2.0 / b - 1.0 if b < 2.0 else 0.0

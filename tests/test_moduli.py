@@ -135,7 +135,7 @@ class TestModulusFunction:
         assert abs(closed - ref) <= 1e-12 * max(1.0, abs(ref)) + err
 
 
-#: The oracle grid's t: from deep inside to one ulp-scale step below 1.
+#: The oracle grid's t, from deep inside to 1e-12 below 1.
 ORACLE_T = (1e-300, 1e-12, 1e-4, 0.05, 0.5, 0.999, 1 - 1e-8, 1 - 1e-12)
 NEAR_ONE_T = (0.999, 1 - 1e-8, 1 - 1e-12)
 
@@ -146,8 +146,8 @@ def _family_reference(a, p, s, ts):
 
     The integral is summed over the pieces between consecutive X.  Each piece
     is written so that e^{-|b|y} decays from one of its ends, and is split at
-    y = (2^k - 1) min(1, 1/|b|) up to 80/|b|, beyond which the piece holds
-    less than e^{-80} of its size.
+    y = (2^k - 1) min(1, 1/|b|) up to 80/|b|; for p <= 3 the rest of the
+    piece holds less than e^{-70} of it.
     """
     with mpmath.workdps(30):
         b = mpmath.mpf(a) - mpmath.mpf(s)
