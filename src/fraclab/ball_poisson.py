@@ -153,6 +153,12 @@ def solve(problem, x, spec=None):
     arrays, function_evals is the total over the batch and converged is
     False if any point's integral ends unconverged.  Every point is checked
     before any work.
+
+    A datum flagged ``axisymmetric`` takes the polar-only sphere rule at the
+    points on e1 (x = 0 included), and in d = 3 at every point.  At the
+    points on e1 the polar ends lie on the axis, and a declared
+    ``axis_exponent`` a maps the end panels of that rule (the
+    ``end_exponent`` of ``integrate_exterior_ball``).
     """
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
@@ -166,7 +172,11 @@ def solve(problem, x, spec=None):
     # Data symmetric about e1 are symmetric about the line through x when x
     # is on e1 (x = 0 included); d = 3 takes the polar-only rule at every x,
     # off the axis too, where it is wrong (the open axisym-offaxis defect).
+    # Only on e1 do the polar ends lie on the axis, where g ~ |y'|^a.
     on_axis = ~np.atleast_2d(x)[:, 1:].any(axis=1)
+    exponents = None
+    if g.axisymmetric and g.axis_exponent is not None and on_axis.any():
+        exponents = np.where(on_axis, g.axis_exponent, np.nan)
     rep = integrate_exterior_ball(
         F,
         x,
@@ -176,6 +186,7 @@ def solve(problem, x, spec=None):
         support_radius=g.support_radius,
         decay_exponent=decay,
         axisymmetric=g.axisymmetric & ((kernel.d == 3) | on_axis),
+        end_exponent=exponents,
     )
     return rep if many else _first(rep)
 

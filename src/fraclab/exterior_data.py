@@ -48,7 +48,9 @@ class ExteriorDatum:
     ``axisymmetric`` declares g symmetric about the e1 axis: g(y) depends on
     y_1 and |y'| only, y = (y_1, y').  The solver takes the polar-only
     sphere rule where that makes g symmetric about the line through the
-    evaluation point.
+    evaluation point.  ``axis_exponent`` declares g = |y'|^a h(y) near the
+    e1 axis with h smooth and 0 < a < 1 (None: no such power): the solver
+    then maps the ends of that polar rule, which lie on the axis.
     """
 
     eval: object
@@ -58,6 +60,7 @@ class ExteriorDatum:
     boundary_bound: float
     modulus: ModulusFunction | None = None
     axisymmetric: bool = False
+    axis_exponent: float | None = None
     radial_breakpoints: tuple = ()
     label: str = "datum"
     _oscillation: object = None
@@ -123,7 +126,8 @@ def transverse_modulus_datum(omega, d):
     Vanishes at e_1, is smooth along rays for smooth omega, and has the
     closed-form oscillation profile xi(t) = omega(t) about e_1 for
     t <= sqrt(15) (the largest transverse offset reachable inside the
-    cutoff's plateau).
+    cutoff's plateau).  For omega = t^a with 0 < a < 1 it declares a as its
+    axis exponent.
     """
     if d < 2:
         raise DimensionError("transverse datum needs d >= 2")
@@ -159,6 +163,7 @@ def transverse_modulus_datum(omega, d):
 
     kinks = tuple(math.sqrt(1.0 + k**2) for k in omega.knots
                   if 0.0 < k < eta.support_radius)
+    a = omega.power_exponent
     return ExteriorDatum(
         eval=g,
         dimension=d,
@@ -167,6 +172,7 @@ def transverse_modulus_datum(omega, d):
         boundary_bound=float(omega(1.0)),
         modulus=omega,
         axisymmetric=True,
+        axis_exponent=a if a is not None and 0.0 < a < 1.0 else None,
         radial_breakpoints=(eta.plateau_end, eta.support_radius) + kinks,
         label=f"transverse[{omega.label}]",
         _oscillation=oscillation,

@@ -55,8 +55,8 @@ class ModulusFunction:
     Kinds: ``zero``, ``table``, ``custom`` and the family ``power_log``
     (see the module docstring).  ``weighted_primitive(t, s)`` is
     int_t^1 omega(r)/r^{1+s} dr in closed form for 0 <= s < 1; every kind
-    but ``custom`` has one.  Other modules read ``knots`` and
-    ``times_power``.
+    but ``custom`` has one.  Other modules read ``knots``,
+    ``power_exponent`` and ``times_power``.
     """
 
     def __init__(self, kind, params, label):
@@ -116,6 +116,13 @@ class ModulusFunction:
     def knots(self):
         """Where the modulus kinks: a table's abscissae, else none."""
         return self.params["t"] if self.kind == "table" else ()
+
+    @property
+    def power_exponent(self):
+        """a when the modulus is the pure power t^a (``power_log(a, 0)``),
+        else None: a log factor, a table, ``custom`` or ``zero``."""
+        k, p = self.kind, self.params
+        return p["a"] if k == "power_log" and p["p"] == 0 else None
 
     def times_power(self, s):
         """The modulus t^s omega(t), s > 0; a family member when omega is."""

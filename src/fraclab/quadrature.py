@@ -6,8 +6,10 @@ q^{-s} of the offset q from the singular end analytically (the boundary
 weight (rho^2-1)^{-s} of the Poisson kernel, the r^{1-2s} of the stable
 operator), an unbounded-domain map, one routine for integrals over spheres
 in every d (``sphere_integrals``, a polar recursion down to the mirror pair
-S^0), and the sphere-times-radius rule over the exterior of the unit ball in
-every d, which calls it in a frame along each integral's evaluation point.
+S^0, whose top level maps its end panels for a declared power phi^a at the
+polar ends), and the sphere-times-radius rule over the exterior of the unit
+ball in every d, which calls it in a frame along each integral's evaluation
+point.
 
 Every rule computes a batch of k integrals in one adaptive pool, and one
 integral is the batch of one: k is read from the per-integral inputs (the
@@ -415,8 +417,39 @@ def _sphere_area(d):
     return 2.0 * np.pi / (d - 2) * _sphere_area(d - 2)
 
 
+def _end_map(u, first, last):
+    """The polar angle phi and d phi/du at u in (0, pi): phi = u^2/first on
+    the end panel (0, first), its mirror image pi - (pi - u)^2/(pi - last)
+    on (last, pi), and phi = u in between, per point.  A power phi^a at an
+    end becomes v^{2a+1} in the panel's own variable v = u/first (or its
+    mirror), and the panel ends stay where they are.  With first = last
+    the map covers (0, pi), continuously differentiable at first."""
+    phi, jac = u.copy(), np.ones(u.shape)
+    lo, hi = u <= first, u > last
+    v, c = u[lo], first[lo]
+    phi[lo], jac[lo] = v * v / c, 2.0 * v / c
+    w, c = np.pi - u[hi], np.pi - last[hi]
+    phi[hi], jac[hi] = np.pi - w * w / c, 2.0 * w / c
+    return phi, jac
+
+
+def _end_panels(partitions, declared):
+    """(first, last) per radius: the first and last interior points of its
+    row of ``partitions`` (None: (0, pi)), both pi/2 for a row without one,
+    and 0 and pi, where ``_end_map`` is the identity, for a radius not
+    ``declared``."""
+    parts = (np.tile([0.0, np.pi], (declared.size, 1)) if partitions is None
+             else np.asarray(partitions, dtype=float))
+    inner = (parts > 0.0) & (parts < np.pi)
+    first = np.min(parts, axis=1, where=inner, initial=np.pi)
+    last = np.max(parts, axis=1, where=inner, initial=0.0)
+    whole = ~inner.any(axis=1)
+    first[whole] = last[whole] = 0.5 * np.pi
+    return np.where(declared, first, 0.0), np.where(declared, last, np.pi)
+
+
 def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
-                     abs_tol=None):
+                     abs_tol=None, end_exponent=None):
     """Integrals over the unit sphere S^{d-1} of theta -> g(radii[i] theta).
 
     ``frame`` is an orthonormal basis of R^d, the rows of a (d, d) array, for
@@ -429,7 +462,15 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
     summed.  The top polar level runs over the rows ``partitions[i]`` of
     (0, pi) of a 2-D array (None: (0, pi) for every radius) under ``rule``,
     with the absolute tolerance ``abs_tol``, one for all radii or one per
-    radius (None: ``rule.abs_tol``).  Each nested level runs over (0, pi) as
+    radius (None: ``rule.abs_tol``).  ``end_exponent`` is None, or one value
+    for all radii or one per radius, NaN for none: a value a in (0, 1)
+    declares g = |y'|^a h near the line of frame[0], y' the part of y
+    normal to it and h smooth, so that the top level's integrand carries
+    phi^a and (pi - phi)^a at its ends; that radius's end panels (0, phi_1)
+    and (phi_N, pi), phi_1 and phi_N the first and last interior points of
+    its partition (pi/2 both, if it has none), then take the quadratic map
+    of ``_end_map``.  Each nested
+    level runs over (0, pi) as
     one batch under ``_inner_rule`` of its parent's rule, a nested S^{m-1}
     at polar angle phi of its parent S^m taking as its abs_tol the ``tol``
     its parent's rule hands that point over the weight sin^{m-1} phi.
@@ -447,6 +488,14 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
     frame = np.asarray(frame, dtype=float)
     d = frame.shape[-1]
     flat = np.asarray(axisymmetric, dtype=bool)
+    ends = None
+    if end_exponent is not None:
+        a = np.broadcast_to(np.asarray(end_exponent, dtype=float), radii.shape)
+        declared = ~np.isnan(a)
+        if not ((a[declared] > 0.0) & (a[declared] < 1.0)).all():
+            raise QuadratureError("end exponents must lie in (0, 1)")
+        if declared.any():
+            ends = _end_panels(partitions, declared)
     rules = [rule]
     while len(rules) < d - 1:
         rules.append(_inner_rule(rules[-1]))
@@ -507,10 +556,15 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
                     a[sel] = v
             return EvaluationReport(*out, all(rep.converged for _, rep in parts))
 
+        def mapped(u, j, tol):
+            phi, jac = _end_map(u, ends[0][j], ends[1][j])
+            return polar(phi, j, tol / jac) * jac
+
         parts = (partitions if k == 0 and partitions is not None
                  else np.tile([0.0, np.pi], (scale.size, 1)))
         return EvaluationReport(*_adaptive(
-            polar, parts, rules[k].rel_tol, abs_tol, rules[k].max_subdivisions
+            mapped if k == 0 and ends is not None else polar, parts,
+            rules[k].rel_tol, abs_tol, rules[k].max_subdivisions
         ))
 
     tol = np.full(radii.shape, rule.abs_tol if abs_tol is None else abs_tol)
@@ -527,6 +581,7 @@ def integrate_exterior_ball(
     decay_exponent=None,
     angular_breakpoints=None,
     axisymmetric=False,
+    end_exponent=None,
 ):
     """Integrate k integrands F_i over the exterior of the unit ball in R^d.
 
@@ -554,7 +609,14 @@ def integrate_exterior_ball(
     about the line through 0 and x_i (about the e1 axis, the frame's first
     vector, when x_i = 0), and the sphere rule of that integral stops after
     the polar level in every d >= 2 (in d = 2 one point of each mirror pair).
-    The caller decides; the rule does not check the symmetry.
+    ``end_exponent`` is None, or one value for all integrals or one per
+    integral, NaN for none: a in (0, 1) declares F_i = |y'|^a (smooth) near
+    the line of the polar ends, y' the part of y normal to x_i (to e1 at
+    x_i = 0), and the polar level maps its two end panels, from 0 to the
+    first cut and from the last cut to pi, by phi = phi_1 v^2 and its mirror
+    image (see ``sphere_integrals``); the cuts stay where they are.  The
+    caller decides; the rule checks neither the symmetry nor the power,
+    only that a lies in (0, 1).
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -593,6 +655,8 @@ def integrate_exterior_ball(
     flags = np.broadcast_to(np.asarray(axisymmetric, dtype=bool), (k,))
     # One flag for all integrals spares sphere_integrals a per-row split.
     polar_only = flags.all() if flags.all() or not flags.any() else flags
+    if end_exponent is not None:
+        end_exponent = np.broadcast_to(np.asarray(end_exponent, dtype=float), (k,))
     inner = _inner_rule(spec)
 
     def polar_partitions(q, ids):
@@ -618,7 +682,7 @@ def integrate_exterior_ball(
             frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
             polar_only if polar_only.ndim == 0 else polar_only[ids],
-            tol / area,
+            tol / area, None if end_exponent is None else end_exponent[ids],
         ) * area
 
     # Radial decomposition: a singular-substituted near part graded toward

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc
+from scipy.special import beta, betainc
 
 from fraclab import ball_poisson, quadrature
 
@@ -22,6 +22,7 @@ from fraclab.ball_poisson import (
     solve_vt,
 )
 from fraclab.exterior_data import (
+    CutoffFunction,
     ExteriorDatum,
     constant_datum,
     halfline_modulus_datum,
@@ -335,8 +336,9 @@ class TestAxisShortcut:
         assert repr(flagged) == repr(full)
 
     @pytest.mark.parametrize("x, report", [
-        # 3.7e-10 from the rel_tol 1e-10 solve 0.8718087059154749
-        ((0.5, 0.0, 0.0), (0.8718087055496828, 7.901382684788976e-08, 8355)),
+        # 2.0e-13 from the rel_tol 1e-10 solve 0.8718087059154749 without
+        # the end map (8355 evals without it)
+        ((0.5, 0.0, 0.0), (0.8718087059156703, 2.827793077615231e-08, 2655)),
         # the open axisym-offaxis defect: the reference is 0.94268852503;
         # 3.6e-7 (2.2 times the estimate) from the rel_tol 1e-10 solve
         # 0.7664556544517235 of the same polar-only integral
@@ -348,6 +350,75 @@ class TestAxisShortcut:
         rep = solve(problem, x, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
         assert (rep.value, rep.error_estimate, rep.function_evals) == report
         assert rep.converged
+
+
+class TestAxisExponent:
+    # The transverse datum omega(|y'|) eta(|y|) with omega = t^a declares a:
+    # on e1 the polar ends lie on the axis, and the rule maps its end panels.
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
+
+    @staticmethod
+    def _at_origin(d, s, a):
+        """u(0) = c_{d,s} |S^{d-2}| B(1/2, (a+d-1)/2)
+        int_1^4.5 (rho^2-1)^{-s} rho^{a-1} eta(rho) d rho, by QUADPACK with
+        the algebraic weight at rho = 1 and a break at the cutoff's plateau
+        end 4."""
+        eta = CutoffFunction()
+        near = quad(lambda r: (r + 1.0) ** -s * r ** (a - 1.0), 1.0, 4.0,
+                    weight="alg", wvar=(-s, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+        far = quad(lambda r: (r * r - 1.0) ** -s * r ** (a - 1.0) * eta(r),
+                   4.0, 4.5, epsabs=0.0, epsrel=1e-13)[0]
+        return (PoissonKernel(d, s).normalization * quadrature._sphere_area(d - 1)
+                * beta(0.5, 0.5 * (a + d - 1)) * (near + far))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_origin_matches_its_closed_form(self, d, s, a):
+        datum = transverse_modulus_datum(ModulusFunction.power(a), d)
+        assert datum.axis_exponent == a
+        rep = solve(BallProblem(PoissonKernel(d, s), datum), np.zeros(d), self.spec)
+        assert rep.converged
+        assert abs(rep.value - self._at_origin(d, s, a)) <= rep.error_estimate
+
+    def test_closed_form_at_one_case(self):
+        # mpmath.quad at 30 digits, with rho = 1 + v^2, gives
+        # 0.799386324946120982843
+        assert abs(self._at_origin(2, 0.5, 0.5) - 0.799386324946121) <= 2e-15
+
+    def test_a_log_modulus_declares_no_exponent(self):
+        # omega = log^{-1}(e/t) is no power of t: the rule maps no end, and
+        # the solve at 0 stays within its estimate of the mpmath value.
+        datum = transverse_modulus_datum(ModulusFunction.power_log(0.0, 1.0), 2)
+        assert datum.axis_exponent is None
+        rep = solve(BallProblem(PoissonKernel(2, 0.5), datum), [0.0, 0.0],
+                    self.spec)
+        assert rep.converged
+        assert abs(rep.value - 0.675411209705380) <= rep.error_estimate
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_map_keeps_the_values_of_the_unmapped_rule(self, d):
+        # The sweep grid t = 0, 0.9, ..., 0.9999 on both sides of 0: the same
+        # datum with and without its exponent agrees within the summed
+        # estimates, u(t e1) and u(-t e1) have the same bits, and in d = 2
+        # the exponent cuts the evaluations at least threefold.
+        t = np.array([0.0, 0.9, 0.99, 0.999, 0.9999])
+        x = np.zeros((10, d))
+        x[:5, 0], x[5:, 0] = t, -t
+        datum = transverse_modulus_datum(ModulusFunction.power(0.5), d)
+        kernel = PoissonKernel(d, 0.5)
+        mapped = solve(BallProblem(kernel, datum), x, self.spec)
+        plain = solve(BallProblem(kernel, dataclasses.replace(
+            datum, axis_exponent=None)), x, self.spec)
+        assert mapped.converged and plain.converged
+        assert np.all(np.abs(mapped.value - plain.value)
+                      <= mapped.error_estimate + plain.error_estimate)
+        for rep in (mapped, plain):
+            assert np.array_equal(rep.value[:5], rep.value[5:])
+            assert np.array_equal(rep.error_estimate[:5], rep.error_estimate[5:])
+        if d == 2:
+            assert 3 * mapped.function_evals <= plain.function_evals
+        assert mapped.function_evals < plain.function_evals
 
 
 def _many_points(d):

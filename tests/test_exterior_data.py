@@ -186,6 +186,21 @@ def test_table_knots_become_kink_radii():
     assert halfline_modulus_datum(power).radial_breakpoints == (3.0,)
 
 
+@pytest.mark.parametrize("omega, a", [
+    (ModulusFunction.power(0.25), 0.25),
+    (ModulusFunction.power(0.5), 0.5),
+    (ModulusFunction.power(1.0), None),
+    (ModulusFunction.power(1.5), None),
+    (ModulusFunction.power_log(0.5, 1.0), None),
+    (ModulusFunction.log_inverse(1.0), None),
+    (ModulusFunction.table([[0.0, 0.0], [1.0, 1.0]]), None),
+    (ModulusFunction.custom(np.sqrt), None),
+    (ModulusFunction.zero(), None),
+])
+def test_axis_exponent_is_a_pure_power_below_one(omega, a):
+    assert transverse_modulus_datum(omega, 2).axis_exponent == a
+
+
 class TestNonDiniDatum:
     def test_log_arithmetic(self):
         # omega(0.01) = 0.1 / log(100 e) for iota = log^{-1}(e/t), s = 0.5
@@ -209,6 +224,13 @@ class TestNonDiniDatum:
             ref, err = scipy.integrate.quad(
                 lambda r: om(r) / r**1.5, t, 1.0, epsabs=1e-14, epsrel=1e-13)
             assert abs(closed - ref) <= 1e-12 * max(1.0, abs(ref)) + err
+
+    def test_axis_exponent_in_d_at_least_two(self):
+        # omega = t^{0.3+s}, declared below 1 in d >= 2 only
+        assert non_dini_datum(ModulusFunction.power(0.3), 0.5, 3).axis_exponent == 0.3 + 0.5
+        assert non_dini_datum(ModulusFunction.power(0.3), 0.5, 1).axis_exponent is None
+        assert non_dini_datum(ModulusFunction.power(0.5), 0.5, 2).axis_exponent is None
+        assert non_dini_datum(ModulusFunction.log_inverse(1.0), 0.5, 2).axis_exponent is None
 
     def test_membership_with_its_own_modulus(self):
         g = non_dini_datum(ModulusFunction.log_inverse(1.0), 0.5, 2)

@@ -116,6 +116,15 @@ class TestModulusFunction:
         with pytest.raises(InvalidModulusError):
             ModulusFunction.power_log(a, p)
 
+    def test_power_exponent_is_that_of_a_pure_power(self):
+        assert ModulusFunction.power(0.5).power_exponent == 0.5
+        assert ModulusFunction.power_log(1.5, 0.0).power_exponent == 1.5
+        for om in (ModulusFunction.power_log(0.5, 1.0),
+                   ModulusFunction.log_inverse(1.0),
+                   ModulusFunction.table([[0.0, 0.0], [1.0, 1.0]]),
+                   ModulusFunction.custom(np.sqrt), ModulusFunction.zero()):
+            assert om.power_exponent is None, om
+
     def test_power_transform_on_closed_forms(self):
         om = power_transform(ModulusFunction.log_inverse(1.0), 1.5)
         assert (om.params["a"], om.params["p"]) == (0.0, 1.5)

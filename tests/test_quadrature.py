@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from fraclab import quadrature
@@ -666,6 +667,46 @@ class TestSphereIntegrals:
         assert np.array_equal(part.value, full.value[order])
         assert np.array_equal(part.error_estimate, full.error_estimate[order])
         assert np.array_equal(part.function_evals, full.function_evals[order])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_end_map_resolves_a_power_at_the_polar_ends(self, d, a, rng):
+        # g = |y'|^a with y' the part of y normal to frame[0]: its integral
+        # is r^a |S^{d-2}| B(1/2, (a+d-1)/2).  Radius 0.5 has the interior
+        # cuts 0.1, 1 and 3, radius 2 none (the halves of (0, pi) are mapped).
+        frame = np.array(_random_frame(rng, d))
+        radii = np.array([0.5, 2.0])
+        parts = np.array([[0.0, 0.1, 1.0, 3.0, np.pi], [0.0] + [np.pi] * 4])
+        rule = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+        def g(y, ids):
+            return np.linalg.norm(y @ frame[1:].T, axis=1) ** a
+
+        exact = (radii**a * quadrature._sphere_area(d - 1)
+                 * scipy.special.beta(0.5, 0.5 * (a + d - 1)))
+
+        def call(rows, end_exponent):
+            return sphere_integrals(g, frame, radii[rows], parts[rows], rule,
+                                    True, end_exponent=end_exponent)
+
+        mapped, plain = call([0, 1], a), call([0, 1], None)
+        assert mapped.converged
+        assert np.all(np.abs(mapped.value - exact)
+                      <= mapped.error_estimate + 1e-13 * exact)
+        assert np.all(mapped.function_evals < plain.function_evals)
+        # one exponent per radius: NaN is the unmapped rule, bit for bit
+        mixed = call([0, 1], [a, np.nan])
+        for i, rep in enumerate((call([0], a), call([1], None))):
+            assert mixed.value[i] == rep.value[0]
+            assert mixed.error_estimate[i] == rep.error_estimate[0]
+            assert mixed.function_evals[i] == rep.function_evals[0]
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, np.inf])
+    def test_end_exponents_outside_zero_one_are_rejected(self, a):
+        with pytest.raises(QuadratureError, match="end exponents"):
+            sphere_integrals(lambda y, ids: np.ones(len(y)), np.eye(2),
+                             np.array([1.0]), None, QuadratureSpec(),
+                             end_exponent=a)
 
 
 class TestExteriorBall:
