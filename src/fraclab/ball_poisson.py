@@ -122,8 +122,9 @@ class BallProblem:
 def _kernel_integrand(kernel, x, weight_fn=None):
     """Exterior integrand P(x, .) [* weight], using the exact boundary offset
     channel to avoid cancellation in |y|^2 - 1 near the sphere.  x is one
-    point of shape (d,), or one per integral of shape (k, d), indexed by
-    the ids of ``integrate_exterior_ball``; they are passed on to
+    point of shape (d,) or (1, d), broadcast to every row, or one per
+    integral of shape (k, d), indexed by the ids of
+    ``integrate_exterior_ball``; they are passed on to
     ``weight_fn(points, ids)``."""
     xs = np.atleast_2d(x)
     nx = np.array([np.linalg.norm(p) for p in xs])
@@ -131,7 +132,7 @@ def _kernel_integrand(kernel, x, weight_fn=None):
     s, d, c = kernel.s, kernel.d, kernel.normalization
 
     def F(points, norm2m1, ids):
-        j = 0 if x.ndim == 1 else ids
+        j = 0 if len(xs) == 1 else ids
         diff = points - xs[j]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         vals = (
@@ -147,10 +148,10 @@ def _kernel_integrand(kernel, x, weight_fn=None):
 def solve(problem, x, spec=None):
     """u(x) = int_{|y|>1} P(x, y) g(y) dy with an estimated error.
 
-    x is one point, or an (n, d) array of n points: these are solved in one
-    batched exterior integral, in which each point returns exactly what it
+    x is one point, or an (n, d) array of n points: these are solved in
+    batched exterior integrals, in which each point returns exactly what it
     returns alone, and the report's value and error_estimate are length-n
-    arrays, function_evals is the total over the batch and converged is
+    arrays, function_evals is the total over the points and converged is
     False if any point's integral ends unconverged.  Every point is checked
     before any work.
 
@@ -158,13 +159,15 @@ def solve(problem, x, spec=None):
     points on e1 (x = 0 included), and in d = 3 at every point.  At the
     points on e1 the polar ends lie on the axis, and a declared
     ``axis_exponent`` a maps the end panels of that rule (the
-    ``end_exponent`` of ``integrate_exterior_ball``).
+    ``end_exponent`` of ``integrate_exterior_ball``).  The points under one
+    declaration are one ``integrate_exterior_ball`` call: at most two calls,
+    for the points on e1 and those off it.
     """
     spec = spec or QuadratureSpec()
     kernel, g = problem.kernel, problem.datum
     many = np.ndim(x) == 2
-    x = _interior_points(kernel, x) if many else _interior_point(kernel, x)
-    F = _kernel_integrand(kernel, x, weight_fn=lambda points, ids: g(points))
+    points = (_interior_points(kernel, x) if many
+              else _interior_point(kernel, x)[None, :])
     decay = None
     if g.support_radius is None:
         # rho^{d-1} x kernel ~ rho^{-1-2s+growth} after the angular average
@@ -173,21 +176,24 @@ def solve(problem, x, spec=None):
     # is on e1 (x = 0 included); d = 3 takes the polar-only rule at every x,
     # off the axis too, where it is wrong (the open axisym-offaxis defect).
     # Only on e1 do the polar ends lie on the axis, where g ~ |y'|^a.
-    on_axis = ~np.atleast_2d(x)[:, 1:].any(axis=1)
-    exponents = None
-    if g.axisymmetric and g.axis_exponent is not None and on_axis.any():
-        exponents = np.where(on_axis, g.axis_exponent, np.nan)
-    rep = integrate_exterior_ball(
-        F,
-        x,
-        kernel.s,
-        spec,
-        [g.radial_breakpoints] * (len(x) if many else 1),
-        support_radius=g.support_radius,
-        decay_exponent=decay,
-        axisymmetric=g.axisymmetric & ((kernel.d == 3) | on_axis),
-        end_exponent=exponents,
-    )
+    groups = {}
+    for i, on_axis in enumerate((~points[:, 1:].any(axis=1)).tolist()):
+        polar = bool(g.axisymmetric) and (on_axis or kernel.d == 3)
+        exponent = g.axis_exponent if polar and on_axis else None
+        groups.setdefault((polar, exponent), []).append(i)
+    value, error = np.empty(len(points)), np.empty(len(points))
+    evals, converged = 0, True
+    for (polar, exponent), rows in groups.items():
+        xs = points[rows]
+        rep = integrate_exterior_ball(
+            _kernel_integrand(kernel, xs, weight_fn=lambda pts, ids: g(pts)),
+            xs, kernel.s, spec, [g.radial_breakpoints] * len(rows),
+            support_radius=g.support_radius, decay_exponent=decay,
+            axisymmetric=polar, end_exponent=exponent)
+        value[rows], error[rows] = rep.value, rep.error_estimate
+        evals += rep.function_evals
+        converged = converged and rep.converged
+    rep = EvaluationReport(value, error, evals, converged)
     return rep if many else _first(rep)
 
 

@@ -217,8 +217,8 @@ class ModulusFunction:
         # 17 units per piece, for the slope, intercept and w_k, and the sums
         return total, (17 + 2 * len(edges)) * _U * size
 
-    def check_monotone(self, t_max=8.0, samples=512):
-        t = np.concatenate([[0.0], np.geomspace(1e-12, t_max, samples)])
+    def check_monotone(self, t_max=8.0):
+        t = np.concatenate([[0.0], np.geomspace(1e-12, t_max, 512)])
         v = self(t)
         if not np.all(np.isfinite(v)):
             raise InvalidModulusError("modulus is not finite on [0, 8]")
@@ -669,17 +669,17 @@ def _pairwise_max(values, denominators):
     return float(ratios.max())
 
 
-def seminorm_ext(g, omega, sample_pairs=20000, seed=0, max_radius=None):
+def seminorm_ext(g, omega, sample_pairs=20000, seed=0):
     """Sampled exterior seminorm sup |g(y)-g(z)| / omega(|y-z| + d_y + d_z).
 
-    Samples are stratified toward the unit sphere (radii 1 + 10^{-k}); the
+    Samples are stratified toward the unit sphere (radii 1 + 10^{-k}) and
+    reach one past the datum's support radius (radius 8 without one); the
     result is a lower bound, attained by one sampled pair.
     """
     rng = np.random.default_rng(seed)
     d = g.dimension
     n = max(8, int(math.isqrt(2 * sample_pairs)) + 1)
-    if max_radius is None:
-        max_radius = g.support_radius + 1.0 if g.support_radius else 8.0
+    max_radius = g.support_radius + 1.0 if g.support_radius else 8.0
     shell_radii = 1.0 + np.concatenate([
         10.0 ** (-np.arange(0.0, 7.0, 0.5)),
         np.linspace(0.05, max_radius - 1.0, 12),

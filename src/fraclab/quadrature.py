@@ -433,22 +433,21 @@ def _end_map(u, first, last):
     return phi, jac
 
 
-def _end_panels(partitions, declared):
+def _end_panels(partitions, n):
     """(first, last) per radius: the first and last interior points of its
-    row of ``partitions`` (None: (0, pi)), both pi/2 for a row without one,
-    and 0 and pi, where ``_end_map`` is the identity, for a radius not
-    ``declared``."""
-    parts = (np.tile([0.0, np.pi], (declared.size, 1)) if partitions is None
+    row of ``partitions`` (None: (0, pi) for each of the n radii), both pi/2
+    for a row without one."""
+    parts = (np.tile([0.0, np.pi], (n, 1)) if partitions is None
              else np.asarray(partitions, dtype=float))
     inner = (parts > 0.0) & (parts < np.pi)
     first = np.min(parts, axis=1, where=inner, initial=np.pi)
     last = np.max(parts, axis=1, where=inner, initial=0.0)
     whole = ~inner.any(axis=1)
     first[whole] = last[whole] = 0.5 * np.pi
-    return np.where(declared, first, 0.0), np.where(declared, last, np.pi)
+    return first, last
 
 
-def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
+def sphere_integrals(g, frame, radii, partitions, rule, *, axisymmetric=False,
                      abs_tol=None, end_exponent=None):
     """Integrals over the unit sphere S^{d-1} of theta -> g(radii[i] theta).
 
@@ -462,22 +461,22 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
     summed.  The top polar level runs over the rows ``partitions[i]`` of
     (0, pi) of a 2-D array (None: (0, pi) for every radius) under ``rule``,
     with the absolute tolerance ``abs_tol``, one for all radii or one per
-    radius (None: ``rule.abs_tol``).  ``end_exponent`` is None, or one value
-    for all radii or one per radius, NaN for none: a value a in (0, 1)
-    declares g = |y'|^a h near the line of frame[0], y' the part of y
-    normal to it and h smooth, so that the top level's integrand carries
-    phi^a and (pi - phi)^a at its ends; that radius's end panels (0, phi_1)
-    and (phi_N, pi), phi_1 and phi_N the first and last interior points of
-    its partition (pi/2 both, if it has none), then take the quadratic map
-    of ``_end_map``.  Each nested
-    level runs over (0, pi) as
+    radius (None: ``rule.abs_tol``).  Each nested level runs over (0, pi) as
     one batch under ``_inner_rule`` of its parent's rule, a nested S^{m-1}
     at polar angle phi of its parent S^m taking as its abs_tol the ``tol``
     its parent's rule hands that point over the weight sin^{m-1} phi.
-    ``axisymmetric`` is one bool for all radii or one per radius: the
-    integral of a radius flagged True (g symmetric about the line of its
-    frame[0]) stops after the top level, each nested sphere contributing its
-    area times g at one point.
+
+    Two keyword-only declarations hold for every radius of the call.
+    ``axisymmetric`` True declares g symmetric about the line of frame[0]:
+    the integrals then stop after the top level, each nested sphere
+    contributing its area times g at one point.  ``end_exponent`` a in
+    (0, 1) declares g = |y'|^a h near that line, y' the part of y normal to
+    it and h smooth, so that the top level's integrand carries phi^a and
+    (pi - phi)^a at its ends; each radius's end panels (0, phi_1) and
+    (phi_N, pi), phi_1 and phi_N the first and last interior points of its
+    partition (pi/2 both, if it has none), then take the quadratic map of
+    ``_end_map``.  A caller with radii under different declarations makes
+    one call per declaration.
 
     Returns one report per radius (in d = 1 the pair sum, with no rule):
     value, error_estimate and function_evals (the rows handed to g, or the
@@ -487,15 +486,11 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
     """
     frame = np.asarray(frame, dtype=float)
     d = frame.shape[-1]
-    flat = np.asarray(axisymmetric, dtype=bool)
     ends = None
     if end_exponent is not None:
-        a = np.broadcast_to(np.asarray(end_exponent, dtype=float), radii.shape)
-        declared = ~np.isnan(a)
-        if not ((a[declared] > 0.0) & (a[declared] < 1.0)).all():
+        if not 0.0 < float(end_exponent) < 1.0:
             raise QuadratureError("end exponents must lie in (0, 1)")
-        if declared.any():
-            ends = _end_panels(partitions, declared)
+        ends = _end_panels(partitions, radii.size)
     rules = [rule]
     while len(rules) < d - 1:
         rules.append(_inner_rule(rules[-1]))
@@ -525,13 +520,14 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
             return folded(base, scale[:, None] * axis(k, ids), ids)
         m = d - 1 - k  # the sphere is S^m
 
-        def ring(phi, j, tol, axisym):
+        def ring(phi, j, tol):
             # The nested spheres S^{m-1} at polar angles phi, times sin^{m-1}.
             radius, sin = scale[j], np.sin(phi)
             axial = (radius * np.cos(phi))[:, None] * axis(k, ids[j])
             b = axial if base is None else base[j] + axial
             t = radius * sin
-            if axisym:
+            if axisymmetric:
+                # Only the top level runs: a declared sphere never recurses.
                 w = _sphere_area(m) * sin ** (m - 1)
                 return g(b + t[:, None] * axis(k + 1, ids[j]), ids[j]) * w
             if m == 1:
@@ -539,31 +535,14 @@ def sphere_integrals(g, frame, radii, partitions, rule, axisymmetric=False,
             w = sin ** (m - 1)
             return level(k + 1, b, t, ids[j], tol / w, level) * w
 
-        def polar(phi, j, tol):
-            # Only the top level sees flagged radii: theirs never recurse.
-            if not flat.ndim:
-                return ring(phi, j, tol, flat)
-            axisym = flat[ids[j]]
-            if axisym.all() or not axisym.any():
-                return ring(phi, j, tol, axisym[0])
-            parts = [(sel, _as_report(ring(phi[sel], j[sel], tol[sel], flag)))
-                     for flag, sel in ((True, axisym), (False, ~axisym))]
-            out = [np.empty(phi.shape), np.empty(phi.shape),
-                   np.empty(phi.shape, dtype=int)]
-            for sel, rep in parts:
-                for a, v in zip(out, (rep.value, rep.error_estimate,
-                                      rep.function_evals)):
-                    a[sel] = v
-            return EvaluationReport(*out, all(rep.converged for _, rep in parts))
-
         def mapped(u, j, tol):
             phi, jac = _end_map(u, ends[0][j], ends[1][j])
-            return polar(phi, j, tol / jac) * jac
+            return ring(phi, j, tol / jac) * jac
 
         parts = (partitions if k == 0 and partitions is not None
                  else np.tile([0.0, np.pi], (scale.size, 1)))
         return EvaluationReport(*_adaptive(
-            mapped if k == 0 and ends is not None else polar, parts,
+            mapped if k == 0 and ends is not None else ring, parts,
             rules[k].rel_tol, abs_tol, rules[k].max_subdivisions
         ))
 
@@ -580,6 +559,7 @@ def integrate_exterior_ball(
     support_radius=None,
     decay_exponent=None,
     angular_breakpoints=None,
+    *,
     axisymmetric=False,
     end_exponent=None,
 ):
@@ -604,19 +584,20 @@ def integrate_exterior_ball(
     resolved on exactly mirrored nodes.  ``angular_breakpoints(rho, ids)``
     maps an array of radii and their integrals to an (n, m) array of polar
     angles in that folded range where F may kink on each sphere; entries
-    outside (0, pi), NaN included, are ignored.  ``axisymmetric`` is one
-    bool for all integrals or one per integral: True declares F_i symmetric
-    about the line through 0 and x_i (about the e1 axis, the frame's first
-    vector, when x_i = 0), and the sphere rule of that integral stops after
-    the polar level in every d >= 2 (in d = 2 one point of each mirror pair).
-    ``end_exponent`` is None, or one value for all integrals or one per
-    integral, NaN for none: a in (0, 1) declares F_i = |y'|^a (smooth) near
-    the line of the polar ends, y' the part of y normal to x_i (to e1 at
-    x_i = 0), and the polar level maps its two end panels, from 0 to the
-    first cut and from the last cut to pi, by phi = phi_1 v^2 and its mirror
-    image (see ``sphere_integrals``); the cuts stay where they are.  The
-    caller decides; the rule checks neither the symmetry nor the power,
-    only that a lies in (0, 1).
+    outside (0, pi), NaN included, are ignored.
+
+    Two keyword-only declarations hold for every integral of the call.
+    ``axisymmetric`` True declares each F_i symmetric about the line through
+    0 and x_i (about the e1 axis, the frame's first vector, when x_i = 0),
+    and the sphere rule stops after the polar level in every d >= 2 (in
+    d = 2 one point of each mirror pair).  ``end_exponent`` a in (0, 1)
+    declares each F_i = |y'|^a (smooth) near the line of the polar ends, y'
+    the part of y normal to x_i (to e1 at x_i = 0), and the polar level maps
+    its two end panels, from 0 to the first cut and from the last cut to pi,
+    by phi = phi_1 v^2 and its mirror image (see ``sphere_integrals``); the
+    cuts stay where they are.  The caller decides, and makes one call per
+    declaration; the rule checks neither the symmetry nor the power, only
+    that a lies in (0, 1).
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
@@ -652,11 +633,6 @@ def integrate_exterior_ball(
         )
     frames = np.array([_frame(p, d) for p in points])
     delta = np.broadcast_to(delta, (k,))
-    flags = np.broadcast_to(np.asarray(axisymmetric, dtype=bool), (k,))
-    # One flag for all integrals spares sphere_integrals a per-row split.
-    polar_only = flags.all() if flags.all() or not flags.any() else flags
-    if end_exponent is not None:
-        end_exponent = np.broadcast_to(np.asarray(end_exponent, dtype=float), (k,))
     inner = _inner_rule(spec)
 
     def polar_partitions(q, ids):
@@ -681,8 +657,8 @@ def integrate_exterior_ball(
             lambda y, j: F(y, norm2m1[j], ids[j]),
             frames[0] if len(frames) == 1 else frames[ids], rho,
             polar_partitions(q, ids) if d > 1 else None, inner,
-            polar_only if polar_only.ndim == 0 else polar_only[ids],
-            tol / area, None if end_exponent is None else end_exponent[ids],
+            axisymmetric=axisymmetric, abs_tol=tol / area,
+            end_exponent=end_exponent,
         ) * area
 
     # Radial decomposition: a singular-substituted near part graded toward

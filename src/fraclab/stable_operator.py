@@ -18,9 +18,12 @@ The radial integrand r^{-1-2s} D(r) is O(r^{1-2s}) at r = 0, so
 ``apply_operator`` integrates it with the quadrature module's endpoint rule
 ``integrate_radial_singular``, r the offset and 2s - 1 the exponent.
 
-The sphere rule nested in each radial rule runs under ``_inner_rule`` of
-the caller's spec, to the ``tol`` it is handed over the factors that
-multiply its average (see ``quadrature``).
+The sphere rule nested in each radial rule is the general one (no symmetry
+is declared: u need not be symmetric about any line through x), under
+``_inner_rule`` of the caller's spec at that rule's own abs_tol.  The
+``tol`` the radial rule hands each node is not passed on: below r ~ 1e-8
+the first difference is roundoff, which the weight r^{-1-2s} amplifies, and
+a sphere rule held to that budget recurses into it.
 
 Functions u are numpy-vectorized over an (n, d) array of points.  They
 return values, or an ``EvaluationReport`` of per-point arrays when their
@@ -206,13 +209,13 @@ def nondegeneracy_constant(measure, s, xi_samples=720):
     return float(vals.min())
 
 
-def _average(measure, phi, frame, r, spec, tol):
+def _average(measure, phi, frame, r, spec):
     """The report of int phi(r theta) mu(dtheta) over a batch of radii r.
 
     ``phi`` takes an (n, d) array of offsets y = r theta and returns values
     or a report.  Atoms are summed with one call of phi; the uniform measure
-    is integrated with ``sphere_integrals`` in ``frame``, under
-    ``_inner_rule(spec)`` and to the absolute tolerance ``tol`` per radius.
+    is integrated with the general rule of ``sphere_integrals`` in
+    ``frame``, under ``_inner_rule(spec)``.
     """
     d = measure.dimension
     if measure.variant == "atomic":
@@ -227,7 +230,7 @@ def _average(measure, phi, frame, r, spec, tol):
         )
     density = measure.total_mass / _sphere_area(d)
     return sphere_integrals(lambda y, ids: phi(y), frame, r, None,
-                            _inner_rule(spec), tol / density) * density
+                            _inner_rule(spec)) * density
 
 
 def apply_operator(
@@ -271,8 +274,7 @@ def apply_operator(
 
     def core(r, ids, tol):
         weight = r ** (-1.0 - 2.0 * s)
-        return _average(op.measure, first_difference, frame, r, spec,
-                        tol / weight) * weight
+        return _average(op.measure, first_difference, frame, r, spec) * weight
 
     r_end = (2.0 if support_radius is None
              else float(np.linalg.norm(x)) + support_radius + 0.5)
@@ -305,8 +307,7 @@ def _abs_integral(measure, u, y, weight, points, spec, decay=None):
                                 rep.function_evals, rep.converged)
 
     def integrand(t, ids, tol):
-        w = weight(t)
-        return _average(measure, absolute, frame, t, spec, tol / w) * w
+        return _average(measure, absolute, frame, t, spec) * weight(t)
 
     rep = _integrate(integrand, [points], spec)
     if decay is not None:

@@ -484,6 +484,28 @@ class TestManyPoints:
         assert rev.function_evals == rep.function_evals
         assert rev.converged == rep.converged
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_exterior_integral_per_declaration(self, d, monkeypatch):
+        # The transverse datum declares its symmetry about e1 and an axis
+        # exponent: its points on e1 take both in one call, and its point
+        # off e1 the flag alone in d = 3 and neither in d = 2, in another.
+        calls = []
+
+        def spy(F, x, *args, **kwargs):
+            calls.append((len(x), kwargs["axisymmetric"], kwargs["end_exponent"]))
+            return integrate_exterior_ball(F, x, *args, **kwargs)
+
+        monkeypatch.setattr(ball_poisson, "integrate_exterior_ball", spy)
+        datum = transverse_modulus_datum(ModulusFunction.power(0.5), d)
+        problem = BallProblem(PoissonKernel(d, 0.5), datum)
+        spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
+        x = _many_points(d)
+        solve(problem, x, spec)
+        assert calls == [(5, True, 0.5), (1, d == 3, None)]
+        calls.clear()
+        solve(problem, x[:4], spec)
+        assert calls == [(4, True, 0.5)]
+
     def test_one_point_array_is_a_batch_of_one(self, fast_spec):
         problem = BallProblem(PoissonKernel(2, 0.5), radial_indicator_datum(0.5, 2))
         one = solve(problem, [0.3, 0.4], fast_spec)

@@ -538,7 +538,7 @@ class TestSphereIntegrals:
             exact = 4.0 * np.pi * np.sinh(radii) / radii
             for axisymmetric in (True, False):
                 rep = sphere_integrals(along_axis, frame, radii, None, rule,
-                                       axisymmetric)
+                                       axisymmetric=axisymmetric)
                 assert rep.converged
                 assert np.all(np.abs(rep.value - exact)
                               <= rep.error_estimate + 1e-10 * exact)
@@ -558,7 +558,8 @@ class TestSphereIntegrals:
             return vals if evals is None else _reported(vals, 0.0 * vals, evals)
 
         rep = sphere_integrals(g, frame, radii, None,
-                               QuadratureSpec(rel_tol=1e-8), axisymmetric)
+                               QuadratureSpec(rel_tol=1e-8),
+                               axisymmetric=axisymmetric)
         assert rep.converged
         assert rows.min() > 0
         assert np.array_equal(rep.function_evals, (evals or 1) * rows)
@@ -590,39 +591,31 @@ class TestSphereIntegrals:
         assert not rep.converged
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_per_radius_flags_are_per_radius_calls(self, d, rng):
-        # One flag per radius: each radius gets the rule its flag gives it
-        # alone, and g, symmetric about the line of each radius's frame[0],
-        # gets the same integral from both rules.
+    def test_the_flag_keeps_the_integral_of_a_symmetric_g(self, d, rng):
+        # g, symmetric about the line of each radius's frame[0], gets the
+        # same integral from the flagged rule as from the full recursion,
+        # within their summed estimates, at fewer evaluations per radius.
         frames = np.array([_random_frame(rng, d) for _ in range(4)])
         radii = np.array([0.5, 2.0, 3.0, 1.5])
-        flags = np.array([True, False, True, False])
         rule = QuadratureSpec(rel_tol=1e-8)
 
-        def g_of(rows):
-            def g(y, ids):
-                axial = np.einsum("ij,ij->i", y, frames[rows[ids], 0])
-                return np.exp(axial) * (1.0 + np.einsum("ij,ij->i", y, y)
-                                        - axial**2)
-            return g
+        def g(y, ids):
+            axial = np.einsum("ij,ij->i", y, frames[ids, 0])
+            return np.exp(axial) * (1.0 + np.einsum("ij,ij->i", y, y) - axial**2)
 
-        g = g_of(np.arange(4))
-        rep = sphere_integrals(g, frames, radii, None, rule, flags)
-        one = [sphere_integrals(g_of(np.array([i])), frames[i], radii[i:i + 1], None,
-                                rule, flags[i]) for i in range(4)]
-        assert np.array_equal(rep.value, [r.value[0] for r in one])
-        assert np.array_equal(rep.error_estimate,
-                              [r.error_estimate[0] for r in one])
-        assert np.array_equal(rep.function_evals,
-                              [r.function_evals[0] for r in one])
-        assert rep.converged == all(r.converged for r in one)
-        full = sphere_integrals(g, frames, radii, None, rule, False)
-        assert rep.converged and full.converged
-        assert np.all(np.abs(rep.value - full.value)
-                      <= rep.error_estimate + full.error_estimate)
-        assert np.all(rep.function_evals[flags] < full.function_evals[flags])
-        assert np.array_equal(rep.function_evals[~flags],
-                              full.function_evals[~flags])
+        flagged = sphere_integrals(g, frames, radii, None, rule, axisymmetric=True)
+        full = sphere_integrals(g, frames, radii, None, rule)
+        assert flagged.converged and full.converged
+        assert np.all(np.abs(flagged.value - full.value)
+                      <= flagged.error_estimate + full.error_estimate)
+        assert np.all(flagged.function_evals < full.function_evals)
+
+    def test_declarations_are_keyword_only(self):
+        # A value passed positionally after the rule cannot land in a flag.
+        with pytest.raises(TypeError):
+            sphere_integrals(lambda y, ids: np.ones(len(y)), np.eye(2),
+                             np.array([1.0]), None, QuadratureSpec(),
+                             np.array([1e-10]))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("axisymmetric", [False, True])
@@ -637,9 +630,10 @@ class TestSphereIntegrals:
         def g(y, ids):
             return np.exp(y @ a) * (1.0 + (y @ a) ** 2)
 
-        rep = sphere_integrals(g, frames, radii, None, rule, axisymmetric)
+        rep = sphere_integrals(g, frames, radii, None, rule,
+                               axisymmetric=axisymmetric)
         one = [sphere_integrals(g, frames[i], radii[i:i + 1], None, rule,
-                                axisymmetric) for i in range(3)]
+                                axisymmetric=axisymmetric) for i in range(3)]
         assert rep.value.shape == (3,)
         assert np.array_equal(rep.value, [r.value[0] for r in one])
         assert np.array_equal(rep.error_estimate,
@@ -687,19 +681,19 @@ class TestSphereIntegrals:
 
         def call(rows, end_exponent):
             return sphere_integrals(g, frame, radii[rows], parts[rows], rule,
-                                    True, end_exponent=end_exponent)
+                                    axisymmetric=True, end_exponent=end_exponent)
 
         mapped, plain = call([0, 1], a), call([0, 1], None)
         assert mapped.converged
         assert np.all(np.abs(mapped.value - exact)
                       <= mapped.error_estimate + 1e-13 * exact)
         assert np.all(mapped.function_evals < plain.function_evals)
-        # one exponent per radius: NaN is the unmapped rule, bit for bit
-        mixed = call([0, 1], [a, np.nan])
-        for i, rep in enumerate((call([0], a), call([1], None))):
-            assert mixed.value[i] == rep.value[0]
-            assert mixed.error_estimate[i] == rep.error_estimate[0]
-            assert mixed.function_evals[i] == rep.function_evals[0]
+        # each radius of the call is mapped as it is alone, bit for bit
+        for i in range(2):
+            one = call([i], a)
+            assert mapped.value[i] == one.value[0]
+            assert mapped.error_estimate[i] == one.error_estimate[0]
+            assert mapped.function_evals[i] == one.function_evals[0]
 
     @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, np.inf])
     def test_end_exponents_outside_zero_one_are_rejected(self, a):
@@ -858,14 +852,14 @@ class TestExteriorBall:
         assert rep.converged == all(r.converged for r in one)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_one_flag_per_integral_picks_each_integral_rule(self, d):
+    def test_the_flag_holds_for_every_integral_of_a_call(self, d):
         # The kernel P(x_i, .) is symmetric about the line through 0 and x_i,
-        # so a flagged integral may take the polar-only rule at any x_i (off
-        # the axes too): each gets the rule its own flag picks, as alone.
+        # so every integral of a flagged call may take the polar-only rule at
+        # its x_i (off the axes too): kernel mass 1, as alone, at fewer
+        # evaluations than the full recursion.
         s = 0.5
         x = np.zeros((3, d))
         x[1, 0], x[2] = 0.5, 0.4 / math.sqrt(d)
-        flags = np.array([True, False, True])
         P = [_poisson_F(p, s, d) for p in x]
         spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)
 
@@ -883,16 +877,16 @@ class TestExteriorBall:
                                            [()] * len(rows), decay_exponent=2.0 * s,
                                            axisymmetric=axisymmetric)
 
-        rep = call(np.arange(3), flags)
-        one = [call([i], flags[i]) for i in range(3)]
+        rep = call(np.arange(3), True)
+        one = [call([i], True) for i in range(3)]
         full = [call([i], False) for i in range(3)]
         assert np.array_equal(rep.value, [r.value[0] for r in one])
         assert np.array_equal(rep.error_estimate,
                               [r.error_estimate[0] for r in one])
         assert rep.function_evals == sum(r.function_evals for r in one)
         assert rep.converged and np.all(np.abs(rep.value - 1.0) <= 1e-12)
-        for flag, r, f in zip(flags, one, full):
-            assert (r.function_evals < f.function_evals) == flag
+        for r, f in zip(one, full):
+            assert r.function_evals < f.function_evals
 
     def test_rejects_points_that_do_not_match_the_integrals(self, spec):
         def F(points, norm2m1, ids):

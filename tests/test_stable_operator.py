@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
+from hypothesis import example, given, settings, strategies as st
 
 from fraclab import stable_operator
 from fraclab.exterior_data import halfline_modulus_datum
@@ -32,6 +34,17 @@ def bump(s):
     # the uniform measure of total mass m, and for atoms of total mass m
     def u(pts):
         return np.maximum(1.0 - np.einsum("ij,ij->i", pts, pts), 0.0) ** s
+
+    return u
+
+
+def gaussian(c):
+    """exp(-|y - c|^2), symmetric about no line through 0 unless c is on it."""
+    c = np.asarray(c, dtype=float)
+
+    def u(pts):
+        diff = pts - c
+        return np.exp(-np.einsum("ij,ij->i", diff, diff))
 
     return u
 
@@ -249,13 +262,31 @@ class TestApplyOperator:
         miss = abs(rep.value - exact)
         assert miss <= rep.error_estimate + fast_spec.abs_tol
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_translated_gaussian_against_its_closed_form(self, d, s):
+        # For the uniform measure of mass m, A exp(-|. - c|^2)(x) is
+        # (1-s) m pi / (2 sin(pi s)) / Gamma(1+s) 1F1(d/2+s; d/2; -|x-c|^2)
+        # (Dyda, FCAA 15, 2012).  c lies off the line through 0 and x, so u
+        # is symmetric about no line the sphere rule could assume.
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+        m = 2.0
+        x, c = 0.3 * np.eye(d)[0], 0.3 * np.eye(d)[1]
+        rep = apply_operator(OperatorSpec(SpectralMeasure.uniform(d, m), s=s),
+                             gaussian(c), x, spec)
+        exact = ((1.0 - s) * m * math.pi / (2.0 * math.sin(math.pi * s))
+                 / math.gamma(1.0 + s)
+                 * scipy.special.hyp1f1(0.5 * d + s, 0.5 * d, -(x - c) @ (x - c)))
+        assert rep.converged
+        assert abs(rep.value - exact) <= rep.error_estimate
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_converged_bump_values_are_within_their_estimates(self, d,
                                                               fast_spec):
-        # The sphere rule of every radius runs to the tolerance the radial
-        # rule hands it.  A converged value must be within its estimate; an
-        # unconverged one may miss (at s = 3/4 and 0.9 from the centre the
-        # first difference is roundoff at tiny r, and r^{-1-2s} blows it up).
+        # The sphere rule runs at its inner rule's own abs_tol.  A converged
+        # value must be within its estimate; an unconverged one may miss (at
+        # s = 3/4 and 0.9 from the centre the first difference is roundoff
+        # at tiny r, and r^{-1-2s} blows it up).
         m = 2.0
         mu = SpectralMeasure.uniform(d, m)
         points = ([[0.5], [-0.5], [-0.9]] if d == 1 else
@@ -393,6 +424,44 @@ class TestTail:
                                         + (1.0 - s) * 0.5 * err)
 
 
+def _rotation(d, entries):
+    """The orthogonal factor of a d x d matrix, turned to determinant 1."""
+    q = np.linalg.qr(np.reshape(entries[:d * d], (d, d)))[0]
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    s=st.sampled_from([0.25, 0.5, 0.75]),
+    x=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    c=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+)
+# A quarter turn in d = 2, which reverses the second vector of the solver's
+# frame between x and Rx: a rule that assumed a symmetry about the line
+# through x would read the other point of each mirror pair on one side.
+@example(d=2, s=0.5, x=[0.3, 0.0, 0.0], c=[0.0, 0.3, 0.0],
+         entries=[0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+def test_uniform_measure_is_rotation_invariant(d, s, x, c, entries):
+    # The uniform measure is rotation invariant: A u(x) = A (u o R^-1)(Rx)
+    # for the non-radial u = exp(-|y - c|^2), whose u o R^-1 is the same
+    # Gaussian about Rc, and likewise for the tail.  Both sides converge and
+    # agree within their summed estimates.
+    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
+    R = _rotation(d, entries)
+    x, c = np.array(x[:d]), np.array(c[:d])
+    op = OperatorSpec(SpectralMeasure.uniform(d, 2.0), s=s)
+    for fn in (apply_operator, tail):
+        a = fn(op, gaussian(c), x, spec)
+        b = fn(op, gaussian(R @ c), R @ x, spec)
+        assert a.converged and b.converged, fn.__name__
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, \
+            fn.__name__
+
+
 @pytest.mark.parametrize("norm", ["tail", "tail_space_norm"])
 def test_unconverged_sphere_is_reported(norm, monkeypatch):
     # An oscillation in the angle alone, 1e-6 in size: its sphere rule, at
@@ -483,6 +552,21 @@ class TestTailSpaceNorm:
         rep = tail_space_norm(u, 0.5, 4, spec)
         assert rep.converged
         assert abs(rep.value - 0.25 * math.pi**2) <= max(rep.error_estimate, 1e-9)
+
+    def test_non_radial_d2_against_quadpack(self):
+        # The Gaussian about c averages to exp(-r^2 - |c|^2) I0(2 r |c|) over
+        # the circle of radius r, so the norm is a 1-D integral.  u is
+        # symmetric about no line through 0 but the one through c.
+        s, c = 0.5, 0.5
+        spec = QuadratureSpec(rel_tol=1e-8)
+        rep = tail_space_norm(gaussian([0.6 * c, -0.8 * c]), s, 2, spec)
+        ref, err = scipy.integrate.quad(
+            lambda r: (2.0 * math.pi * r * math.exp(-(r - c) ** 2)
+                       * scipy.special.i0e(2.0 * r * c) / (1.0 + r) ** (2.0 + 2.0 * s)),
+            0.0, np.inf, epsabs=1e-14, epsrel=1e-13)
+        ref *= 1.0 - s
+        assert rep.converged
+        assert abs(rep.value - ref) <= rep.error_estimate + (1.0 - s) * err
 
     def test_power_growth_against_reference(self, spec):
         s = 0.5
