@@ -59,11 +59,9 @@ def _config_from(args, experiment):
     return load_config(args.config, overrides)
 
 
-def _emit(tables, config, quiet=False):
-    paths = emit_outputs(tables, config)
-    if not quiet:
-        for p in paths:
-            print(f"wrote {p}")
+def _emit(tables, config):
+    for p in emit_outputs(tables, config):
+        print(f"wrote {p}")
 
 
 def cmd_solve(args):

@@ -221,7 +221,7 @@ class ModulusFunction:
         t = np.concatenate([[0.0], np.geomspace(1e-12, t_max, 512)])
         v = self(t)
         if not np.all(np.isfinite(v)):
-            raise InvalidModulusError("modulus is not finite on [0, 8]")
+            raise InvalidModulusError(f"modulus is not finite on [0, {t_max:g}]")
         if np.any(np.diff(v) < -1e-14 * max(1.0, v[-1])):
             raise InvalidModulusError("modulus is not nondecreasing")
 

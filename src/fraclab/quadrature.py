@@ -1,14 +1,16 @@
 """Adaptive quadrature with estimated errors.
 
 One-dimensional adaptive Gauss-Kronrod (7/15 embedded pair) with panel-wise
-error estimates, one endpoint substitution that removes an integrable power
-q^{-s} of the offset q from the singular end analytically (the boundary
-weight (rho^2-1)^{-s} of the Poisson kernel, the r^{1-2s} of the stable
-operator), an unbounded-domain map, one routine for integrals over spheres
-in every d (``sphere_integrals``, a polar recursion down to the mirror pair
-S^0, whose top level maps its end panels for a declared power phi^a at the
-polar ends), and the sphere-times-radius rule over the exterior of the unit
-ball in every d, which calls it in a frame along each integral's evaluation
+error estimates; one radial rule over the offset q in (0, infinity), with a
+power map at each end (q = w^{1/(1-s)} removes an integrable power q^{-s}
+at the singular end analytically, such as the boundary weight
+(rho^2-1)^{-s} of the Poisson kernel or the r^{1-2s} of the stable
+operator, and q = L v^{-1/decay} flattens a declared decay q^{-1-decay}
+beyond L); one routine for integrals over spheres in every d
+(``sphere_integrals``, a polar recursion down to the mirror pair S^0, whose
+top level maps its end panels for a declared power phi^a at the polar
+ends); and the sphere-times-radius rule over the exterior of the unit ball
+in every d, which calls it in a frame along each integral's evaluation
 point.
 
 Every rule computes a batch of k integrals in one adaptive pool, and one
@@ -273,22 +275,28 @@ def integrate_1d(f, a, b, spec, breakpoints=None):
                              [_partition(a, b, breakpoints)], spec))
 
 
-def integrate_radial_singular(f, s, L, spec, breakpoints):
-    """Integrate q^{-s} h_i(q) over the offset q in (0, L), each h_i bounded
-    near 0, for -1 < s < 1.
+def integrate_radial_singular(f, s, L, spec, breakpoints, decay=None):
+    """Integrate q^{-s} h_i(q) over the offset q in (0, infinity), each h_i
+    bounded near 0, for -1 < s < 1: the package's one radial rule.
 
-    Uses the substitution q = w^{1/(1-s)}; its Jacobian w^{s/(1-s)}/(1-s)
-    cancels the endpoint power identically, so the transformed integrand is
-    bounded and the plain adaptive rule applies.  The offset q is the
-    distance from the singular end (rho - 1 for a radius rho > 1, r itself
-    for a radius r > 0), computed without cancellation.
+    The near part, over (0, L), uses the substitution q = w^{1/(1-s)}; its
+    Jacobian w^{s/(1-s)}/(1-s) cancels the endpoint power identically, so
+    the transformed integrand is bounded and the plain adaptive rule
+    applies.  The offset q is the distance from the singular end (rho - 1
+    for a radius rho > 1, r itself for a radius r > 0), computed without
+    cancellation.  ``decay`` None declares every f_i zero beyond L.  Else
+    |f_i(q)| <= M q^{-1-decay} there, and the far part over (L, infinity)
+    is ``integrate_radial_unbounded``'s, to an absolute tolerance of
+    max(abs_tol, 1/4 spec.tolerance(near value)) per integral: relative to
+    the whole integral, not to the far part's own (possibly tiny) value.
 
     The integrand is called as f(q, ids, tol) on the exact offset q, so
     kernel-type integrands evaluate the singular weight accurately
     arbitrarily close to the singular end; ids[j] is the integral that q[j]
     belongs to, and tol[j] its budget over the Jacobian.  ``breakpoints``
-    holds one sequence of offsets per integral (those outside (0, L) are
-    ignored), so there are k = len(breakpoints) integrals.
+    holds one sequence of offsets per integral, where f_i may kink, for
+    both parts (those at or below 0 are ignored), so there are
+    k = len(breakpoints) integrals.
     """
     if not L > 0.0:
         raise QuadratureError("L must be positive")
@@ -308,27 +316,31 @@ def integrate_radial_singular(f, s, L, spec, breakpoints):
         return sorted({w_lo, L ** (1.0 - s)}
                       | {q ** (1.0 - s) for q in bps if 0.0 < q < L})
 
-    return _integrate(transformed, [w_partition(b) for b in breakpoints], spec)
+    near = _integrate(transformed, [w_partition(b) for b in breakpoints], spec)
+    if decay is None:
+        return near
+    far_tol = np.maximum(spec.abs_tol, 0.25 * spec.tolerance(near.value))
+    return near + integrate_radial_unbounded(f, L, decay, spec, far_tol,
+                                             breakpoints)
 
 
 def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol,
                                breakpoints=None):
     """Integrate f_i over (R, infinity) given |f_i(rho)| <= M rho^{-1-decay}.
 
-    Maps (R, inf) onto (0, 1] via rho = R/v.  The mapped integrand behaves
-    like v^{decay-1} at v = 0, so for decay < 1 a further power substitution
-    v = z^{1/decay} flattens the endpoint.  No truncation is performed, hence
-    no analytic remainder term enters the estimate.
+    Maps (R, inf) onto (0, 1] via rho = R v^{-1/decay}, whose Jacobian
+    (R/decay) v^{-1/decay-1} makes the mapped integrand bounded at v = 0
+    for every decay.  No truncation is performed, hence no analytic
+    remainder term enters the estimate.
 
     The integrand is called as f(rho, ids, tol), ids[j] the integral that
-    rho[j] belongs to and tol[j] its budget over the Jacobians of the maps.
-    Integral i gets the absolute tolerance ``abs_tol[i]``, so there are
+    rho[j] belongs to and tol[j] its budget over the Jacobian.  Integral i
+    gets the absolute tolerance ``abs_tol[i]``, so there are
     k = len(abs_tol) integrals.  ``breakpoints``, if given, holds one
     sequence of radii per integral where f_i may kink; each radius
-    rho_b > R becomes the breakpoint R/rho_b of v (its z = v^decay when
-    decay < 1), added to the partition 0, 0.5, 1 that every integral starts
-    from, so an integral without breakpoints gets the partition it gets
-    alone.
+    rho_b > R becomes the breakpoint (R/rho_b)^decay of v, added to the
+    partition 0, 0.5, 1 that every integral starts from, so an integral
+    without breakpoints gets the partition it gets alone.
     """
     if decay_exponent <= 0:
         raise QuadratureError("decay_exponent must be positive")
@@ -339,27 +351,18 @@ def integrate_radial_unbounded(f, R, decay_exponent, spec, abs_tol,
         breakpoints = [()] * abs_tol.size
     if len(breakpoints) != abs_tol.size:
         raise QuadratureError("need one sequence of breakpoints per integral")
+    q = 1.0 / decay_exponent
 
     def mapped(v, ids, tol):
-        jac = R / v**2
-        return f(R / v, ids, tol / jac) * jac
-
-    if decay_exponent >= 1.0:
-        integrand = mapped
-    else:
-        q = 1.0 / decay_exponent
-
-        def integrand(z, ids, tol):
-            jac = q * z ** (q - 1.0)
-            return mapped(z**q, ids, tol / jac) * jac
+        # Written so that decay 1 evaluates R / v and R / v^2 exactly.
+        jac = q * R / v ** (q + 1.0)
+        return f(R / v**q, ids, tol / jac) * jac
 
     def partition(bps):
-        v = [R / rho for rho in bps if rho > R]
-        if decay_exponent < 1.0:
-            v = [w**decay_exponent for w in v]
-        return sorted({0.0, 0.5, 1.0, *v})
+        return sorted({0.0, 0.5, 1.0, *((R / rho) ** decay_exponent
+                                        for rho in bps if rho > R)})
 
-    return _integrate(integrand, [partition(b) for b in breakpoints], spec,
+    return _integrate(mapped, [partition(b) for b in breakpoints], spec,
                       abs_tol)
 
 
@@ -601,11 +604,12 @@ def integrate_exterior_ball(
 
     Either ``support_radius`` (F vanishes beyond it) or ``decay_exponent``
     (|rho^{d-1} x angular-average| <= M rho^{-1-decay}) must describe the far
-    field; each integral's far field gets its own tolerance, and its radial
-    breakpoints beyond the near part's end (radius 2) break the far rule
-    too.  The sphere rule at each radial node takes as its abs_tol the
-    ``tol`` the radial rule hands that node over rho^{d-1}, the area element
-    that multiplies its value (see the module docstring).  Each radial and
+    field.  With a decay the radial rule adds the far part beyond radius 2
+    itself, to its own far-field budget per integral, and the kink offsets
+    r - 1 beyond there break it too.  The sphere rule at each radial node
+    takes as its abs_tol the ``tol`` the radial rule hands that node over
+    rho^{d-1}, the area element that multiplies its value (see the module
+    docstring).  Each radial and
     angular rule is one adaptive pool over the k integrals, and each
     integral returns exactly what it returns alone; the angular integrals of
     all radial nodes in one radial panel sweep run as one batch.  The
@@ -661,22 +665,13 @@ def integrate_exterior_ball(
             end_exponent=end_exponent,
         ) * area
 
-    # Radial decomposition: a singular-substituted near part graded toward
-    # the boundary, then (if needed) an unbounded far part.
+    # One radial rule: its near part graded toward the boundary, and with a
+    # decay its far part beyond radius 2.
     r_near_end = 2.0 if support_radius is None else max(2.0, support_radius)
     graded = {di: _graded_scales(di, r_near_end - 1.0, RADIAL_GRADING)
               for di in set(delta.tolist())}
     bps = [[*graded[di], *(r - 1.0 for r in b)]
            for di, b in zip(delta.tolist(), radial_breakpoints)]
-
-    total = integrate_radial_singular(radial_q, s, r_near_end - 1.0, spec, bps)
-    if support_radius is None:
-        # The far field's error budget is relative to the whole integral, not
-        # to its own (possibly tiny) value.
-        far_tol = np.maximum(spec.abs_tol, 0.25 * spec.tolerance(total.value))
-
-        far = integrate_radial_unbounded(
-            lambda rho, ids, tol: radial_q(rho - 1.0, ids, tol), r_near_end,
-            decay_exponent, spec, far_tol, radial_breakpoints)
-        total = total + far
-    return total
+    return integrate_radial_singular(
+        radial_q, s, r_near_end - 1.0, spec, bps,
+        decay_exponent if support_radius is None else None)

@@ -15,8 +15,9 @@ are summed over their atoms; the uniform measure is integrated with
 (in d = 1 that is the pair x +- r, with no adaptive rule).
 
 The radial integrand r^{-1-2s} D(r) is O(r^{1-2s}) at r = 0, so
-``apply_operator`` integrates it with the quadrature module's endpoint rule
-``integrate_radial_singular``, r the offset and 2s - 1 the exponent.
+``apply_operator`` integrates it with the quadrature module's one radial
+rule ``integrate_radial_singular``, r the offset, 2s - 1 the exponent and
+2s - growth the far decay; the tails take it at exponent 0.
 
 The sphere rule nested in each radial rule is the general one (no symmetry
 is declared: u need not be symmetric about any line through x), under
@@ -43,7 +44,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureSpec,
     integrate_radial_singular,
-    integrate_radial_unbounded,
     sphere_integrals,
     # Not called here: perfbench/tracer.py patches this module's bindings.
     _adaptive,  # noqa: F401
@@ -52,7 +52,6 @@ from .quadrature import (
     _first,
     _frame,
     _inner_rule,
-    _integrate,
     _sphere_area,
 )
 
@@ -245,12 +244,14 @@ def apply_operator(
     """Evaluate the operator at x on a function u that is C^2 near x.
 
     ``growth_exponent`` declares |u(y)| = O(|y|^growth) at infinity and must
-    be < 2s for the tail integral to converge.  If ``support_radius`` is
-    given (u vanishes for |y| > support_radius) the far tail reduces to a
-    closed form of u(x), else to ``integrate_radial_unbounded`` beyond
-    r = 2.  One endpoint rule integrates up to there, breaking at r = 1, at
-    ``radial_breakpoints`` and where x + r theta crosses the unit or the
-    support sphere.  function_evals counts the rows of u, u(x) included.
+    be < 2s for the tail integral to converge.  One call of the radial rule
+    integrates over r, breaking at r = 1, at ``radial_breakpoints`` and where
+    x + r theta crosses the unit or the support sphere.  If
+    ``support_radius`` is given (u vanishes for |y| > support_radius) the
+    rule stops at r_end = |x| + support_radius + 1/2, beyond which the tail
+    is a closed form of u(x); else the rule maps its far part beyond r = 2
+    by the decay 2s - growth.  function_evals counts the rows of u, u(x)
+    included.
     """
     spec = spec or QuadratureSpec()
     s = op.s
@@ -280,11 +281,9 @@ def apply_operator(
              else float(np.linalg.norm(x)) + support_radius + 0.5)
     bps = {1.0, *radial_breakpoints,
            *sphere_crossing_radii(op.measure, x, support_radius)}
-    rep = _first(integrate_radial_singular(core, 2.0 * s - 1.0, r_end, spec,
-                                           [sorted(bps)]))
-    if support_radius is None:
-        rep = rep + _first(integrate_radial_unbounded(
-            core, r_end, 2.0 * s - growth_exponent, spec, [spec.abs_tol]))
+    rep = _first(integrate_radial_singular(
+        core, 2.0 * s - 1.0, r_end, spec, [sorted(bps)],
+        2.0 * s - growth_exponent if support_radius is None else None))
     # u(x) adds its evaluation and flag, and with a support radius the tail:
     # beyond r_end every u(x + r theta) vanishes, so the integrand is exactly
     # total_mass * u(x) * r^{-1-2s}.
@@ -295,10 +294,11 @@ def apply_operator(
     return rep * (1.0 - s)
 
 
-def _abs_integral(measure, u, y, weight, points, spec, decay=None):
-    """int weight(t) int |u(y + t theta)| mu(dtheta) dt over the partition
-    ``points``, plus over (points[-1], inf) when ``decay`` is given
-    (|integrand(t)| <= M t^{-1-decay} there)."""
+def _abs_integral(measure, u, y, weight, start, end, kinks, spec, decay):
+    """int weight(t) int |u(y + t theta)| mu(dtheta) dt over t > start: the
+    radial rule at exponent 0 over the offsets t - start, up to ``end`` (the
+    integrand vanishing beyond it when ``decay`` is None, else
+    |integrand(t)| <= M t^{-1-decay} there), broken at the radii ``kinks``."""
     frame = _frame(y, y.size)
 
     def absolute(z):
@@ -306,19 +306,18 @@ def _abs_integral(measure, u, y, weight, points, spec, decay=None):
         return EvaluationReport(np.abs(rep.value), rep.error_estimate,
                                 rep.function_evals, rep.converged)
 
-    def integrand(t, ids, tol):
+    def integrand(q, ids, tol):
+        t = start + q
         return _average(measure, absolute, frame, t, spec) * weight(t)
 
-    rep = _integrate(integrand, [points], spec)
-    if decay is not None:
-        rep = rep + integrate_radial_unbounded(integrand, points[-1], decay,
-                                               spec, [spec.abs_tol])
-    return _first(rep)
+    return _first(integrate_radial_singular(
+        integrand, 0.0, end - start, spec, [[t - start for t in kinks]], decay))
 
 
 def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
     """(1-s) int_{1/2}^inf int |u(y + t theta)| / t^{1+2s} mu(dtheta) dt,
-    breaking where y + t theta crosses the unit or the support sphere."""
+    breaking where y + t theta crosses the unit or the support sphere: one
+    call of the radial rule at exponent 0 over the offsets t - 1/2."""
     spec = spec or QuadratureSpec()
     s = op.s
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -332,10 +331,10 @@ def tail(op, u, y, spec=None, growth_exponent=0.0, support_radius=None):
         r_end, decay = 2.0, 2.0 * s - growth_exponent
     else:
         r_end, decay = float(np.linalg.norm(y)) + support_radius + 0.5, None
-    kinks = sphere_crossing_radii(op.measure, y, support_radius)
-    points = sorted({0.5, r_end} | {t for t in kinks if 0.5 < t < r_end})
     return _abs_integral(op.measure, u, y, lambda t: t ** (-1.0 - 2.0 * s),
-                         points, spec, decay) * (1.0 - s)
+                         0.5, r_end,
+                         sphere_crossing_radii(op.measure, y, support_radius),
+                         spec, decay) * (1.0 - s)
 
 
 def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
@@ -352,4 +351,4 @@ def tail_space_norm(u, s, d, spec=None, growth_exponent=0.0):
     return _abs_integral(
         area, u, np.zeros(d),
         lambda rho: rho ** (d - 1.0) / (1.0 + rho) ** (d + 2.0 * s),
-        [1e-290, 1.0, 2.0], spec, 2.0 * s - growth_exponent) * (1.0 - s)
+        0.0, 2.0, [1.0], spec, 2.0 * s - growth_exponent) * (1.0 - s)

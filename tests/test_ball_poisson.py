@@ -268,9 +268,9 @@ class TestSolve:
         # themselves, not as (1 + g) - 1, which rounds them.
         calls, rule = [], quadrature.integrate_radial_singular
 
-        def spy(f, s, L, spec, breakpoints):
+        def spy(f, s, L, spec, breakpoints, decay):
             calls.append((L, breakpoints))
-            return rule(f, s, L, spec, breakpoints)
+            return rule(f, s, L, spec, breakpoints, decay)
 
         monkeypatch.setattr(quadrature, "integrate_radial_singular", spy)
         # 1 - |x| is a multiple of 2^-53, and an odd one at one of these two

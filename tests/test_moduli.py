@@ -100,6 +100,13 @@ class TestModulusFunction:
         with pytest.raises(InvalidModulusError):
             bad.check_monotone()
 
+    def test_finiteness_check_names_the_sampled_range(self):
+        # dini_integral samples [0, 1]; the message names that range.
+        bad = ModulusFunction.custom(lambda t: np.where(t > 0.9, np.nan, t))
+        with pytest.raises(InvalidModulusError,
+                           match=r"not finite on \[0, 1\]"):
+            dini_integral(bad)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1, 2.0])
     def test_power_is_the_plain_power(self, alpha):
         om = ModulusFunction.power(alpha)

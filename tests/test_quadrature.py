@@ -268,6 +268,22 @@ class TestRadialSingular:
         ))
         assert rep.value == 0.0
 
+    @pytest.mark.parametrize("L", [1.0, 3.0])
+    @pytest.mark.parametrize("sigma, a", [
+        (sigma, a) for sigma in (-0.5, 0.0, 0.25, 0.75) for a in (0.5, 1.0, 1.5)
+        if sigma + a > 0.0  # sigma = -a diverges at infinity
+    ])
+    def test_half_line_closed_form(self, sigma, a, L, spec):
+        # int_0^inf q^{-sigma} (1+q)^{-1-a} dq = B(1-sigma, sigma+a): the near
+        # map at 0 and the far map, under the decay sigma + a, beyond L, with
+        # a breakpoint in the far part.
+        rep = _first(integrate_radial_singular(
+            lambda q, ids, tol: q ** -sigma * (1.0 + q) ** (-1.0 - a),
+            sigma, L, spec, [(0.5, 2.0 * L)], sigma + a))
+        assert rep.converged
+        assert abs(rep.value - scipy.special.beta(1.0 - sigma, sigma + a)) \
+            <= rep.error_estimate
+
     def test_rejects_bad_parameters(self, spec):
         with pytest.raises(QuadratureError):
             integrate_radial_singular(lambda q, ids, tol: q, 0.5, 0.0, spec, [()])
@@ -311,7 +327,7 @@ class TestRadialUnbounded:
     @pytest.mark.parametrize("rho0", [2.001, 3.0, 40.0])
     def test_breakpoint_resolves_a_far_jump(self, decay, rho0, spec):
         # int_R^inf 1_{rho > rho0} rho^{-2} drho = 1/rho0: the jump maps to a
-        # panel end, v = R/rho0 (z = v^decay), and the rule is exact.  Blind,
+        # panel end, v = (R/rho0)^decay, and the rule is exact.  Blind,
         # the rule misses the jump at 2.001 and returns 0.5 with an estimate
         # of 3e-17.
         rep = _first(integrate_radial_unbounded(
@@ -323,7 +339,7 @@ class TestRadialUnbounded:
     @pytest.mark.parametrize("decay, value, error, evals", [
         (1.0, [0.3333333275733019, 0.25], [2.3888210967163927e-08, 0.0], 630),
         (0.5, [0.33333333720478137, 0.250000015931689],
-         [2.029189985440982e-08, 1.7573301219663888e-08], 1260),
+         [2.0291899848345066e-08, 1.7573301224866814e-08], 1260),
     ])
     def test_no_far_breakpoint_keeps_the_partition(self, decay, value, error,
                                                    evals, spec, monkeypatch):
@@ -344,6 +360,7 @@ class TestRadialUnbounded:
                                              [spec.abs_tol] * 2, bps)
             assert rep.value.tolist() == value
             assert rep.error_estimate.tolist() == error
+            assert np.all(np.abs(rep.value - [1.0 / 3.0, 0.25]) <= error)
             assert (rep.function_evals, rep.converged) == (evals, True)
         assert len(rows) == 4
         assert all(list(p) == [0.0, 0.5, 1.0] for p in rows)
@@ -392,17 +409,15 @@ class TestErrorBudget:
 
     @pytest.mark.parametrize("decay", [2.0, 0.5])
     def test_radial_unbounded(self, decay, spec):
-        # rho = R / v on v in (0, 1]: the Jacobian is R / v^2, times
-        # (1 / decay) z^{1/decay - 1} for v = z^{1/decay} when decay < 1
+        # rho = R v^{-1/decay} on v in (0, 1]: the Jacobian is
+        # (R / decay) v^{-1/decay - 1}
         calls, R = [], 2.0
         abs_tol = np.array([1e-9, 3e-7])
         integrate_radial_unbounded(self._recording(calls, lambda r: r**-3.0),
                                    R, decay, spec, abs_tol)
         rho, ids, tol = map(np.concatenate, zip(*calls))
-        v = R / rho
-        factor = R / v**2
-        if decay < 1.0:
-            factor *= v ** (1.0 - decay) / decay
+        v = (R / rho) ** decay
+        factor = R / decay * v ** (-1.0 / decay - 1.0)
         _assert_share(tol * factor, abs_tol[ids])
 
     def test_nested_sphere(self, rng, monkeypatch):
